@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Benchmark the compiled recursion kernel against the numpy fallback.
 
-Times a single generation update at several grid sizes, then a full
-front-measurement run, and reports the numerical deviation between the
-two backends.  Run after `pip install -e . --no-build-isolation`:
+Times a single generation update at several grid sizes, then n_max
+full-grid steps per backend and the windowed front-measurement run
+(run_recursion, which advances only the live band of the grid), and
+reports the numerical deviation between the two backends.  Run after
+`pip install -e . --no-build-isolation`:
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --delta 0.001 --nmax 400
@@ -21,9 +23,8 @@ from continuum_cascade.recursion import (
     RecursionConfig,
     front_clearance_xmax,
     init_p0,
-    iterate_step,
+    run_recursion,
 )
-from continuum_cascade import recursion as rec
 
 
 def bench_step(step, g, delta, repeats=5):
@@ -49,12 +50,22 @@ def backend_steppers():
 
 
 def full_run(stepper, config):
-    rec._STEPPERS[rec.Quadrature.TRAPEZOID] = stepper
-    cur = init_p0(config)
+    """n_max full-grid trapezoid steps with `stepper`, on bare arrays."""
+    g = init_p0(config).complement.copy()
+    out_p = np.empty_like(g)
+    out_g = np.empty_like(g)
     t0 = time.perf_counter()
     for _ in range(config.n_max):
-        cur = iterate_step(cur, config)
-    return time.perf_counter() - t0, cur
+        stepper(g, config.delta, out_p, out_g)
+        g, out_g = out_g, g
+    return time.perf_counter() - t0, out_p
+
+
+def windowed_run(config):
+    """run_recursion with one front level, on the active backend."""
+    t0 = time.perf_counter()
+    run_recursion(config, front_levels=(0.5,))
+    return time.perf_counter() - t0
 
 
 def main():
@@ -89,18 +100,17 @@ def main():
     print(f"\nfull trapezoid run: delta={args.delta} n_max={args.nmax} "
           f"(M={config.grid_size})")
     finals = {}
-    original = dict(rec._STEPPERS)
-    try:
-        for name, (_, trap) in table.items():
-            elapsed, final = full_run(trap, config)
-            finals[name] = final
-            print(f"  {name:>9}: {elapsed:6.2f}s "
-                  f"({elapsed / args.nmax * 1e3:.2f} ms/generation)")
-    finally:
-        rec._STEPPERS.update(original)
+    for name, (_, trap) in table.items():
+        elapsed, finals[name] = full_run(trap, config)
+        print(f"  {name:>9}: {elapsed:6.2f}s "
+              f"({elapsed / args.nmax * 1e3:.2f} ms/generation)")
     if len(finals) == 2:
-        dev = np.max(np.abs(finals["compiled"].values - finals["python"].values))
+        dev = np.max(np.abs(finals["compiled"] - finals["python"]))
         print(f"  max |P diff| after {args.nmax} generations: {dev:.2e}")
+    elapsed = windowed_run(config)
+    print(f"  {'window':>9}: {elapsed:6.2f}s "
+          f"({elapsed / args.nmax * 1e3:.2f} ms/generation, run_recursion "
+          f"on the {kernels.BACKEND} backend)")
 
 
 if __name__ == "__main__":

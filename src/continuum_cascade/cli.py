@@ -14,11 +14,12 @@ Exit codes: 0 success, 2 configuration error, 3 numeric/fit error,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from . import fronts, graphs, martingale, recursion, simulate
 from .errors import CascadeError, ConfigurationError
@@ -128,8 +129,11 @@ def resolve_params(command: str, args: argparse.Namespace) -> dict:
 
     config_path = getattr(args, "config")
     if config_path is not None:
-        with open(config_path) as fh:
-            lines = fh.readlines()
+        try:
+            with open(config_path) as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"{config_path}: not a text file ({exc})") from exc
         for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -237,19 +241,17 @@ def cmd_simulate(params: dict, writer: RunWriter) -> None:
 def cmd_graph(params: dict, writer: RunWriter) -> None:
     n, c = params["n-vertices"], params["c"]
     trials, n_cap = params["trials"], params["ncap"]
-    counts = [0] * (n_cap + 1)
+    hist = np.zeros(n_cap + 2, dtype=np.int64)  # slot n_cap+1 collects overflow
     for i in range(trials):
         rng = simulate.trial_rng(params["seed"], simulate.GRAPH_STREAM, i)
         length = graphs.sample_cascade_graph(n, c, rng).longest_path_from_1
-        if length <= n_cap:
-            counts[length] += 1
-    cum = 0
-    rows = []
-    for k, cnt in enumerate(counts):
-        cum += cnt
-        p = cum / trials
-        rows.append((k, cum, p, math.sqrt(p * (1.0 - p) / trials)))
-    writer.write_csv("ln_cdf.csv", "n,count,p_hat,stderr", rows)
+        hist[min(length, n_cap + 1)] += 1
+    cdf = simulate.EmpiricalCdf(
+        x=n * c, trials=trials, counts=np.cumsum(hist[: n_cap + 1]),
+        truncated_trials=0, beyond_cap_trials=int(hist[n_cap + 1]),
+    )
+    cdf.check_accounting()
+    _write_cdf(writer, "ln_cdf.csv", cdf)
 
 
 def cmd_brw(params: dict, writer: RunWriter) -> None:
@@ -261,7 +263,7 @@ def cmd_brw(params: dict, writer: RunWriter) -> None:
     if params["trials"] > 0:
         rows = []
         for i in range(params["trials"]):
-            rng = simulate.trial_rng(params["seed"], 2, i)
+            rng = simulate.trial_rng(params["seed"], simulate.BRW_STREAM, i)
             traj = martingale.simulate_Dn(
                 params["n"], rng, v_max=params["vmax"],
                 particle_cap=params["pcap"], prune_window=params["prune-window"],

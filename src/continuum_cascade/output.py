@@ -4,6 +4,8 @@ All floating-point output uses 17 significant digits (%.17g) so artifacts
 round-trip exactly and diff cleanly across platforms.  Every file a command
 produces is recorded in manifest.json with its sha256 checksum; the manifest
 itself contains no timestamps, so identical runs produce identical bytes.
+A RunWriter removes any old manifest from its directory before writing, so
+a run that fails part way never leaves a manifest vouching for its files.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import hashlib
 import json
 from pathlib import Path
 from typing import Iterable, Mapping
+
+MANIFEST = "manifest.json"
 
 
 def fmt(value) -> str:
@@ -26,6 +30,7 @@ class RunWriter:
     def __init__(self, out_dir: str | Path):
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
+        (self.out_dir / MANIFEST).unlink(missing_ok=True)
         self.checksums: dict[str, str] = {}
 
     def write_csv(self, name: str, header: str, rows: Iterable[Iterable]) -> Path:
@@ -44,7 +49,7 @@ class RunWriter:
             "seed": seed,
             "files": dict(sorted(self.checksums.items())),
         }
-        path = self.out_dir / "manifest.json"
+        path = self.out_dir / MANIFEST
         with open(path, "w", newline="\n") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")

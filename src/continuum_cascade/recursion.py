@@ -9,9 +9,16 @@ where P_n(x) = P(H(x) <= n).  This module iterates the recursion on a
 uniform grid in two quadrature modes: RIEMANN reproduces the classic
 first-order discretization (cumulative sum over grid indices 1..i, the
 y = 0 endpoint omitted), TRAPEZOID is the second-order default used for
-front measurements.  Cost is O(grid) per generation via a running prefix
-sum; memory is O(grid) because only requested snapshots and the rolling
-pair of generations are kept.
+front measurements.
+
+run_recursion advances only the live band of the complement g = 1 - P:
+behind it g is exactly 0 (the prefix sum there is exactly 0) and ahead of
+it g is exactly 1 (the prefix sum adds exact 1s), so the band's nodes come
+out bit-identical to a full-grid step.  Cost is O(band width) per
+generation, via a running prefix sum; the band stays a few hundred units
+wide while the domain grows like n/e.  Only requested snapshots and the
+final generation are stepped across the whole grid.  Memory is O(grid)
+because only those snapshots and the current band are kept.
 """
 
 from __future__ import annotations
@@ -200,22 +207,48 @@ _STEPPERS = {
 }
 
 
-def iterate_step(prev: GridFunction, config: RecursionConfig) -> GridFunction:
-    """Advance one generation.  O(M) via a running compensated prefix sum."""
+def iterate_step(
+    prev: GridFunction, config: RecursionConfig, nodes: int | None = None
+) -> GridFunction:
+    """Advance one generation.  O(nodes) via a running compensated prefix sum.
+
+    By default `prev` spans the whole grid and so does the result.  With
+    `nodes`, `prev` is a band of the grid instead: g = 1 - P is exactly 0
+    at its first node (so the prefix sum up to there is exactly 0) and
+    exactly 1 at every node past its end.  The result is the next
+    generation on the band's first `nodes` nodes, bit-identical to those
+    nodes of a full-grid step.
+    """
     if prev.delta != config.delta:
         raise ContractViolationError(
             f"grid mismatch: prev.delta={prev.delta} config.delta={config.delta}"
         )
-    if len(prev.values) != config.grid_size + 1:
-        raise ContractViolationError(
-            f"grid mismatch: prev has {len(prev.values)} nodes, "
-            f"config wants {config.grid_size + 1}"
-        )
-    out_p = np.empty_like(prev.values)
-    out_g = np.empty_like(prev.values)
-    excess = _STEPPERS[config.quadrature](
-        prev.complement_values(), config.delta, out_p, out_g
-    )
+    prev_g = prev.complement_values()
+    if nodes is None:
+        if len(prev_g) != config.grid_size + 1:
+            raise ContractViolationError(
+                f"grid mismatch: prev has {len(prev_g)} nodes, "
+                f"config wants {config.grid_size + 1}"
+            )
+        nodes = len(prev_g)
+    else:
+        if not 1 <= nodes <= config.grid_size + 1:
+            raise ContractViolationError(
+                f"band of {nodes} nodes does not fit a grid of {config.grid_size + 1}"
+            )
+        if prev_g[0] != 0.0:
+            raise ContractViolationError("band must start where g = 1 - P is exactly 0")
+        if nodes > len(prev_g):
+            if prev_g[-1] != 1.0:
+                raise ContractViolationError(
+                    "band can only be extended past a node where g = 1 - P is exactly 1"
+                )
+            prev_g = np.concatenate((prev_g, np.ones(nodes - len(prev_g))))
+        else:
+            prev_g = prev_g[:nodes]
+    out_p = np.empty(nodes)
+    out_g = np.empty(nodes)
+    excess = _STEPPERS[config.quadrature](prev_g, config.delta, out_p, out_g)
     if excess > CLAMP_TOLERANCE:
         raise NumericError(
             f"clamp exceeded tolerance at generation {prev.generation + 1}: "
@@ -229,8 +262,15 @@ def iterate_step(prev: GridFunction, config: RecursionConfig) -> GridFunction:
     )
 
 
-def _bracketed_crossing(values: np.ndarray, delta: float, level: float) -> float:
-    """Interpolated x where a non-increasing curve crosses `level`."""
+def _bracketed_crossing(
+    values: np.ndarray, delta: float, level: float, offset: int = 0
+) -> float:
+    """Interpolated x where a non-increasing curve crosses `level`.
+
+    `values` starts at grid node `offset`.  The node index is formed as an
+    integer before the fraction is added, so a band and the full grid give
+    the same bits.
+    """
     below = values < level
     if not below.any():
         raise FrontNotFoundError(f"curve never drops below level {level}")
@@ -238,7 +278,28 @@ def _bracketed_crossing(values: np.ndarray, delta: float, level: float) -> float
     if idx == 0:
         raise FrontNotFoundError(f"curve starts below level {level}")
     hi, lo = values[idx - 1], values[idx]
-    return delta * (idx - 1 + (hi - level) / (hi - lo))
+    return delta * (offset + idx - 1 + (hi - level) / (hi - lo))
+
+
+def _live_band(f: GridFunction, offset: int) -> tuple[GridFunction, int]:
+    """Cut `f` (starting at node `offset`) down to its live band.
+
+    The band runs from the last node of the leading run of exact g = 0 to
+    the first node of the trailing run of exact g = 1.  Returns the band
+    and the grid index of its first node.
+    """
+    g = f.complement
+    start = int(np.argmax(g != 0.0)) - 1
+    if start < 0:  # g[0] is 0, so argmax found no nonzero: g is 0 throughout
+        start = len(g) - 1
+    stop = len(g) + 1 - int(np.argmax(g[::-1] != 1.0))
+    band = GridFunction(
+        delta=f.delta,
+        values=f.values[start:stop],
+        generation=f.generation,
+        complement=g[start:stop],
+    )
+    return band, offset + start
 
 
 def run_recursion(
@@ -252,11 +313,20 @@ def run_recursion(
     recorded every generation and the config must satisfy the front
     clearance bound (see front_clearance_xmax) so the measurement never
     approaches the grid boundary.
+
+    Each generation advances only the live band of g = 1 - P (see
+    _live_band), extended past its g = 1 edge by a margin of at least one
+    unit of x, which is more than that edge moves in a generation.  When
+    the extended step still ends short of g = 1 (or of the lowest front
+    level) the margin doubles and the step is redone.  Snapshot generations
+    and the final one hold full-grid arrays: a plain full-grid step when the
+    generation before is held on the full grid too, otherwise a band step
+    to the grid end padded with the exact P = 1, g = 0 below the band.
     """
-    wanted = sorted(set(int(g) for g in snapshot_generations))
-    if wanted and (wanted[0] < 0 or wanted[-1] > config.n_max):
+    wanted = {int(g) for g in snapshot_generations}
+    if wanted and (min(wanted) < 0 or max(wanted) > config.n_max):
         raise ConfigurationError(
-            f"snapshot generations {wanted} outside [0, {config.n_max}]"
+            f"snapshot generations {sorted(wanted)} outside [0, {config.n_max}]"
         )
     if front_levels is not None:
         need = front_clearance_xmax(config.n_max)
@@ -268,27 +338,48 @@ def run_recursion(
             if not 0.0 < lev < 1.0:
                 raise ConfigurationError(f"front level must be in (0,1), got {lev}")
 
-    cur = init_p0(config)
-    snaps: list[GridFunction] = []
-    fronts: list[list[float]] = [[] for _ in (front_levels or ())]
+    levels = tuple(front_levels or ())
+    full_steps = wanted | {config.n_max}
+    n_nodes = config.grid_size + 1
+    margin = math.ceil(1.0 / config.delta)
+    # a band must reach past every crossing recorded on it
+    p_floor = min(levels, default=1.0)
 
-    def record(g: GridFunction) -> None:
-        if wanted and g.generation in wanted:
-            snaps.append(g)
-        if front_levels is not None:
-            for k, lev in enumerate(front_levels):
-                fronts[k].append(_bracketed_crossing(g.values, g.delta, lev))
-
-    record(cur)
-    for _ in range(config.n_max):
-        cur = iterate_step(cur, config)
-        record(cur)
+    cur = init_p0(config)  # the latest generation held on the full grid
+    snaps: list[GridFunction] = [cur] if 0 in wanted else []
+    fronts = [[_bracketed_crossing(cur.values, cur.delta, lev)] for lev in levels]
+    band, lo = cur, 0  # the latest generation, from grid node lo on
+    for n in range(1, config.n_max + 1):
+        if n in full_steps and cur.generation == n - 1:
+            band = cur = iterate_step(cur, config)
+            lo = 0
+        else:
+            band, lo = _live_band(band, lo)
+            room = n_nodes - lo
+            while True:
+                nodes = room if n in full_steps else min(room, len(band.values) + margin)
+                nxt = iterate_step(band, config, nodes)
+                if nodes == room or (nxt.complement[-1] == 1.0 and nxt.values[-1] < p_floor):
+                    break
+                margin *= 2
+            band = nxt
+            if n in full_steps:
+                cur = GridFunction(
+                    delta=config.delta,
+                    values=np.concatenate((np.ones(lo), band.values)),
+                    generation=n,
+                    complement=np.concatenate((np.zeros(lo), band.complement)),
+                )
+        for trace, lev in zip(fronts, levels):
+            trace.append(_bracketed_crossing(band.values, config.delta, lev, lo))
+        if n in wanted:
+            snaps.append(cur)
 
     traces = []
     if front_levels is not None:
         gens = np.arange(config.n_max + 1)
         traces = [
             FrontTrace(level=lev, generations=gens, positions=np.asarray(fs))
-            for lev, fs in zip(front_levels, fronts)
+            for lev, fs in zip(levels, fronts)
         ]
     return RecursionResult(config=config, snapshots=snaps, final=cur, front_traces=traces)

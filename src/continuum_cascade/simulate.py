@@ -23,10 +23,11 @@ from .errors import ConfigurationError
 
 DEFAULT_PARTICLE_CAP = 1_000_000
 
-# substream tags keep the continuum and graph samplers decorrelated when a
-# comparison run shares one base seed
+# substream tags keep the continuum, graph and BRW samplers decorrelated
+# when runs share one base seed
 HEIGHT_STREAM = 0
 GRAPH_STREAM = 1
+BRW_STREAM = 2
 
 
 def trial_rng(seed: int, stream: int, trial: int) -> np.random.Generator:

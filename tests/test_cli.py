@@ -4,13 +4,18 @@ import csv
 import hashlib
 import json
 import math
+import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from continuum_cascade.cli import main
-from continuum_cascade.output import sha256_file
+from continuum_cascade import graphs, simulate
+from continuum_cascade.cli import COMMANDS, build_parser, main, resolve_params
+from continuum_cascade.output import fmt, sha256_file
 from continuum_cascade.recursion import RecursionConfig, run_recursion
 
 
@@ -190,3 +195,119 @@ def test_manifest_checksums_cover_all_artifacts(tmp_path):
     for name, digest in manifest["files"].items():
         body = (tmp_path / name).read_bytes()
         assert hashlib.sha256(body).hexdigest() == digest
+
+
+def test_graph_cdf_counts_every_trial_and_keeps_its_bytes(tmp_path):
+    # with --ncap 1 some longest paths exceed the table; the CSV must match
+    # the plain cumulative-count loop, and the counts must not pass trials
+    n, c, trials, seed, n_cap = 60, 0.05, 300, 5, 1
+    assert main(["graph", "--n-vertices", str(n), "--c", str(c), "--trials", str(trials),
+                 "--seed", str(seed), "--ncap", str(n_cap), "--out", str(tmp_path)]) == 0
+    lengths = [
+        graphs.sample_cascade_graph(
+            n, c, simulate.trial_rng(seed, simulate.GRAPH_STREAM, i)
+        ).longest_path_from_1
+        for i in range(trials)
+    ]
+    assert max(lengths) > n_cap
+    lines = ["n,count,p_hat,stderr"]
+    for k in range(n_cap + 1):
+        cum = sum(1 for length in lengths if length <= k)
+        p = cum / trials
+        lines.append(",".join(fmt(v) for v in (k, cum, p, math.sqrt(p * (1.0 - p) / trials))))
+    assert (tmp_path / "ln_cdf.csv").read_text() == "\n".join(lines) + "\n"
+
+
+def test_failed_rerun_leaves_no_stale_manifest(tmp_path):
+    args = ["front", "--delta", "0.02", "--nmax", "100", "--out", str(tmp_path)]
+    assert main(args + ["--fit-lo", "20", "--fit-hi", "100"]) == 0
+    assert (tmp_path / "manifest.json").exists()
+    # the trace is rewritten, then the fit fails: no manifest may vouch for it
+    assert main(args + ["--fit-lo", "96", "--fit-hi", "99"]) == 3
+    assert (tmp_path / "front_trace.csv").exists()
+    assert not (tmp_path / "manifest.json").exists()
+
+
+GRAPH_VALUES = {
+    "n-vertices": st.integers(min_value=1, max_value=10**9),
+    "c": st.floats(allow_nan=False, allow_infinity=False),
+    "trials": st.integers(min_value=1, max_value=10**9),
+    "seed": st.integers(min_value=0, max_value=2**63),
+    "ncap": st.integers(min_value=0, max_value=10**6),
+}
+
+
+@contextmanager
+def config_file(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_text(text, encoding="utf-8")
+        yield path
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sets(st.sampled_from(sorted(GRAPH_VALUES)), min_size=1).flatmap(
+        lambda keys: st.fixed_dictionaries({k: GRAPH_VALUES[k] for k in sorted(keys)})
+    ),
+    st.booleans(),
+    st.sampled_from(["=", " = ", "\t=  "]),
+)
+def test_config_file_round_trips(values, underscores, sep):
+    lines = ["# generated", ""]
+    for key, value in values.items():
+        name = key.replace("-", "_") if underscores else key
+        lines.append(f"{name}{sep}{value!r}")
+    with config_file("\n".join(lines) + "\n") as path:
+        params = resolve_params("graph", build_parser().parse_args(["graph", "--config", str(path)]))
+    for key, value in values.items():
+        assert params[key] == value and type(params[key]) is type(value)
+    for opt in COMMANDS["graph"]:
+        if opt.name not in values:
+            assert params[opt.name] == opt.default
+
+
+def _exit_code(command: str, text: str) -> int:
+    with config_file(text) as path:
+        return main([command, "--config", str(path), "--out", str(path.parent)])
+
+
+LINE_TEXT = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+    max_size=12,
+)
+GRAPH_KEYS = {opt.name for opt in COMMANDS["graph"]} | {"out"}
+
+
+def _rejects(cast, text: str) -> bool:
+    try:
+        cast(text.strip())
+    except ValueError:
+        return True
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz_-", min_size=1, max_size=12), LINE_TEXT)
+def test_config_file_unknown_key_exits_two(key, value):
+    name = key.strip().replace("_", "-")
+    if name in GRAPH_KEYS:
+        name = "config"  # not allowed inside a config file either
+    assert _exit_code("graph", f"{name}={value}\n") == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["n-vertices", "c", "trials", "seed", "ncap"]), LINE_TEXT)
+def test_config_file_bad_value_exits_two(key, value):
+    cast = next(opt.cast for opt in COMMANDS["graph"] if opt.name == key)
+    if not _rejects(cast, value):
+        value = value + "x"  # still one line, and no int or float parses it
+    assert _rejects(cast, value)
+    assert _exit_code("graph", f"{key} = {value}\n") == 2
+
+
+def test_config_file_not_text_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"trials = 1\xff\xfe\n")
+    assert main(["graph", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "not a text file" in capsys.readouterr().err

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from continuum_cascade import recursion
 from continuum_cascade.errors import (
     ConfigurationError,
     ContractViolationError,
     DomainError,
     NumericError,
 )
+from continuum_cascade.fronts import front_position
 from continuum_cascade.recursion import (
     GridFunction,
     Quadrature,
@@ -228,3 +230,98 @@ def test_step_is_a_monotone_map_on_probability_curves(raw, rnd):
     out_lo.check_invariants()
     out_hi.check_invariants()
     assert np.all(out_hi.values >= out_lo.values - 1e-12)
+
+
+def _full_grid_loop(config, snapshot_generations, levels):
+    """Reference run: a plain loop of full-grid iterate_step calls."""
+    cur = init_p0(config)
+    snaps = {}
+    fronts = [[] for _ in levels]
+    for n in range(config.n_max + 1):
+        if n:
+            cur = iterate_step(cur, config)
+        if n in snapshot_generations:
+            snaps[n] = cur
+        for trace, lev in zip(fronts, levels):
+            trace.append(front_position(cur, lev))
+    return snaps, cur, [np.array(f) for f in fronts]
+
+
+def _assert_matches_full_grid(config, snapshot_generations, levels):
+    snaps, final, fronts = _full_grid_loop(config, snapshot_generations, levels)
+    result = run_recursion(config, snapshot_generations, front_levels=levels)
+    assert [s.generation for s in result.snapshots] == sorted(snapshot_generations)
+    for snap in result.snapshots + [result.final]:
+        ref = final if snap is result.final else snaps[snap.generation]
+        assert np.array_equal(snap.values, ref.values)
+        assert np.array_equal(snap.complement, ref.complement)
+    for trace, ref in zip(result.front_traces, fronts):
+        assert np.array_equal(trace.positions, ref)
+    return final
+
+
+WINDOW_LEVELS = (0.25, 0.5, 0.75)
+
+
+@pytest.mark.parametrize("quadrature", list(Quadrature))
+@pytest.mark.parametrize("delta, n_max", [(0.01, 250), (0.001, 160)])
+def test_window_is_bit_identical_to_full_grid_steps(quadrature, delta, n_max):
+    # 1 and 151 follow full-grid generations (plain full-grid steps), 77 and
+    # 150 follow band generations (band stepped to the grid end); 151 is odd
+    # and comes after the lower edge has started moving, and windowed steps
+    # follow it
+    config = RecursionConfig(
+        delta=delta, x_max=front_clearance_xmax(n_max), n_max=n_max,
+        quadrature=quadrature,
+    )
+    final = _assert_matches_full_grid(config, {1, 77, 150, 151}, WINDOW_LEVELS)
+    g = final.complement
+    # both edges of the band moved: exact zeros behind it, exact ones ahead
+    assert int(np.argmax(g != 0.0)) > 1
+    assert g[-1] == 1.0 and g[-2] == 1.0
+
+
+@pytest.mark.parametrize("quadrature", list(Quadrature))
+@pytest.mark.parametrize("delta", [0.01, 0.001])
+def test_window_reaching_the_grid_end_is_bit_identical(quadrature, delta):
+    # the g = 1 edge (x ~ 37) lies past x_max, so every band ends at the grid end
+    n_max = 6
+    config = RecursionConfig(
+        delta=delta, x_max=front_clearance_xmax(n_max), n_max=n_max,
+        quadrature=quadrature,
+    )
+    final = _assert_matches_full_grid(config, {3}, WINDOW_LEVELS)
+    assert final.complement[-1] < 1.0
+
+
+def test_window_widens_for_a_low_front_level(monkeypatch):
+    # P < 1e-30 lies ~32 units past the g = 1 edge, beyond the initial margin
+    # of one unit, so steps are redone with a doubled margin
+    config = RecursionConfig(delta=0.01, x_max=250.0, n_max=200)
+    steps = []
+
+    def counted(prev, cfg, nodes=None):
+        steps.append(prev.generation)
+        return iterate_step(prev, cfg, nodes)
+
+    monkeypatch.setattr(recursion, "iterate_step", counted)
+    _assert_matches_full_grid(config, {120}, (1e-30, 0.5))
+    assert steps.count(0) > 1  # the first step was redone
+
+
+def test_band_step_contract():
+    config = RecursionConfig(delta=0.01, x_max=2.0, n_max=1)
+    p0 = init_p0(config)
+
+    def band(lo, hi):
+        return GridFunction(delta=0.01, values=p0.values[lo:hi], generation=0,
+                            complement=p0.complement[lo:hi])
+
+    with pytest.raises(ContractViolationError):  # g is not 0 at the first node
+        iterate_step(band(1, 50), config, 10)
+    with pytest.raises(ContractViolationError):  # g is not 1 at the last node
+        iterate_step(band(0, 50), config, 60)
+    with pytest.raises(ContractViolationError):  # longer than the grid
+        iterate_step(p0, config, config.grid_size + 2)
+    assert np.array_equal(iterate_step(band(0, 50), config, 40).values,
+                          iterate_step(p0, config).values[:40])
