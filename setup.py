@@ -1,28 +1,3 @@
-"""Build script: compiles the optional Cython kernel extension.
+from setuptools import setup
 
-If Cython is unavailable the package installs without the extension and the
-pure-numpy kernels are used instead (see continuum_cascade/kernels.py).
-"""
-
-from setuptools import Extension, setup
-
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
-if cythonize is not None:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "continuum_cascade._kernels",
-                ["src/continuum_cascade/_kernels.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-else:
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup()

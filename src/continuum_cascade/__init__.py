@@ -16,7 +16,6 @@ from .errors import (
     NumericError,
     ScanError,
 )
-from .kernels import BACKEND as KERNEL_BACKEND
 from .recursion import (
     FrontTrace,
     GridFunction,
@@ -65,3 +64,6 @@ from .martingale import (
 )
 
 __version__ = "0.1.0"
+
+# the recursion has one kernel, the numpy one in kernels.py; run records name it
+KERNEL_BACKEND = "python"

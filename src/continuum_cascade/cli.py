@@ -195,23 +195,23 @@ def cmd_front(params: dict, writer: RunWriter) -> None:
         delta=params["delta"], x_max=_xmax(params), n_max=params["nmax"],
         quadrature=_quadrature(params["mode"]),
     )
+    lo, hi = params["fit-lo"], params["fit-hi"]
+    if (lo is None) != (hi is None):
+        raise ConfigurationError("--fit-lo and --fit-hi must be given together")
+    if lo is not None and params["fit"] not in ("joint", "fixed"):
+        raise ConfigurationError(f"unknown fit flavor '{params['fit']}'")
     result = recursion.run_recursion(config, front_levels=(params["level"],))
     trace = result.front_traces[0]
     writer.write_csv(
         "front_trace.csv", "n,x_front",
         zip(trace.generations.tolist(), trace.positions.tolist()),
     )
-    lo, hi = params["fit-lo"], params["fit-hi"]
-    if (lo is None) != (hi is None):
-        raise ConfigurationError("--fit-lo and --fit-hi must be given together")
     if lo is not None:
         if params["fit"] == "joint":
             fit = fronts.log_correction_fit(trace, (lo, hi))
-        elif params["fit"] == "fixed":
+        else:
             v = fronts.richardson_velocity(trace, (lo, hi))
             fit = fronts.log_correction_fit(trace, (lo, hi), v_fixed=v)
-        else:
-            raise ConfigurationError(f"unknown fit flavor '{params['fit']}'")
         writer.write_csv(
             "front_fit.csv", "v,b,a,residual_rms,n_lo,n_hi",
             [(fit.v, fit.b, fit.a, fit.residual_rms, fit.fit_window[0], fit.fit_window[1])],
@@ -241,6 +241,10 @@ def cmd_simulate(params: dict, writer: RunWriter) -> None:
 def cmd_graph(params: dict, writer: RunWriter) -> None:
     n, c = params["n-vertices"], params["c"]
     trials, n_cap = params["trials"], params["ncap"]
+    if trials < 1:
+        raise ConfigurationError(f"trials must be >= 1, got {trials}")
+    if n_cap < 0:
+        raise ConfigurationError(f"ncap must be >= 0, got {n_cap}")
     hist = np.zeros(n_cap + 2, dtype=np.int64)  # slot n_cap+1 collects overflow
     for i in range(trials):
         rng = simulate.trial_rng(params["seed"], simulate.GRAPH_STREAM, i)

@@ -153,33 +153,28 @@ def compare_discrete_continuum(
     Truncated continuum trials are excluded from the CDF and reported; at the
     x values of interest they do not occur.
     """
+    if trials < 1:
+        raise ConfigurationError(f"trials must be >= 1, got {trials}")
     if x > n_vertices:
         raise ConfigurationError(
             f"x={x} with n_vertices={n_vertices} needs edge probability > 1"
         )
     c = x / n_vertices
 
-    graph_hist: dict[int, int] = {}
-    for i in range(trials):
-        s = sample_cascade_graph(n_vertices, c, trial_rng(seed, GRAPH_STREAM, i))
-        graph_hist[s.longest_path_from_1] = graph_hist.get(s.longest_path_from_1, 0) + 1
+    graph_lengths = [
+        sample_cascade_graph(n_vertices, c, trial_rng(seed, GRAPH_STREAM, i)).longest_path_from_1
+        for i in range(trials)
+    ]
+    heights = [
+        sample_height(x, trial_rng(seed, HEIGHT_STREAM, i), None, particle_cap)
+        for i in range(trials)
+    ]
+    resolved = [h for h in heights if h is not None]
+    truncated = trials - len(resolved)
 
-    cont_hist: dict[int, int] = {}
-    truncated = 0
-    for i in range(trials):
-        h = sample_height(x, trial_rng(seed, HEIGHT_STREAM, i), None, particle_cap)
-        if h is None:
-            truncated += 1
-        else:
-            cont_hist[h] = cont_hist.get(h, 0) + 1
-
-    top = max(max(graph_hist, default=0), max(cont_hist, default=0))
-    counts_g = np.zeros(top + 1, dtype=np.int64)
-    counts_c = np.zeros(top + 1, dtype=np.int64)
-    for k, v in graph_hist.items():
-        counts_g[k] = v
-    for k, v in cont_hist.items():
-        counts_c[k] = v
+    top = max(graph_lengths + resolved)
+    counts_g = np.bincount(graph_lengths, minlength=top + 1)
+    counts_c = np.bincount(resolved, minlength=top + 1)
 
     return ComparisonReport(
         n_vertices=n_vertices,

@@ -97,7 +97,7 @@ class GridFunction:
     `values` holds the probabilities P_n(x_i).  `complement` holds
     1 - P_n(x_i) at full relative precision; it is the state the iteration
     actually carries, because behind the front 1 - P drops below 2^-53 and
-    would be lost if reconstructed from `values` (see _kernels.pyx).  When
+    would be lost if reconstructed from `values` (see kernels.py).  When
     a GridFunction is built by hand without a complement, 1 - values is
     used, which is fine for everything except very long front runs.
     """

@@ -186,6 +186,27 @@ def test_unknown_command_exits_two():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("fit_args", [
+    ["--fit", "bogus", "--fit-lo", "10", "--fit-hi", "40"],
+    ["--fit-lo", "10"],
+])
+def test_front_rejects_bad_fit_flags_before_computing(tmp_path, capsys, fit_args):
+    assert main(["front", "--nmax", "50", *fit_args, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "front_trace.csv").exists()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph", "--n-vertices", "50", "--c", "0.02", "--trials", "0"],
+    ["graph", "--n-vertices", "50", "--c", "0.02", "--trials", "5", "--ncap", "-1"],
+    ["compare", "--n-vertices", "50", "--x", "1", "--trials", "0"],
+])
+def test_bad_counts_exit_two(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "manifest.json").exists()
+    capsys.readouterr()
+
+
 def test_manifest_checksums_cover_all_artifacts(tmp_path):
     assert main(["alpha-scan", "--deltas", "0.02", "--nmax", "60",
                  "--out", str(tmp_path)]) == 0

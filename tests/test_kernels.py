@@ -1,20 +1,12 @@
-"""Backend parity between the compiled kernel and the numpy fallback."""
+"""The recursion kernel against exact rational arithmetic."""
 
-import importlib
+import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from continuum_cascade import _kernels_py
 from continuum_cascade import kernels
-
-compiled = None
-if kernels.BACKEND == "compiled":
-    compiled = importlib.import_module("continuum_cascade._kernels")
-
-needs_compiled = pytest.mark.skipif(
-    compiled is None, reason="compiled extension not built"
-)
 
 
 def random_complement(m: int, seed: int) -> np.ndarray:
@@ -24,67 +16,60 @@ def random_complement(m: int, seed: int) -> np.ndarray:
     return g
 
 
+def exact_prefix_sums(x: np.ndarray) -> list[Fraction]:
+    return list(itertools.accumulate(map(Fraction, x.tolist())))
+
+
+def prefix_inputs() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(11)
+    return {
+        # a g = 1 - P profile as long as a front run's grid: a plain float64
+        # cumsum misses its prefix sums by up to 310 ulps
+        "g_like": -np.expm1(-0.001 * np.arange(81177)),
+        "sorted_uniform": np.sort(rng.random(20000)),
+        # terms spanning 1e-300..1, so small ones sit far below an ulp of the sum
+        "tail": np.sort(10.0 ** rng.uniform(-300.0, 0.0, 5000)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(prefix_inputs()))
+def test_prefix_sum_is_within_one_ulp_of_exact(name):
+    x = prefix_inputs()[name]
+    # the TwoSum error terms are exact only for a strictly sequential cumsum
+    assert np.array_equal(np.cumsum(x), list(itertools.accumulate(x.tolist())))
+    exact = np.array([float(q) for q in exact_prefix_sums(x)])
+    got = kernels._prefix_sum(x)
+    assert np.all(np.abs(got - exact) <= np.spacing(exact))
+
+
 @pytest.mark.parametrize("name", ["step_riemann", "step_trapezoid"])
-def test_fallback_all_ones_fixed_point(name):
+def test_all_ones_fixed_point(name):
     g = np.zeros(64)
     out_p = np.empty(64)
     out_g = np.empty(64)
-    excess = getattr(_kernels_py, name)(g, 0.01, out_p, out_g)
+    excess = getattr(kernels, name)(g, 0.01, out_p, out_g)
     assert excess == 0.0
     assert np.all(out_p == 1.0)
     assert np.all(out_g == 0.0)
 
 
-@needs_compiled
-@pytest.mark.parametrize("name", ["step_riemann", "step_trapezoid"])
-def test_compiled_all_ones_fixed_point(name):
-    g = np.zeros(64)
-    out_p = np.empty(64)
-    out_g = np.empty(64)
-    excess = getattr(compiled, name)(g, 0.01, out_p, out_g)
-    assert excess == 0.0
-    assert np.all(out_p == 1.0)
-    assert np.all(out_g == 0.0)
-
-
-@needs_compiled
 @pytest.mark.parametrize("name", ["step_riemann", "step_trapezoid"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_backends_agree_to_ulps(name, seed):
+def test_step_matches_exact_quadrature(name, seed):
     g = random_complement(5000, seed)
-    p_a = np.empty_like(g)
-    g_a = np.empty_like(g)
-    p_b = np.empty_like(g)
-    g_b = np.empty_like(g)
-    getattr(compiled, name)(g, 0.003, p_a, g_a)
-    getattr(_kernels_py, name)(g, 0.003, p_b, g_b)
-    np.testing.assert_allclose(p_a, p_b, rtol=0.0, atol=5e-15)
-    np.testing.assert_allclose(g_a, g_b, rtol=5e-13, atol=0.0)
-
-
-@needs_compiled
-def test_backends_agree_on_long_iteration():
-    # 200 generations of the real map: accumulated divergence stays tiny
-    from continuum_cascade.recursion import RecursionConfig, init_p0, iterate_step
-
-    config = RecursionConfig(delta=0.01, x_max=90.0, n_max=200)
-    cur_a = init_p0(config)
-    for _ in range(200):
-        cur_a = iterate_step(cur_a, config)
-
-    # rerun through the fallback by monkey-wiring the stepper table
-    from continuum_cascade import recursion as rec
-
-    original = dict(rec._STEPPERS)
-    try:
-        rec._STEPPERS[rec.Quadrature.TRAPEZOID] = _kernels_py.step_trapezoid
-        cur_b = init_p0(config)
-        for _ in range(200):
-            cur_b = iterate_step(cur_b, config)
-    finally:
-        rec._STEPPERS.update(original)
-
-    assert np.max(np.abs(cur_a.values - cur_b.values)) < 1e-12
+    delta = 0.003
+    sums = exact_prefix_sums(g)
+    if name == "step_riemann":
+        q = [Fraction(delta) * (s - sums[0]) for s in sums]
+    else:
+        ends = map(Fraction, g.tolist())
+        q = [Fraction(delta) * (s - (sums[0] + e) / 2) for s, e in zip(sums, ends)]
+    q = np.array([float(v) for v in q])
+    out_p = np.empty_like(g)
+    out_g = np.empty_like(g)
+    getattr(kernels, name)(g, delta, out_p, out_g)
+    np.testing.assert_allclose(out_p, np.exp(-q), rtol=0.0, atol=5e-15)
+    np.testing.assert_allclose(out_g, -np.expm1(-q), rtol=5e-13, atol=0.0)
 
 
 def test_complement_resolves_saturated_tail():
