@@ -41,7 +41,14 @@ from .fronts import (
     velocity_estimate,
     wave_shape_collapse,
 )
-from .simulate import EmpiricalCdf, SimConfig, empirical_cdf, leftmost_trace, sample_height
+from .simulate import (
+    EmpiricalCdf,
+    SimConfig,
+    empirical_cdf,
+    leftmost_trace,
+    sample_height,
+    sample_heights,
+)
 from .graphs import (
     CascadeGraphSample,
     compare_discrete_continuum,
@@ -51,6 +58,7 @@ from .graphs import (
     longest_path_dp,
     sample_adjacency,
     sample_cascade_graph,
+    sample_longest_paths,
 )
 from .martingale import (
     LimitLawProbe,

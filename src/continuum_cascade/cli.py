@@ -245,11 +245,9 @@ def cmd_graph(params: dict, writer: RunWriter) -> None:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
     if n_cap < 0:
         raise ConfigurationError(f"ncap must be >= 0, got {n_cap}")
-    hist = np.zeros(n_cap + 2, dtype=np.int64)  # slot n_cap+1 collects overflow
-    for i in range(trials):
-        rng = simulate.trial_rng(params["seed"], simulate.GRAPH_STREAM, i)
-        length = graphs.sample_cascade_graph(n, c, rng).longest_path_from_1
-        hist[min(length, n_cap + 1)] += 1
+    lengths = graphs.sample_longest_paths(n, c, trials, params["seed"])
+    # slot n_cap+1 collects overflow
+    hist = np.bincount(np.minimum(lengths, n_cap + 1), minlength=n_cap + 2)
     cdf = simulate.EmpiricalCdf(
         x=n * c, trials=trials, counts=np.cumsum(hist[: n_cap + 1]),
         truncated_trials=0, beyond_cap_trials=int(hist[n_cap + 1]),
@@ -259,6 +257,10 @@ def cmd_graph(params: dict, writer: RunWriter) -> None:
 
 
 def cmd_brw(params: dict, writer: RunWriter) -> None:
+    if params["trials"] < 0:
+        raise ConfigurationError(f"trials must be >= 0, got {params['trials']}")
+    if params["n"] < 0:
+        raise ConfigurationError(f"n must be >= 0, got {params['n']}")
     report = martingale.verify_boundary_conditions()
     writer.write_csv(
         "moments.csv", "m1_residual,m2_residual,m4_value",

@@ -10,7 +10,6 @@ the two empirical laws.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -19,10 +18,10 @@ import numpy as np
 from .errors import ConfigurationError
 from .simulate import (
     GRAPH_STREAM,
-    HEIGHT_STREAM,
     DEFAULT_PARTICLE_CAP,
-    sample_height,
-    trial_rng,
+    TRUNCATED,
+    sample_blocks,
+    sample_heights,
 )
 
 
@@ -44,47 +43,85 @@ class ComparisonReport:
     truncated_continuum: int
 
 
-def sample_cascade_graph(
-    n_vertices: int, c: float, rng: np.random.Generator
-) -> CascadeGraphSample:
-    """Sample a graph and compute L via DP over vertices in index order.
-
-    Edges are instantiated lazily: only vertices reachable from vertex 1 are
-    expanded (their out-edges are Binomial(n - i, c) many, targets drawn
-    uniformly without replacement), which is distributionally identical to
-    sampling the full edge set and prunes the O(n^2) scan.  Vertices come off
-    a min-heap in increasing index order, so each distance is final when the
-    vertex is expanded.
-    """
+def _check_graph(n_vertices: int, c: float) -> None:
     if not 0.0 <= c <= 1.0:
         raise ConfigurationError(f"edge probability must be in [0,1], got {c}")
     if n_vertices < 1:
         raise ConfigurationError(f"n_vertices must be >= 1, got {n_vertices}")
-    dist = {1: 0}
-    heap = [1]
-    done = set()
-    best = 0
-    while heap:
-        i = heapq.heappop(heap)
-        if i in done:
-            continue
-        done.add(i)
-        best = max(best, dist[i])
-        n_later = n_vertices - i
-        if n_later == 0 or c == 0.0:
-            continue
-        k = int(rng.binomial(n_later, c))
-        if k == 0:
-            continue
-        targets = i + 1 + rng.choice(n_later, size=k, replace=False)
-        d = dist[i] + 1
-        for t in targets:
-            t = int(t)
-            if dist.get(t, -1) < d:
-                dist[t] = d
-            if t not in done:
-                heapq.heappush(heap, t)
-    return CascadeGraphSample(n_vertices=n_vertices, c=c, longest_path_from_1=best)
+
+
+def _longest_paths(n_vertices: int, c: float, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """L for `trials` independent graphs grown together from one generator.
+
+    Edges are instantiated lazily: only (trial, vertex) pairs reachable from
+    vertex 1 are expanded, in breadth-first rounds, each exactly once.  A
+    vertex's forward edges are a Bernoulli(c) sequence over the later
+    vertices, drawn as Geometric(c) gaps between successive targets, which
+    is distributionally identical to sampling the full edge set and costs
+    draws in proportion to the out-degree.  Every edge points to a larger
+    index, so relaxing the recorded edges in increasing source-vertex order
+    makes each distance final before it is used.
+    """
+    lengths = np.zeros(trials, dtype=np.int64)
+    if c == 0.0:
+        return lengths
+    stride = n_vertices + 1  # key of (trial t, vertex v) is t * stride + v
+    frontier = np.arange(trials, dtype=np.int64) * stride + 1
+    seen = frontier
+    sources, targets = [], []
+    while frontier.size:
+        first = len(targets)
+        source, vertex = frontier, frontier % stride
+        while source.size:
+            vertex = vertex + rng.geometric(c, size=vertex.size)
+            keep = vertex <= n_vertices
+            source, vertex = source[keep], vertex[keep]
+            sources.append(source)
+            targets.append(source + (vertex - source % stride))
+        reached = np.sort(np.concatenate(targets[first:]))
+        at = np.searchsorted(seen, reached)
+        known = seen[np.minimum(at, seen.size - 1)] == reached
+        known[1:] |= reached[1:] == reached[:-1]
+        frontier = reached[~known]
+        seen = np.sort(np.concatenate([seen, frontier]))
+    source, target = np.concatenate(sources), np.concatenate(targets)
+    order = np.argsort(source % stride, kind="stable")
+    source, target = source[order], target[order]
+    starts = np.flatnonzero(np.diff(source % stride, prepend=-1)).tolist()
+    src = np.searchsorted(seen, source)
+    dst = np.searchsorted(seen, target)
+    dist = np.zeros(seen.size, dtype=np.int64)
+    for lo, hi in zip(starts, starts[1:] + [source.size]):
+        np.maximum.at(dist, dst[lo:hi], dist[src[lo:hi]] + 1)
+    np.maximum.at(lengths, seen // stride, dist)
+    return lengths
+
+
+def _expected_edges(n_vertices: int, c: float) -> float:
+    """Bound on the mean edges per trial: reachable vertices times out-degree.
+
+    The mean number of paths from vertex 1 is (1 + c)^(n - 1).
+    """
+    reachable = math.exp(min(math.log(n_vertices), (n_vertices - 1) * math.log1p(c)))
+    return reachable * max(1.0, (n_vertices - 1) * c)
+
+
+def sample_longest_paths(n_vertices: int, c: float, trials: int, seed: int = 0) -> np.ndarray:
+    """L of trials 0..trials-1 on block-keyed substreams of `seed`."""
+    _check_graph(n_vertices, c)
+    return sample_blocks(
+        lambda k, rng: _longest_paths(n_vertices, c, k, rng),
+        trials, seed, GRAPH_STREAM, _expected_edges(n_vertices, c),
+    )
+
+
+def sample_cascade_graph(
+    n_vertices: int, c: float, rng: np.random.Generator
+) -> CascadeGraphSample:
+    """Sample one graph and its L: the batch engine on a single trial."""
+    _check_graph(n_vertices, c)
+    length = int(_longest_paths(n_vertices, c, 1, rng)[0])
+    return CascadeGraphSample(n_vertices=n_vertices, c=c, longest_path_from_1=length)
 
 
 def sample_adjacency(n_vertices: int, c: float, rng: np.random.Generator) -> np.ndarray:
@@ -161,19 +198,13 @@ def compare_discrete_continuum(
         )
     c = x / n_vertices
 
-    graph_lengths = [
-        sample_cascade_graph(n_vertices, c, trial_rng(seed, GRAPH_STREAM, i)).longest_path_from_1
-        for i in range(trials)
-    ]
-    heights = [
-        sample_height(x, trial_rng(seed, HEIGHT_STREAM, i), None, particle_cap)
-        for i in range(trials)
-    ]
-    resolved = [h for h in heights if h is not None]
-    truncated = trials - len(resolved)
+    lengths = sample_longest_paths(n_vertices, c, trials, seed)
+    heights = sample_heights(x, trials, seed, None, particle_cap)
+    resolved = heights[heights != TRUNCATED]
+    truncated = trials - resolved.size
 
-    top = max(graph_lengths + resolved)
-    counts_g = np.bincount(graph_lengths, minlength=top + 1)
+    top = int(max(lengths.max(), resolved.max(initial=0)))
+    counts_g = np.bincount(lengths, minlength=top + 1)
     counts_c = np.bincount(resolved, minlength=top + 1)
 
     return ComparisonReport(

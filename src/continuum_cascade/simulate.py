@@ -7,15 +7,21 @@ intensity to the right of the parent, killed beyond the barrier x).  The
 height H(x) is the last generation containing a particle; the minimum
 position per generation gives the left-most-particle trace.
 
-Trial i draws from an independent substream derived from (seed, i), so
-trials can run in any order or across processes with identical aggregates.
+Trials run in blocks of BLOCK, grown together: one population array holds
+the particles of every trial of a block, with the trial that owns each, so
+a generation costs a few numpy calls however many trials it advances.
+Block b draws from an independent substream derived from (seed, stream, b),
+and workers split whole blocks, so aggregates are identical for any worker
+count.  `sample_height` and `leftmost_trace` are the same engine run on a
+block of one trial.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from multiprocessing import get_context
-from typing import Iterator
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,10 +35,52 @@ HEIGHT_STREAM = 0
 GRAPH_STREAM = 1
 BRW_STREAM = 2
 
+# Trials per substream.  Fixed, so that the trials a substream serves, and
+# hence every result, do not depend on how blocks are spread over workers.
+BLOCK = 4096
+# A block whose trials are expected to hold more than about this many
+# particles (or graph edges) at once is advanced in several passes of fewer
+# trials, one after another on the block's generator, to bound memory.
+PASS_ELEMENTS = 1 << 20
 
-def trial_rng(seed: int, stream: int, trial: int) -> np.random.Generator:
-    """Independent generator for one trial, a pure function of its indices."""
-    return np.random.default_rng(np.random.SeedSequence((seed, stream, trial)))
+# height of a trial that hit the particle cap before it was resolved
+TRUNCATED = -1
+
+
+def trial_rng(seed: int, stream: int, index: int) -> np.random.Generator:
+    """Independent generator for substream `index` of `stream`.
+
+    The Monte Carlo samplers key it by trial block, the BRW trajectories by
+    trial.  It is a pure function of its arguments.
+    """
+    return np.random.default_rng(np.random.SeedSequence((seed, stream, index)))
+
+
+def sample_blocks(
+    sample: Callable[[int, np.random.Generator], np.ndarray],
+    trials: int,
+    seed: int,
+    stream: int,
+    per_trial: float,
+    blocks: Sequence[int] | None = None,
+) -> np.ndarray:
+    """Outcomes of trials 0..trials-1, in order, grown BLOCK at a time.
+
+    `sample(k, rng)` returns the outcomes of k trials drawn from `rng`.
+    Block b covers trials [b*BLOCK, (b+1)*BLOCK) and uses
+    trial_rng(seed, stream, b); it is split into passes of trials so that a
+    pass holds about PASS_ELEMENTS elements when each trial holds
+    `per_trial`.  `blocks` restricts the run to those blocks.
+    """
+    if blocks is None:
+        blocks = range(-(-trials // BLOCK))
+    step = int(min(BLOCK, max(1.0, PASS_ELEMENTS / max(per_trial, 1.0))))
+    parts = [np.empty(0, dtype=np.int64)]
+    for block in blocks:
+        rng = trial_rng(seed, stream, block)
+        lo, hi = block * BLOCK, min((block + 1) * BLOCK, trials)
+        parts.extend(sample(min(step, hi - start), rng) for start in range(lo, hi, step))
+    return np.concatenate(parts)
 
 
 @dataclass(frozen=True)
@@ -79,26 +127,69 @@ class EmpiricalCdf:
             raise AssertionError("trial accounting broken")
 
 
-def _generations(x: float, rng: np.random.Generator, particle_cap: int) -> Iterator[np.ndarray]:
-    """Yield particle position arrays per generation until extinction.
+def _grow(
+    x: float,
+    trials: int,
+    rng: np.random.Generator,
+    n_cap: int | None,
+    particle_cap: int,
+    minima: list[float] | None = None,
+) -> np.ndarray:
+    """Heights of `trials` trees grown together, one generation per step.
 
-    Stops (without yielding) when the next generation would exceed the cap;
-    the caller distinguishes extinction from truncation by whether the last
-    yielded generation is empty.
+    A trial's height is its last generation with a particle, n_cap + 1 when
+    it is still alive past n_cap, or TRUNCATED when one of its generations
+    would exceed particle_cap particles; those particles are dropped before
+    their children are placed.  With `minima`, the minimum position of each
+    generation is appended to it (a left-most trace when trials == 1).
     """
-    positions = np.zeros(1)
-    yield positions
+    heights = np.zeros(trials, dtype=np.int64)
+    truncated = np.zeros(trials, dtype=bool)
+    positions = np.zeros(trials)
+    owner = np.arange(trials)
+    gen = 0
     while positions.size:
+        heights[owner] = gen
+        if minima is not None:
+            minima.append(float(positions.min()))
+        if n_cap is not None and gen > n_cap:
+            break
         counts = rng.poisson(x - positions)
-        total = int(counts.sum())
-        if total > particle_cap:
-            return
-        if total == 0:
-            yield np.empty(0)
-            return
-        parents = np.repeat(positions, counts)
-        positions = parents + rng.random(total) * (x - parents)
-        yield positions
+        over = np.bincount(owner, counts, minlength=trials) > particle_cap
+        if over.any():
+            truncated |= over
+            counts[over[owner]] = 0
+        positions = np.repeat(positions, counts)
+        owner = np.repeat(owner, counts)
+        positions += rng.random(positions.size) * (x - positions)
+        gen += 1
+    heights[truncated] = TRUNCATED
+    return heights
+
+
+def _peak_generation(x: float, particle_cap: int) -> float:
+    """Expected size of the largest generation, x^k/k! at k = floor(x)."""
+    k = math.floor(x)
+    peak = math.exp(k * math.log(x) - math.lgamma(k + 1)) if x > 0.0 else 1.0
+    return min(peak, particle_cap)
+
+
+def sample_heights(
+    x: float,
+    trials: int,
+    seed: int = 0,
+    n_cap: int | None = None,
+    particle_cap: int = DEFAULT_PARTICLE_CAP,
+    blocks: Sequence[int] | None = None,
+) -> np.ndarray:
+    """Heights of trials 0..trials-1 on block-keyed substreams of `seed`.
+
+    Values as in sample_height, with TRUNCATED in place of None.
+    """
+    return sample_blocks(
+        lambda k, rng: _grow(x, k, rng, n_cap, particle_cap),
+        trials, seed, HEIGHT_STREAM, _peak_generation(x, particle_cap), blocks,
+    )
 
 
 def sample_height(
@@ -113,17 +204,8 @@ def sample_height(
     n_cap (height resolved as "beyond the table"), or None when the particle
     cap was hit first (truncated, reported as data downstream).
     """
-    last_alive = -1
-    truncated = True
-    for gen, positions in enumerate(_generations(x, rng, particle_cap)):
-        if positions.size:
-            last_alive = gen
-        else:
-            truncated = False
-            break
-        if n_cap is not None and gen > n_cap:
-            return n_cap + 1
-    return None if truncated else last_alive
+    height = int(_grow(x, 1, rng, n_cap, particle_cap)[0])
+    return None if height == TRUNCATED else height
 
 
 def leftmost_trace(
@@ -138,59 +220,44 @@ def leftmost_trace(
     substream the two views of a trial agree exactly.
     """
     mins: list[float] = []
-    truncated = True
-    for gen, positions in enumerate(_generations(x, rng, particle_cap)):
-        if positions.size:
-            mins.append(float(positions.min()))
-        else:
-            mins.append(float("inf"))
-            truncated = False
-            break
-        if n_cap is not None and gen > n_cap:
-            truncated = False
-            break
-    return mins, truncated
+    height = int(_grow(x, 1, rng, n_cap, particle_cap, mins)[0])
+    if height == TRUNCATED:
+        return mins, True
+    if n_cap is None or height <= n_cap:
+        mins.append(float("inf"))
+    return mins, False
 
 
-def _height_counts_chunk(args) -> tuple[np.ndarray, int, int]:
-    x, n_cap, particle_cap, seed, start, stop = args
-    hist = np.zeros(n_cap + 2, dtype=np.int64)  # slot n_cap+1 collects overflow
-    truncated = 0
-    for i in range(start, stop):
-        h = sample_height(x, trial_rng(seed, HEIGHT_STREAM, i), n_cap, particle_cap)
-        if h is None:
-            truncated += 1
-        else:
-            hist[min(h, n_cap + 1)] += 1
-    beyond = int(hist[n_cap + 1])
-    return hist[: n_cap + 1], truncated, beyond
+def _height_counts(args) -> np.ndarray:
+    x, n_cap, particle_cap, seed, trials, blocks = args
+    heights = sample_heights(x, trials, seed, n_cap, particle_cap, blocks)
+    # slot 0 counts truncated trials, slot n_cap + 2 the ones beyond n_cap
+    return np.bincount(heights + 1, minlength=n_cap + 3)
 
 
 def empirical_cdf(config: SimConfig, workers: int = 1) -> EmpiricalCdf:
     """Aggregate `trials` independent heights into a CDF table.
 
-    The reduction is an order-independent sum of integer histograms, so the
-    result is bit-identical for any worker count.
+    Workers take whole blocks and the reduction is an order-independent sum
+    of integer histograms, so the result is bit-identical for any worker
+    count.
     """
-    bounds = np.linspace(0, config.trials, max(1, workers) + 1).astype(int)
+    n_blocks = -(-config.trials // BLOCK)
     jobs = [
-        (config.x, config.n_cap, config.particle_cap, config.seed, lo, hi)
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
+        (config.x, config.n_cap, config.particle_cap, config.seed, config.trials, part.tolist())
+        for part in np.array_split(np.arange(n_blocks), max(1, min(workers, n_blocks)))
     ]
-    if workers > 1 and len(jobs) > 1:
-        with get_context("spawn").Pool(processes=workers) as pool:
-            parts = pool.map(_height_counts_chunk, jobs)
+    if len(jobs) > 1:
+        with get_context("spawn").Pool(processes=len(jobs)) as pool:
+            parts = pool.map(_height_counts, jobs)
     else:
-        parts = [_height_counts_chunk(job) for job in jobs]
+        parts = [_height_counts(job) for job in jobs]
 
-    hist = np.sum([p[0] for p in parts], axis=0)
-    truncated = sum(p[1] for p in parts)
-    beyond = sum(p[2] for p in parts)
+    hist = np.sum(parts, axis=0)
     return EmpiricalCdf(
         x=config.x,
         trials=config.trials,
-        counts=np.cumsum(hist),
-        truncated_trials=truncated,
-        beyond_cap_trials=beyond,
+        counts=np.cumsum(hist[1:-1]),
+        truncated_trials=int(hist[0]),
+        beyond_cap_trials=int(hist[-1]),
     )

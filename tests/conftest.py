@@ -1,6 +1,9 @@
 """Shared fixtures: the expensive recursion runs are computed once per session."""
 
+import math
+
 import pytest
+from scipy.stats import binom
 
 from continuum_cascade.fronts import alpha_scan
 from continuum_cascade.recursion import (
@@ -9,6 +12,31 @@ from continuum_cascade.recursion import (
     front_clearance_xmax,
     run_recursion,
 )
+
+
+# two-sided level of a 3-sigma normal band, about 0.27 %
+THREE_SIGMA_LEVEL = math.erfc(3.0 / math.sqrt(2.0))
+
+
+def _check_binomial(count: int, trials: int, p: float, label: str = "") -> float:
+    """Exact two-sided binomial test of `count` successes in `trials` Bernoulli(p).
+
+    Fails below THREE_SIGMA_LEVEL, which is the 3-sigma normal band wherever
+    the normal approximation holds, and stays valid in tails with under one
+    expected event.  Returns the p-value.
+    """
+    tail = min(binom.cdf(count, trials, p), binom.sf(count - 1, trials, p))
+    p_value = float(min(1.0, 2.0 * tail))
+    assert p_value >= THREE_SIGMA_LEVEL, (
+        f"{label}: {count} of {trials} trials, expected p={p:.4e} "
+        f"({trials * p:.2f}), two-sided p-value {p_value:.2e}"
+    )
+    return p_value
+
+
+@pytest.fixture(scope="session")
+def check_binomial():
+    return _check_binomial
 
 
 @pytest.fixture(scope="session")

@@ -72,6 +72,16 @@ def test_simulate_determinism_and_worker_independence(tmp_path):
     assert tree_bytes(outs[0]) == tree_bytes(outs[2])
 
 
+def test_simulate_workers_split_whole_blocks(tmp_path):
+    # three blocks, the last one partial: any split gives the same bytes
+    args = ["simulate", "--x", "1", "--trials", str(2 * simulate.BLOCK + 17),
+            "--seed", "8", "--ncap", "10"]
+    outs = [tmp_path / f"w{workers}" for workers in (1, 2, 3)]
+    for workers, out in zip((1, 2, 3), outs):
+        assert main(args + ["--workers", str(workers), "--out", str(out)]) == 0
+    assert tree_bytes(outs[0]) == tree_bytes(outs[1]) == tree_bytes(outs[2])
+
+
 def test_simulate_cdf_schema(tmp_path):
     assert main(["simulate", "--x", "1", "--trials", "500", "--seed", "1",
                  "--ncap", "8", "--out", str(tmp_path)]) == 0
@@ -200,10 +210,12 @@ def test_front_rejects_bad_fit_flags_before_computing(tmp_path, capsys, fit_args
     ["graph", "--n-vertices", "50", "--c", "0.02", "--trials", "0"],
     ["graph", "--n-vertices", "50", "--c", "0.02", "--trials", "5", "--ncap", "-1"],
     ["compare", "--n-vertices", "50", "--x", "1", "--trials", "0"],
+    ["brw", "--trials", "-1"],
+    ["brw", "--trials", "1", "--n", "-1"],
 ])
 def test_bad_counts_exit_two(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 2
-    assert not (tmp_path / "manifest.json").exists()
+    assert list(tmp_path.iterdir()) == []  # no manifest, and no artifact either
     capsys.readouterr()
 
 
@@ -224,12 +236,7 @@ def test_graph_cdf_counts_every_trial_and_keeps_its_bytes(tmp_path):
     n, c, trials, seed, n_cap = 60, 0.05, 300, 5, 1
     assert main(["graph", "--n-vertices", str(n), "--c", str(c), "--trials", str(trials),
                  "--seed", str(seed), "--ncap", str(n_cap), "--out", str(tmp_path)]) == 0
-    lengths = [
-        graphs.sample_cascade_graph(
-            n, c, simulate.trial_rng(seed, simulate.GRAPH_STREAM, i)
-        ).longest_path_from_1
-        for i in range(trials)
-    ]
+    lengths = graphs.sample_longest_paths(n, c, trials, seed).tolist()
     assert max(lengths) > n_cap
     lines = ["n,count,p_hat,stderr"]
     for k in range(n_cap + 1):

@@ -16,7 +16,9 @@ from continuum_cascade.graphs import (
     longest_path_dp,
     sample_adjacency,
     sample_cascade_graph,
+    sample_longest_paths,
 )
+from continuum_cascade.simulate import BLOCK, GRAPH_STREAM, trial_rng
 
 
 def test_forced_chain_has_full_length():
@@ -71,6 +73,44 @@ def test_lazy_sampler_agrees_with_dense_distribution():
     ])
     sem = math.sqrt(lazy.var() / trials + dense.var() / trials)
     assert abs(lazy.mean() - dense.mean()) <= 3.0 * sem
+
+
+def enumerated_law(n, c):
+    """P(L = k) summed over all 2^(n(n-1)/2) graphs on n vertices."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    law = np.zeros(n)
+    for mask in range(1 << len(pairs)):
+        dist = [-1] * (n + 1)
+        dist[1] = 0
+        present = 0
+        for bit, (i, j) in enumerate(pairs):  # pairs come in increasing i
+            if mask >> bit & 1:
+                present += 1
+                if dist[i] >= 0:
+                    dist[j] = max(dist[j], dist[i] + 1)
+        law[max(dist)] += c**present * (1.0 - c) ** (len(pairs) - present)
+    return law
+
+
+@pytest.mark.parametrize("n, c", [(5, 0.3), (6, 0.6), (4, 1.0)])
+def test_block_engine_matches_enumerated_law(n, c, check_binomial):
+    law = enumerated_law(n, c)
+    assert math.isclose(law.sum(), 1.0)
+    trials = 2 * BLOCK + 17
+    lengths = sample_longest_paths(n, c, trials, seed=31)
+    counts = np.bincount(lengths, minlength=n)
+    assert counts.size == n
+    for k in range(n):
+        check_binomial(int(counts[: k + 1].sum()), trials, min(1.0, law[: k + 1].sum()),
+                       f"P(L <= {k}), n={n}, c={c}")
+
+
+def test_block_engine_edge_cases():
+    assert not sample_longest_paths(40, 0.0, BLOCK + 1, seed=1).any()
+    assert sample_longest_paths(7, 1.0, 3, seed=1).tolist() == [6, 6, 6]
+    for seed in range(20):
+        one = sample_cascade_graph(30, 0.1, trial_rng(seed, GRAPH_STREAM, 0)).longest_path_from_1
+        assert sample_longest_paths(30, 0.1, 1, seed).tolist() == [one]
 
 
 def test_ks_two_sample_hand_case():

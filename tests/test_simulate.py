@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from continuum_cascade.errors import ConfigurationError
+from continuum_cascade.graphs import ks_critical_value, ks_two_sample
 from continuum_cascade.recursion import closed_form_p1
 from continuum_cascade.simulate import (
+    BLOCK,
     HEIGHT_STREAM,
     EmpiricalCdf,
     SimConfig,
     empirical_cdf,
     leftmost_trace,
     sample_height,
+    sample_heights,
     trial_rng,
 )
 
@@ -86,8 +89,24 @@ def test_stochastic_monotonicity_in_x():
 def test_truncation_reported_not_resolved():
     trials = 300
     cdf = empirical_cdf(SimConfig(x=3.0, trials=trials, n_cap=10, particle_cap=3, seed=19))
-    assert cdf.truncated_trials > 0
+    assert 0 < cdf.truncated_trials < trials  # the cap is per trial, not per block
     cdf.check_accounting()
+
+
+def test_particle_cap_cuts_the_trace_before_the_oversized_generation():
+    # until a generation exceeds the cap the capped run draws exactly what
+    # the uncapped one does; then the trial's particles are dropped
+    cut = 0
+    for seed in range(40):
+        full, _ = leftmost_trace(5.0, np.random.default_rng(seed))
+        capped, truncated = leftmost_trace(5.0, np.random.default_rng(seed), particle_cap=1)
+        if truncated:
+            cut += 1
+            assert capped == full[: len(capped)]
+            assert math.isfinite(full[len(capped)])
+        else:
+            assert capped == full
+    assert cut > 0
 
 
 def test_leftmost_trace_zero_interval():
@@ -125,6 +144,36 @@ def test_survival_to_generation_matches_recursion(recursion_oracle_x3):
             alive += 1
     p_alive = alive / trials
     assert abs(p_alive - (1.0 - p9)) <= three_sigma(1.0 - p9, trials)
+
+
+def test_single_trial_block_is_the_batch_of_one_view():
+    for seed in range(20):
+        h = sample_height(2.0, trial_rng(seed, HEIGHT_STREAM, 0), n_cap=12)
+        assert sample_heights(2.0, 1, seed, n_cap=12).tolist() == [h]
+
+
+def test_zero_interval_block_has_height_zero():
+    assert not sample_heights(0.0, BLOCK + 3, seed=5).any()
+
+
+def test_table_cap_only_stops_the_lockstep_early():
+    # all trials of a block advance together, so stopping at n_cap + 1
+    # leaves every draw before it, and each trial's capped height, unchanged
+    trials = BLOCK + 500
+    full = sample_heights(3.0, trials, seed=23)
+    capped = sample_heights(3.0, trials, seed=23, n_cap=6)
+    assert (full > 7).any()
+    np.testing.assert_array_equal(capped, np.minimum(full, 7))
+
+
+def test_block_engine_agrees_in_law_with_one_trial_substreams():
+    # the batch-of-one view on per-trial substreams against whole blocks:
+    # one law, so the two-sample KS stays below its 1 % critical value
+    trials = 4000
+    single = [sample_height(2.0, trial_rng(24, HEIGHT_STREAM, i)) for i in range(trials)]
+    blocks = sample_heights(2.0, 2 * BLOCK, seed=25)
+    ks = ks_two_sample(np.bincount(single), np.bincount(blocks))
+    assert ks < ks_critical_value(trials, blocks.size, alpha=0.01)
 
 
 def test_config_validation():
