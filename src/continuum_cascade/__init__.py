@@ -22,6 +22,7 @@ from .recursion import (
     Quadrature,
     RecursionConfig,
     RecursionResult,
+    bands,
     closed_form_p1,
     front_clearance_xmax,
     init_p0,
@@ -32,11 +33,13 @@ from .fronts import (
     AlphaScanResult,
     FrontFit,
     LOG_COEFFICIENT,
+    ProbeSlabs,
     VELOCITY,
     alpha_scan,
     front_constancy_probe,
     front_position,
     log_correction_fit,
+    probe_slabs,
     richardson_velocity,
     velocity_estimate,
     wave_shape_collapse,

@@ -11,6 +11,7 @@ RIEMANN scheme (alpha -> 1 as delta -> 0).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,10 +23,9 @@ from .recursion import (
     GridFunction,
     Quadrature,
     RecursionConfig,
-    RecursionResult,
     _bracketed_crossing,
+    bands,
     front_clearance_xmax,
-    run_recursion,
 )
 
 VELOCITY = 1.0 / math.e
@@ -183,32 +183,86 @@ def probe_positions(generations: np.ndarray, alpha: float) -> np.ndarray:
     return alpha * (n * VELOCITY + LOG_COEFFICIENT * np.log(n))
 
 
-def front_constancy_probe(
-    result: RecursionResult, alpha: float
-) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class ProbeSlabs:
+    """The nodes of generations 1..n_max-1 that the probe can read.
+
+    Generation m keeps the grid nodes from first[m-1] on that the probe of
+    n = m + 1 interpolates between for any alpha in `alpha_range`, in
+    values[offsets[m-1]:offsets[m]].
+    """
+
+    config: RecursionConfig
+    alpha_range: tuple[float, float]
+    first: np.ndarray
+    offsets: np.ndarray
+    values: np.ndarray
+
+    @property
+    def x_max(self) -> float:
+        return self.config.delta * self.config.grid_size
+
+
+def _probe_nodes(targets: np.ndarray, config: RecursionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Grid position of each target and the node left of it, as GridFunction.evaluate."""
+    m = config.grid_size
+    pos = np.clip(targets / config.delta, 0.0, float(m))
+    return pos, np.minimum(pos.astype(np.int64), m - 1)
+
+
+def probe_slabs(config: RecursionConfig, alpha_range: tuple[float, float]) -> ProbeSlabs:
+    """Run the recursion to generation n_max-1, keeping only the probe's slabs.
+
+    Each generation's band is asked to reach its slab's end, so the slab
+    comes from the band alone: nodes below the band read as exactly 1.
+    Memory is the sum of the slabs, about (alpha_hi - alpha_lo) times the
+    front position over delta nodes per generation, instead of a full grid
+    per generation.
+    """
+    lo_alpha, hi_alpha = alpha_range
+    if not lo_alpha <= hi_alpha:
+        raise ConfigurationError(f"alpha range {alpha_range} is empty")
+    n_max = config.n_max
+    ns = np.arange(2, n_max + 1)
+    first = _probe_nodes(probe_positions(ns, lo_alpha), config)[1]
+    # the probe reads node i + 1, so a slab ends one node past the last i
+    stop = _probe_nodes(probe_positions(ns, hi_alpha), config)[1] + 2
+    offsets = np.concatenate(([0], np.cumsum(stop - first)))
+    values = np.empty(int(offsets[-1]))
+    steps = bands(config, lambda n: int(stop[n - 1]) if 0 < n < n_max else 0)
+    for m, (band, lo) in enumerate(itertools.islice(steps, 1, n_max), start=1):
+        at = np.arange(first[m - 1], stop[m - 1]) - lo  # slab nodes, from the band's start
+        values[offsets[m - 1] : offsets[m]] = np.where(
+            at < 0, 1.0, band.values[np.maximum(at, 0)]
+        )
+    values.flags.writeable = False
+    return ProbeSlabs(config, (lo_alpha, hi_alpha), first, offsets, values)
+
+
+def front_constancy_probe(slabs: ProbeSlabs, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate generation n-1 at alpha*(n/e + (3/(2e)) ln n) for n = 2..n_max.
 
-    Requires snapshots at every generation 1..n_max-1.  Returns (n, values).
+    Linear interpolation between grid nodes, bit-identical to
+    GridFunction.evaluate on the full generation.  Returns (n, values).
     """
-    by_gen = {s.generation: s for s in result.snapshots}
-    n_max = result.config.n_max
-    missing = [g for g in range(1, n_max) if g not in by_gen]
-    if missing:
-        raise ConfigurationError(
-            f"probe needs snapshots at every generation 1..{n_max - 1}; "
-            f"missing {missing[:5]}..."
-        )
-    ns = np.arange(2, n_max + 1)
+    ns = np.arange(2, slabs.config.n_max + 1)
     targets = probe_positions(ns, alpha)
-    values = np.empty(len(ns))
-    for k, (n, x) in enumerate(zip(ns, targets)):
-        snap = by_gen[int(n) - 1]
-        if x > snap.x_max:
-            raise DomainError(
-                f"probe point {x:.4f} exits the grid at n={int(n)} "
-                f"(x_max={snap.x_max:.4f})"
-            )
-        values[k] = snap.evaluate(x)
+    outside = (targets < 0.0) | (targets > slabs.x_max)
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise DomainError(
+            f"probe point {targets[k]:.4f} exits the grid at n={int(ns[k])} "
+            f"(x_max={slabs.x_max:.4f})"
+        )
+    lo_alpha, hi_alpha = slabs.alpha_range
+    if not lo_alpha <= alpha <= hi_alpha:
+        raise ConfigurationError(
+            f"alpha={alpha} outside the range {slabs.alpha_range} the slabs were kept for"
+        )
+    pos, i = _probe_nodes(targets, slabs.config)
+    frac = pos - i
+    at = slabs.offsets[:-1] + (i - slabs.first)
+    values = (1.0 - frac) * slabs.values[at] + frac * slabs.values[at + 1]
     return ns, values
 
 
@@ -244,22 +298,31 @@ def alpha_scan(
     """Find, per grid spacing, the alpha that flattens the probe series.
 
     Runs the RIEMANN-mode recursion once per delta (the probe quantifies
-    exactly that scheme's bias), then golden-section minimizes the late-time
-    drift of the probe over alpha.  A coarse pre-scan must place the best
-    point strictly inside the alpha range, otherwise no minimum is bracketed.
+    exactly that scheme's bias), keeping only the probe's slabs, then
+    golden-section minimizes the late-time drift of the probe over alpha.
+    A coarse pre-scan must place the best point strictly inside the alpha
+    range, otherwise no minimum is bracketed.
     """
-    results = []
-    for delta in deltas:
-        config = RecursionConfig(
+    if not deltas:
+        raise ConfigurationError("alpha scan needs at least one delta")
+    if n_max < 4:
+        # the drift needs two successive differences of the probe's last half
+        raise ConfigurationError(f"alpha scan needs n_max >= 4, got {n_max}")
+    configs = [
+        RecursionConfig(
             delta=delta,
             x_max=front_clearance_xmax(n_max),
             n_max=n_max,
             quadrature=Quadrature.RIEMANN,
         )
-        run = run_recursion(config, snapshot_generations=range(1, n_max))
+        for delta in deltas
+    ]
+    results = []
+    for config in configs:
+        slabs = probe_slabs(config, alpha_range)
 
         def drift(alpha: float) -> float:
-            _, vals = front_constancy_probe(run, alpha)
+            _, vals = front_constancy_probe(slabs, alpha)
             return probe_drift_rms(vals)
 
         lo, hi = alpha_range
@@ -268,13 +331,13 @@ def alpha_scan(
         best = int(np.argmin(objective))
         if best in (0, len(grid) - 1):
             raise ScanError(
-                f"drift minimum for delta={delta} sits at the alpha range boundary"
+                f"drift minimum for delta={config.delta} sits at the alpha range boundary"
             )
         alpha_star = _golden_section(drift, grid[best - 1], grid[best + 1])
-        ns, vals = front_constancy_probe(run, alpha_star)
+        ns, vals = front_constancy_probe(slabs, alpha_star)
         results.append(
             AlphaScanResult(
-                delta=delta,
+                delta=config.delta,
                 alpha_star=float(alpha_star),
                 probe_generations=ns,
                 probe_values=vals,

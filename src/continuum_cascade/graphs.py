@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericError
 from .simulate import (
     GRAPH_STREAM,
     DEFAULT_PARTICLE_CAP,
@@ -188,7 +188,8 @@ def compare_discrete_continuum(
     """Sample L_n (graph, c = x/n) and H(x) (continuum) and report KS distance.
 
     Truncated continuum trials are excluded from the CDF and reported; at the
-    x values of interest they do not occur.
+    x values of interest they do not occur.  When every continuum trial is
+    truncated there is no continuum CDF, and NumericError is raised.
     """
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
@@ -202,6 +203,10 @@ def compare_discrete_continuum(
     heights = sample_heights(x, trials, seed, None, particle_cap)
     resolved = heights[heights != TRUNCATED]
     truncated = trials - resolved.size
+    if not resolved.size:
+        raise NumericError(
+            f"all {trials} continuum trials at x={x} exceeded particle_cap={particle_cap}"
+        )
 
     top = int(max(lengths.max(), resolved.max(initial=0)))
     counts_g = np.bincount(lengths, minlength=top + 1)

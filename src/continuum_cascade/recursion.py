@@ -11,14 +11,18 @@ first-order discretization (cumulative sum over grid indices 1..i, the
 y = 0 endpoint omitted), TRAPEZOID is the second-order default used for
 front measurements.
 
-run_recursion advances only the live band of the complement g = 1 - P:
-behind it g is exactly 0 (the prefix sum there is exactly 0) and ahead of
-it g is exactly 1 (the prefix sum adds exact 1s), so the band's nodes come
-out bit-identical to a full-grid step.  Cost is O(band width) per
-generation, via a running prefix sum; the band stays a few hundred units
-wide while the domain grows like n/e.  Only requested snapshots and the
-final generation are stepped across the whole grid.  Memory is O(grid)
-because only those snapshots and the current band are kept.
+Every generation is stepped one way, by the `bands` generator: only the
+live band of the complement g = 1 - P advances.  Behind it g is exactly 0
+(the prefix sum there is exactly 0) and ahead of it g is exactly 1 (the
+prefix sum adds exact 1s), so the band's nodes come out bit-identical to a
+full-grid step.  Cost is O(band width) per generation, via a running
+prefix sum; the band stays a few hundred units wide while the domain grows
+like n/e.  A consumer that needs more of a generation asks the band to
+reach further: run_recursion has snapshot generations and the final one
+reach the grid end and pads them with the exact P = 1, g = 0 below the
+band, and the alpha probe (fronts.probe_slabs) keeps one small slab per
+generation.  Memory is O(grid) because only the requested snapshots and
+the current band are kept.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -302,6 +306,42 @@ def _live_band(f: GridFunction, offset: int) -> tuple[GridFunction, int]:
     return band, offset + start
 
 
+def bands(
+    config: RecursionConfig,
+    reach: Callable[[int], int] = lambda n: 0,
+    p_floor: float = 1.0,
+) -> Iterator[tuple[GridFunction, int]]:
+    """Yield (band, lo) for generations 0..n_max: generation n from grid node lo on.
+
+    Generation 0 is the whole grid.  Each later band is the live band of the
+    one before (see _live_band) stepped over at least max(len + margin,
+    reach(n) - lo) nodes, capped at the grid end: the margin, at least one
+    unit of x, is more than the g = 1 edge moves in a generation, and
+    reach(n) (an end node, exclusive) makes band n cover nodes a consumer
+    needs; reach(n) = grid_size + 1 gives the whole grid from lo on.  When a
+    step ends short of the grid end and either short of g = 1 or not below
+    `p_floor`, the margin doubles and the step is redone.  Below lo, P is
+    exactly 1 and g exactly 0; the band's nodes are bit-identical to a
+    full-grid step.  The generator steps lazily, so a consumer that stops
+    early saves the later steps.
+    """
+    n_nodes = config.grid_size + 1
+    margin = math.ceil(1.0 / config.delta)
+    band, lo = init_p0(config), 0
+    yield band, lo
+    for n in range(1, config.n_max + 1):
+        band, lo = _live_band(band, lo)
+        room = n_nodes - lo
+        while True:
+            nodes = min(room, max(len(band.values) + margin, reach(n) - lo))
+            nxt = iterate_step(band, config, nodes)
+            if nodes == room or (nxt.complement[-1] == 1.0 and nxt.values[-1] < p_floor):
+                break
+            margin *= 2
+        band = nxt
+        yield band, lo
+
+
 def run_recursion(
     config: RecursionConfig,
     snapshot_generations: Iterable[int] = (),
@@ -314,14 +354,9 @@ def run_recursion(
     clearance bound (see front_clearance_xmax) so the measurement never
     approaches the grid boundary.
 
-    Each generation advances only the live band of g = 1 - P (see
-    _live_band), extended past its g = 1 edge by a margin of at least one
-    unit of x, which is more than that edge moves in a generation.  When
-    the extended step still ends short of g = 1 (or of the lowest front
-    level) the margin doubles and the step is redone.  Snapshot generations
-    and the final one hold full-grid arrays: a plain full-grid step when the
-    generation before is held on the full grid too, otherwise a band step
-    to the grid end padded with the exact P = 1, g = 0 below the band.
+    One consumer of `bands`: crossings are read off each band, and snapshot
+    generations and the final one have their band reach the grid end and
+    are padded with the exact P = 1, g = 0 below it.
     """
     wanted = {int(g) for g in snapshot_generations}
     if wanted and (min(wanted) < 0 or max(wanted) > config.n_max):
@@ -339,41 +374,24 @@ def run_recursion(
                 raise ConfigurationError(f"front level must be in (0,1), got {lev}")
 
     levels = tuple(front_levels or ())
-    full_steps = wanted | {config.n_max}
+    full = wanted | {config.n_max}
     n_nodes = config.grid_size + 1
-    margin = math.ceil(1.0 / config.delta)
     # a band must reach past every crossing recorded on it
-    p_floor = min(levels, default=1.0)
-
-    cur = init_p0(config)  # the latest generation held on the full grid
-    snaps: list[GridFunction] = [cur] if 0 in wanted else []
-    fronts = [[_bracketed_crossing(cur.values, cur.delta, lev)] for lev in levels]
-    band, lo = cur, 0  # the latest generation, from grid node lo on
-    for n in range(1, config.n_max + 1):
-        if n in full_steps and cur.generation == n - 1:
-            band = cur = iterate_step(cur, config)
-            lo = 0
-        else:
-            band, lo = _live_band(band, lo)
-            room = n_nodes - lo
-            while True:
-                nodes = room if n in full_steps else min(room, len(band.values) + margin)
-                nxt = iterate_step(band, config, nodes)
-                if nodes == room or (nxt.complement[-1] == 1.0 and nxt.values[-1] < p_floor):
-                    break
-                margin *= 2
-            band = nxt
-            if n in full_steps:
-                cur = GridFunction(
-                    delta=config.delta,
-                    values=np.concatenate((np.ones(lo), band.values)),
-                    generation=n,
-                    complement=np.concatenate((np.zeros(lo), band.complement)),
-                )
+    steps = bands(config, lambda n: n_nodes if n in full else 0, min(levels, default=1.0))
+    snaps: list[GridFunction] = []
+    fronts: list[list[float]] = [[] for _ in levels]
+    for n, (band, lo) in enumerate(steps):
         for trace, lev in zip(fronts, levels):
             trace.append(_bracketed_crossing(band.values, config.delta, lev, lo))
-        if n in wanted:
-            snaps.append(cur)
+        if n in full:
+            whole = band if lo == 0 else GridFunction(
+                delta=config.delta,
+                values=np.concatenate((np.ones(lo), band.values)),
+                generation=n,
+                complement=np.concatenate((np.zeros(lo), band.complement)),
+            )
+            if n in wanted:
+                snaps.append(whole)
 
     traces = []
     if front_levels is not None:
@@ -382,4 +400,4 @@ def run_recursion(
             FrontTrace(level=lev, generations=gens, positions=np.asarray(fs))
             for lev, fs in zip(levels, fronts)
         ]
-    return RecursionResult(config=config, snapshots=snaps, final=cur, front_traces=traces)
+    return RecursionResult(config=config, snapshots=snaps, final=whole, front_traces=traces)

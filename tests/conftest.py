@@ -5,7 +5,7 @@ import math
 import pytest
 from scipy.stats import binom
 
-from continuum_cascade.fronts import alpha_scan
+from continuum_cascade.fronts import alpha_scan, probe_slabs
 from continuum_cascade.recursion import (
     Quadrature,
     RecursionConfig,
@@ -87,15 +87,15 @@ def recursion_oracle_x3():
 
 
 @pytest.fixture(scope="session")
-def d01_riemann_n100_run():
-    """Riemann run with every generation retained, for the alpha probe."""
+def d01_riemann_n100_slabs():
+    """Riemann run keeping the alpha probe's slabs of every generation."""
     config = RecursionConfig(
         delta=0.01,
         x_max=front_clearance_xmax(100),
         n_max=100,
         quadrature=Quadrature.RIEMANN,
     )
-    return run_recursion(config, snapshot_generations=range(1, 100))
+    return probe_slabs(config, (0.95, 1.01))
 
 
 @pytest.fixture(scope="session")

@@ -219,6 +219,18 @@ def test_bad_counts_exit_two(tmp_path, capsys, argv):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["alpha-scan", "--deltas", ",,"], 2),  # no delta
+    (["alpha-scan", "--deltas", "0.02", "--nmax", "3"], 2),  # too few probe values
+    # every continuum trial exceeds the particle cap: no continuum CDF
+    (["compare", "--x", "25", "--n-vertices", "2000", "--trials", "2"], 3),
+])
+def test_runs_without_a_result_write_nothing(tmp_path, capsys, argv, code):
+    assert main([*argv, "--out", str(tmp_path)]) == code
+    assert list(tmp_path.iterdir()) == []
+    capsys.readouterr()
+
+
 def test_manifest_checksums_cover_all_artifacts(tmp_path):
     assert main(["alpha-scan", "--deltas", "0.02", "--nmax", "60",
                  "--out", str(tmp_path)]) == 0

@@ -22,6 +22,8 @@ from continuum_cascade.fronts import (
     front_position,
     log_correction_fit,
     probe_drift_rms,
+    probe_positions,
+    probe_slabs,
     richardson_velocity,
     velocity_estimate,
     wave_shape_collapse,
@@ -29,7 +31,10 @@ from continuum_cascade.fronts import (
 from continuum_cascade.recursion import (
     FrontTrace,
     GridFunction,
+    Quadrature,
     RecursionConfig,
+    bands,
+    front_clearance_xmax,
     init_p0,
     iterate_step,
     run_recursion,
@@ -158,31 +163,80 @@ def test_wave_collapse_tightens_with_n(d01_n2000_run):
     assert early > late
 
 
-def test_probe_plateau_at_paper_alpha(d01_riemann_n100_run):
-    ns, vals = front_constancy_probe(d01_riemann_n100_run, 0.9855)
+def test_probe_plateau_at_paper_alpha(d01_riemann_n100_slabs):
+    ns, vals = front_constancy_probe(d01_riemann_n100_slabs, 0.9855)
     sel = (ns >= 60) & (ns <= 100)
     assert np.max(np.abs(vals[sel] - vals[-1])) < 0.05
 
 
-def test_probe_drifts_monotonically_at_alpha_one(d01_riemann_n100_run):
+def test_probe_drifts_monotonically_at_alpha_one(d01_riemann_n100_slabs):
     # the Riemann front lags the continuum positions, so the probe at
     # alpha = 1 walks into the tail: values fall steadily
-    _, vals = front_constancy_probe(d01_riemann_n100_run, 1.0)
+    _, vals = front_constancy_probe(d01_riemann_n100_slabs, 1.0)
     half = vals[len(vals) // 2 :]
     assert np.all(np.diff(half) < 0.0)
     assert vals[-1] < vals[len(vals) // 2] - 0.02
 
 
-def test_probe_requires_all_generations(d001_n200_probe_run):
-    with pytest.raises(ConfigurationError):
-        front_constancy_probe(d001_n200_probe_run, 1.0)
-
-
 def test_probe_domain_error_names_generation():
     config = RecursionConfig(delta=0.01, x_max=3.0, n_max=30)
-    run = run_recursion(config, snapshot_generations=range(1, 30))
+    slabs = probe_slabs(config, (0.95, 1.01))
     with pytest.raises(DomainError, match=r"n=6"):
-        front_constancy_probe(run, 1.0)
+        front_constancy_probe(slabs, 1.0)
+    negative = probe_slabs(config, (-1.0, 1.0))
+    with pytest.raises(DomainError, match=r"n=2"):
+        front_constancy_probe(negative, -0.5)
+
+
+def test_probe_rejects_alpha_outside_its_slabs(d01_riemann_n100_slabs):
+    for alpha in (0.9, 1.02, float("nan")):
+        with pytest.raises(ConfigurationError):
+            front_constancy_probe(d01_riemann_n100_slabs, alpha)
+
+
+def _evaluate_on_snapshots(run, alpha):
+    """The probe as a loop of GridFunction.evaluate calls on full snapshots."""
+    ns = np.arange(2, run.config.n_max + 1)
+    targets = probe_positions(ns, alpha)
+    return np.array([run.snapshot(int(n) - 1).evaluate(x) for n, x in zip(ns, targets)])
+
+
+@pytest.mark.parametrize("delta, n_max, alpha_range, alphas", [
+    (0.01, 100, (0.95, 1.01), (0.95, 0.9855, 0.99731, 1.01)),
+    (0.001, 60, (0.95, 1.01), (0.95, 0.9977, 1.01)),
+    # slabs past the g = 1 edge: reach, not the margin, sizes the bands
+    (0.01, 100, (0.5, 2.0), (0.5, 0.77, 1.0, 1.6, 2.0)),
+    # slabs below the band's lower edge (x ~ 3.5 at n = 249) read exact 1s
+    (0.01, 250, (0.0, 1.01), (0.0, 0.02, 0.5, 1.0)),
+])
+def test_probe_on_slabs_is_bit_identical_to_full_snapshots(delta, n_max, alpha_range, alphas):
+    config = RecursionConfig(
+        delta=delta, x_max=front_clearance_xmax(n_max), n_max=n_max,
+        quadrature=Quadrature.RIEMANN,
+    )
+    run = run_recursion(config, range(1, n_max))
+    slabs = probe_slabs(config, alpha_range)
+    for alpha in alphas:
+        ns, values = front_constancy_probe(slabs, alpha)
+        assert np.array_equal(ns, np.arange(2, n_max + 1))
+        assert np.array_equal(values, _evaluate_on_snapshots(run, alpha))
+    if alpha_range[1] > 1.5:
+        # some slabs end past the band a generation steps on its own, which
+        # ends a margin past where g = 1 - P reaches exactly 1
+        natural = [lo + len(band.values) for band, lo in bands(config)][1:n_max]
+        assert np.any(slabs.first + np.diff(slabs.offsets) > natural)
+    if alpha_range[0] == 0.0:
+        lows = [lo for _, lo in bands(config)][1:n_max]
+        assert np.any(slabs.first < lows)
+
+
+def test_probe_slabs_hold_a_small_share_of_the_grid():
+    config = RecursionConfig(
+        delta=0.001, x_max=front_clearance_xmax(200), n_max=200,
+        quadrature=Quadrature.RIEMANN,
+    )
+    slabs = probe_slabs(config, (0.95, 1.01))
+    assert slabs.values.size < (config.n_max - 1) * (config.grid_size + 1) / 10
 
 
 def test_alpha_scan_reproduces_reference_values(alpha_scan_results):

@@ -266,9 +266,10 @@ WINDOW_LEVELS = (0.25, 0.5, 0.75)
 @pytest.mark.parametrize("quadrature", list(Quadrature))
 @pytest.mark.parametrize("delta, n_max", [(0.01, 250), (0.001, 160)])
 def test_window_is_bit_identical_to_full_grid_steps(quadrature, delta, n_max):
-    # 1 and 151 follow full-grid generations (plain full-grid steps), 77 and
-    # 150 follow band generations (band stepped to the grid end); 151 is odd
-    # and comes after the lower edge has started moving, and windowed steps
+    # every generation is a band step; snapshot bands reach the grid end and
+    # are padded below.  1 and 151 follow a generation that reached the grid
+    # end too (0 and 150), 77 and 150 follow ordinary bands; 151 is odd and
+    # comes after the lower edge has started moving, and ordinary bands
     # follow it
     config = RecursionConfig(
         delta=delta, x_max=front_clearance_xmax(n_max), n_max=n_max,
