@@ -261,6 +261,7 @@ def cmd_brw(params: dict, writer: RunWriter) -> None:
         raise ConfigurationError(f"trials must be >= 0, got {params['trials']}")
     if params["n"] < 0:
         raise ConfigurationError(f"n must be >= 0, got {params['n']}")
+    martingale.check_v_max(params["vmax"])
     report = martingale.verify_boundary_conditions()
     writer.write_csv(
         "moments.csv", "m1_residual,m2_residual,m4_value",

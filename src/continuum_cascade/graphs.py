@@ -193,6 +193,8 @@ def compare_discrete_continuum(
     """
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
+    if n_vertices < 1:
+        raise ConfigurationError(f"n_vertices must be >= 1, got {n_vertices}")
     if x > n_vertices:
         raise ConfigurationError(
             f"x={x} with n_vertices={n_vertices} needs edge probability > 1"

@@ -4,6 +4,9 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -212,6 +215,10 @@ def test_front_rejects_bad_fit_flags_before_computing(tmp_path, capsys, fit_args
     ["compare", "--n-vertices", "50", "--x", "1", "--trials", "0"],
     ["brw", "--trials", "-1"],
     ["brw", "--trials", "1", "--n", "-1"],
+    ["compare", "--n-vertices", "0", "--x", "0"],
+    ["brw", "--vmax", "-2"],
+    ["brw", "--trials", "1", "--vmax", "-2"],
+    ["brw", "--trials", "1", "--vmax", "inf"],
 ])
 def test_bad_counts_exit_two(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 2
@@ -229,6 +236,28 @@ def test_runs_without_a_result_write_nothing(tmp_path, capsys, argv, code):
     assert main([*argv, "--out", str(tmp_path)]) == code
     assert list(tmp_path.iterdir()) == []
     capsys.readouterr()
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # scipy is a test dependency only: with every scipy import made to fail,
+    # the package imports and runs, and no scipy module gets loaded
+    script = f"""
+import sys
+sys.modules["scipy"] = None
+from continuum_cascade.cli import main
+assert main(["brw", "--trials", "1", "--n", "2", "--out", {str(tmp_path / "brw")!r}]) == 0
+assert main(["front", "--delta", "0.05", "--nmax", "20",
+             "--out", {str(tmp_path / "front")!r}]) == 0
+loaded = [m for m in sys.modules if m.startswith("scipy.")]
+assert loaded == [] and sys.modules["scipy"] is None, loaded
+"""
+    src = Path(graphs.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "brw" / "manifest.json").exists()
+    assert (tmp_path / "front" / "front_trace.csv").exists()
 
 
 def test_manifest_checksums_cover_all_artifacts(tmp_path):

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from continuum_cascade.errors import ConfigurationError
+from continuum_cascade import martingale
+from continuum_cascade.errors import ConfigurationError, NumericError
 from continuum_cascade.martingale import (
     DEFAULT_V_MAX,
     NormalizedOffspringLaw,
@@ -26,10 +27,31 @@ def test_boundary_moment_residuals():
     assert abs(report.m4_value - math.e) < 1e-10
 
 
+def test_moment_rules_that_disagree_raise(monkeypatch):
+    exact = martingale.laggauss
+
+    def perturbed(nodes):
+        t, w = exact(nodes)
+        if nodes == max(martingale.MOMENT_RULE_NODES):
+            w = w.copy()
+            w[0] *= 1.0 + 1e-8
+        return t, w
+
+    monkeypatch.setattr(martingale, "laggauss", perturbed)
+    with pytest.raises(NumericError, match="did not converge"):
+        verify_boundary_conditions()
+
+
 def test_second_moment_equals_e_by_antiderivative():
     # -(y^2 + 2y + 2) e^-y evaluated at -1 gives -e; the upper limit vanishes
     lower = -((-1.0) ** 2 + 2 * (-1.0) + 2.0) * math.exp(1.0)
     assert math.isclose(-lower, math.e, rel_tol=1e-15)
+
+
+@pytest.mark.parametrize("v_max", [-2.0, math.nan, math.inf])
+def test_simulate_Dn_rejects_a_bad_v_max(v_max):
+    with pytest.raises(ConfigurationError, match="v_max"):
+        simulate_Dn(2, np.random.default_rng(0), v_max=v_max)
 
 
 def test_offspring_empty_at_degenerate_support():
