@@ -160,6 +160,9 @@ def resolve_params(command: str, args: argparse.Namespace) -> dict:
 
     if params["out"] is None:
         params["out"] = os.environ.get(ENV_OUTDIR) or "."
+    # numpy seeds only from non-negative integers; reject before any write
+    if params.get("seed", 0) < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {params['seed']}")
     return params
 
 

@@ -25,10 +25,18 @@ and rounding once, and it uses float64 alone, so it gives the same bits on
 every platform.
 
 Both steps fill the exposed probability array and the complement array
-from the same exponent, each from a single libm call at full relative
-precision.  The return value is the largest clamp applied to keep P and g
-in [0, 1], so the caller can tell last-ulp jitter from a real invariant
-violation.
+from the same exponent Q.  Behind the front the step is linear to the
+last bit: where |Q| < 2^-56 the correctly rounded values are exp(-Q) = 1
+and -expm1(-Q) = Q, so the leading run of such nodes (three quarters of
+the band in a long front run) is written directly and only the rest goes
+through libm, at full relative precision; a NaN ends the run.  The
+threshold sits two binades below 2^-54, where rounding to 1 starts,
+because numpy's SIMD exp is not correctly rounded near there: it returns
+1 - 2^-53 for some Q in [2^-54.3, 2^-54), and 1 for every Q below 2^-55
+checked (x86-64, numpy 2.4).  So the run gets the bits numpy's exp and
+expm1 give it.  The return value is the largest clamp applied to keep P
+and g in [0, 1], so the caller can tell last-ulp jitter from a real
+invariant violation.
 """
 
 import numpy as np
@@ -52,9 +60,21 @@ def _prefix_sum(x: np.ndarray) -> np.ndarray:
     return s
 
 
+# |Q| below this: exp(-Q) rounds to 1 and -expm1(-Q) to Q (module docstring)
+LINEAR_TAIL = 2.0**-56
+
+
 def _finish(q: np.ndarray, out_p: np.ndarray, out_g: np.ndarray) -> float:
-    np.exp(-q, out=out_p)
-    out_g[:] = -np.expm1(-q)
+    linear = np.abs(q) < LINEAR_TAIL
+    k = int(np.argmin(linear))  # first node outside the linear run
+    if linear[k]:
+        k = len(q)
+    out_p[:k] = 1.0
+    out_g[:k] = q[:k]
+    neg_q = np.negative(q[k:])
+    np.exp(neg_q, out=out_p[k:])
+    np.expm1(neg_q, out=out_g[k:])
+    np.negative(out_g[k:], out=out_g[k:])
     out_p[0] = 1.0
     out_g[0] = 0.0
     excess = max(float(out_p.max()) - 1.0, float(-out_g.min()))

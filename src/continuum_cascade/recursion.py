@@ -76,9 +76,10 @@ class RecursionConfig:
     def __post_init__(self) -> None:
         if not (self.delta > 0.0) or not math.isfinite(self.delta):
             raise ConfigurationError(f"delta must be positive, got {self.delta}")
-        if not (self.x_max >= self.delta):
+        if not self.delta <= self.x_max < math.inf:
             raise ConfigurationError(
-                f"x_max must be at least delta, got x_max={self.x_max} delta={self.delta}"
+                f"x_max must be finite and at least delta, "
+                f"got x_max={self.x_max} delta={self.delta}"
             )
         if self.n_max < 0:
             raise ConfigurationError(f"n_max must be >= 0, got {self.n_max}")
@@ -285,6 +286,27 @@ def _bracketed_crossing(
     return delta * (offset + idx - 1 + (hi - level) / (hi - lo))
 
 
+# first chunk of an edge scan, in nodes; each further chunk doubles
+EDGE_CHUNK = 128
+
+
+def _first_not(a: np.ndarray, v: float) -> int:
+    """np.argmax(a != v): the first index where `a` is not `v`, else 0.
+
+    Scans chunks that double in length from the start, so it costs the run
+    of `v`, not the whole array: the band's edge runs are short.
+    """
+    lo, size = 0, EDGE_CHUNK
+    while lo < len(a):
+        differs = a[lo:lo + size] != v
+        k = int(np.argmax(differs))
+        if differs[k]:
+            return lo + k
+        lo += size
+        size *= 2
+    return 0
+
+
 def _live_band(f: GridFunction, offset: int) -> tuple[GridFunction, int]:
     """Cut `f` (starting at node `offset`) down to its live band.
 
@@ -293,10 +315,10 @@ def _live_band(f: GridFunction, offset: int) -> tuple[GridFunction, int]:
     and the grid index of its first node.
     """
     g = f.complement
-    start = int(np.argmax(g != 0.0)) - 1
-    if start < 0:  # g[0] is 0, so argmax found no nonzero: g is 0 throughout
+    start = _first_not(g, 0.0) - 1
+    if start < 0:  # g[0] is 0, so no nonzero was found: g is 0 throughout
         start = len(g) - 1
-    stop = len(g) + 1 - int(np.argmax(g[::-1] != 1.0))
+    stop = len(g) + 1 - _first_not(g[::-1], 1.0)
     band = GridFunction(
         delta=f.delta,
         values=f.values[start:stop],

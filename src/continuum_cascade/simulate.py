@@ -92,8 +92,8 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.x < 0.0:
-            raise ConfigurationError(f"x must be >= 0, got {self.x}")
+        if not 0.0 <= self.x < math.inf:
+            raise ConfigurationError(f"x must be finite and >= 0, got {self.x}")
         if self.trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
         if self.n_cap < 0:

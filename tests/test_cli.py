@@ -219,6 +219,13 @@ def test_front_rejects_bad_fit_flags_before_computing(tmp_path, capsys, fit_args
     ["brw", "--vmax", "-2"],
     ["brw", "--trials", "1", "--vmax", "-2"],
     ["brw", "--trials", "1", "--vmax", "inf"],
+    ["simulate", "--x", "1", "--trials", "10", "--seed", "-1"],
+    ["graph", "--n-vertices", "50", "--c", "0.02", "--trials", "5", "--seed", "-1"],
+    ["compare", "--n-vertices", "50", "--x", "1", "--trials", "5", "--seed", "-1"],
+    ["brw", "--trials", "1", "--n", "1", "--seed", "-1"],
+    ["simulate", "--x", "nan", "--trials", "10"],
+    ["simulate", "--x", "inf", "--trials", "10"],
+    ["recurse", "--xmax", "inf", "--nmax", "2"],
 ])
 def test_bad_counts_exit_two(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 2

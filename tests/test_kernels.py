@@ -72,6 +72,48 @@ def test_step_matches_exact_quadrature(name, seed):
     np.testing.assert_allclose(out_g, -np.expm1(-q), rtol=5e-13, atol=0.0)
 
 
+def libm_values(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P = exp(-q) and g = -expm1(-q) from libm at every node, node 0 pinned."""
+    p, g = np.exp(-q), -np.expm1(-q)
+    p[0], g[0] = 1.0, 0.0
+    return p, g
+
+
+def test_linear_tail_matches_libm_across_the_threshold():
+    t = kernels.LINEAR_TAIL
+    tiny = np.finfo(np.float64).smallest_normal
+    q = np.concatenate((
+        [0.0, 5e-324, 1e-310, tiny, 1e-300, 1e-30],
+        [np.nextafter(t, 0.0), t, np.nextafter(t, 1.0), 2.0**-55],
+        # numpy's SIMD exp returns 1 - 2^-53 for some q in here
+        2.0 ** np.linspace(-54.3, -54.0, 4000, endpoint=False),
+        [2.0**-54, 1e-10, 1e-3, 1.0, 30.0, 700.0],
+    ))
+    out_p, out_g = np.empty_like(q), np.empty_like(q)
+    assert kernels._finish(q, out_p, out_g) == 0.0
+    p, g = libm_values(q)
+    assert np.array_equal(out_p, p)
+    assert np.array_equal(out_g, g)
+    assert np.all(out_g[1:6] == q[1:6])  # subnormal and tiny g stay exact
+
+
+def test_linear_tail_run_ends_at_the_first_node_outside_it():
+    # a NaN or a large |q| ends the run; a later tiny q goes through libm
+    t = kernels.LINEAR_TAIL
+    for q in ([0.0, -1e-20, -1e-13, 1e-20], [0.0, 1e-20, np.nan, 1e-20],
+              [0.0, 1e-20, 1.0, t / 2, 1e-300]):
+        q = np.array(q)
+        out_p, out_g = np.empty_like(q), np.empty_like(q)
+        excess = kernels._finish(q, out_p, out_g)
+        p, g = libm_values(q)
+        expected = max(max(float(p.max()) - 1.0, float(-g.min())), 0.0)
+        np.testing.assert_equal(excess, expected)  # NaN when q holds one
+        if expected > 0.0:
+            p, g = np.minimum(p, 1.0), np.maximum(g, 0.0)
+        assert np.array_equal(out_p, p, equal_nan=True)
+        assert np.array_equal(out_g, g, equal_nan=True)
+
+
 def test_complement_resolves_saturated_tail():
     # the point of iterating g: behind the front, 1 - P underflows in the
     # exposed probabilities but stays resolved in the complement

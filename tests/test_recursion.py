@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from continuum_cascade import recursion
+from continuum_cascade import kernels, recursion
 from continuum_cascade.errors import (
     ConfigurationError,
     ContractViolationError,
@@ -326,3 +326,58 @@ def test_band_step_contract():
         iterate_step(p0, config, config.grid_size + 2)
     assert np.array_equal(iterate_step(band(0, 50), config, 40).values,
                           iterate_step(p0, config).values[:40])
+
+
+def _libm_finish(q, out_p, out_g):
+    """Reference kernel finish: exp and expm1 at every node, no linear tail."""
+    np.exp(-q, out=out_p)
+    out_g[:] = -np.expm1(-q)
+    out_p[0] = 1.0
+    out_g[0] = 0.0
+    excess = max(float(out_p.max()) - 1.0, float(-out_g.min()))
+    if excess > 0.0:
+        np.minimum(out_p, 1.0, out=out_p)
+        np.maximum(out_g, 0.0, out=out_g)
+    return max(excess, 0.0)
+
+
+@pytest.mark.parametrize("quadrature", list(Quadrature))
+@pytest.mark.parametrize("delta, n_max", [(0.01, 600), (0.001, 150)])
+def test_linear_tail_is_bit_identical_to_libm_steps(monkeypatch, quadrature, delta, n_max):
+    # most of a long run's band is linear tail (|Q| < 2^-56): the kernel's
+    # shortcut there gives the bits of exp/expm1 at every node
+    config = RecursionConfig(
+        delta=delta, x_max=front_clearance_xmax(n_max), n_max=n_max,
+        quadrature=quadrature,
+    )
+    snaps = (1, n_max // 3, n_max - 1)
+    levels = (1e-6, 0.5)
+    fast = run_recursion(config, snaps, front_levels=levels)
+    monkeypatch.setattr(kernels, "_finish", _libm_finish)
+    ref = run_recursion(config, snaps, front_levels=levels)
+    for got, want in zip(fast.snapshots + [fast.final], ref.snapshots + [ref.final]):
+        assert got.generation == want.generation
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.complement, want.complement)
+    for got, want in zip(fast.front_traces, ref.front_traces):
+        assert np.array_equal(got.positions, want.positions)
+    # the run reached the regime the shortcut serves
+    g = fast.final.complement
+    assert np.count_nonzero((g > 0.0) & (g < kernels.LINEAR_TAIL)) > 1000
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([0.0, 1.0]),
+    st.integers(min_value=0, max_value=9 * recursion.EDGE_CHUNK),
+    arrays(np.float64, st.integers(min_value=0, max_value=40),
+           elements=st.sampled_from([0.0, -0.0, 1.0, 0.5, 5e-324, np.nan])),
+)
+@example(0.0, 9 * recursion.EDGE_CHUNK, np.array([]))  # all v, many chunks
+@example(1.0, 1, np.array([]))  # length 1, all v
+@example(0.0, 0, np.array([0.5]))  # length 1, no run
+def test_edge_scan_matches_argmax(v, run, rest):
+    a = np.concatenate((np.full(run, v), rest))
+    assume(len(a) > 0)
+    for x in (a, a[::-1]):
+        assert recursion._first_not(x, v) == int(np.argmax(x != v))
