@@ -53,14 +53,12 @@ from .simulate import (
     sample_heights,
 )
 from .graphs import (
-    CascadeGraphSample,
     compare_discrete_continuum,
     ks_critical_value,
     ks_two_sample,
     longest_path_bruteforce,
     longest_path_dp,
     sample_adjacency,
-    sample_cascade_graph,
     sample_longest_paths,
 )
 from .martingale import (

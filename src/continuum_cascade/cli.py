@@ -19,8 +19,6 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from . import fronts, graphs, martingale, recursion, simulate
 from .errors import CascadeError, ConfigurationError
 from .output import RunWriter
@@ -236,27 +234,16 @@ def cmd_simulate(params: dict, writer: RunWriter) -> None:
         x=params["x"], trials=params["trials"], n_cap=params["ncap"],
         particle_cap=params["pcap"], seed=params["seed"],
     )
-    cdf = simulate.empirical_cdf(config, workers=params["workers"])
-    cdf.check_accounting()
-    _write_cdf(writer, "height_cdf.csv", cdf)
+    _write_cdf(writer, "height_cdf.csv", simulate.empirical_cdf(config, workers=params["workers"]))
 
 
 def cmd_graph(params: dict, writer: RunWriter) -> None:
     n, c = params["n-vertices"], params["c"]
     trials, n_cap = params["trials"], params["ncap"]
-    if trials < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {trials}")
-    if n_cap < 0:
-        raise ConfigurationError(f"ncap must be >= 0, got {n_cap}")
+    simulate.check_tally(trials, n_cap)
     lengths = graphs.sample_longest_paths(n, c, trials, params["seed"])
-    # slot n_cap+1 collects overflow
-    hist = np.bincount(np.minimum(lengths, n_cap + 1), minlength=n_cap + 2)
-    cdf = simulate.EmpiricalCdf(
-        x=n * c, trials=trials, counts=np.cumsum(hist[: n_cap + 1]),
-        truncated_trials=0, beyond_cap_trials=int(hist[n_cap + 1]),
-    )
-    cdf.check_accounting()
-    _write_cdf(writer, "ln_cdf.csv", cdf)
+    hist = simulate.outcome_histogram(lengths, n_cap)
+    _write_cdf(writer, "ln_cdf.csv", simulate.EmpiricalCdf.from_histogram(n * c, trials, hist))
 
 
 def cmd_brw(params: dict, writer: RunWriter) -> None:
@@ -265,6 +252,7 @@ def cmd_brw(params: dict, writer: RunWriter) -> None:
     if params["n"] < 0:
         raise ConfigurationError(f"n must be >= 0, got {params['n']}")
     martingale.check_v_max(params["vmax"])
+    martingale.check_prune_window(params["prune-window"])
     report = martingale.verify_boundary_conditions()
     writer.write_csv(
         "moments.csv", "m1_residual,m2_residual,m4_value",
@@ -292,7 +280,9 @@ def cmd_compare(params: dict, writer: RunWriter) -> None:
         (k, report.cdf_discrete[k], report.cdf_continuum[k])
         for k in range(len(report.cdf_discrete))
     ]
-    critical = graphs.ks_critical_value(report.trials, report.trials, alpha=0.01)
+    critical = graphs.ks_critical_value(
+        report.discrete.trials, report.continuum.trials, alpha=0.01
+    )
     rows.append(("KS", report.ks_statistic, critical))
     writer.write_csv("compare.csv", "n,p_discrete,p_continuum", rows)
 

@@ -19,28 +19,35 @@ from .errors import ConfigurationError, NumericError
 from .simulate import (
     GRAPH_STREAM,
     DEFAULT_PARTICLE_CAP,
-    TRUNCATED,
+    EmpiricalCdf,
+    check_tally,
+    outcome_histogram,
     sample_blocks,
     sample_heights,
 )
 
 
 @dataclass
-class CascadeGraphSample:
-    n_vertices: int
-    c: float
-    longest_path_from_1: int
-
-
-@dataclass
 class ComparisonReport:
+    """The L_n and H(x) tables of one comparison, on a shared support."""
+
     n_vertices: int
-    x: float
-    trials: int
-    cdf_discrete: np.ndarray
-    cdf_continuum: np.ndarray
+    discrete: EmpiricalCdf
+    continuum: EmpiricalCdf
     ks_statistic: float
-    truncated_continuum: int
+
+    @property
+    def cdf_discrete(self) -> np.ndarray:
+        return self.discrete.p_hat
+
+    @property
+    def cdf_continuum(self) -> np.ndarray:
+        """Conditioned on the resolved trials: truncated ones are left out."""
+        return self.continuum.counts / self.continuum.counts[-1]
+
+    @property
+    def truncated_continuum(self) -> int:
+        return self.continuum.truncated_trials
 
 
 def _check_graph(n_vertices: int, c: float) -> None:
@@ -115,15 +122,6 @@ def sample_longest_paths(n_vertices: int, c: float, trials: int, seed: int = 0) 
     )
 
 
-def sample_cascade_graph(
-    n_vertices: int, c: float, rng: np.random.Generator
-) -> CascadeGraphSample:
-    """Sample one graph and its L: the batch engine on a single trial."""
-    _check_graph(n_vertices, c)
-    length = int(_longest_paths(n_vertices, c, 1, rng)[0])
-    return CascadeGraphSample(n_vertices=n_vertices, c=c, longest_path_from_1=length)
-
-
 def sample_adjacency(n_vertices: int, c: float, rng: np.random.Generator) -> np.ndarray:
     """Dense upper-triangular adjacency matrix (for small-graph oracles)."""
     adj = rng.random((n_vertices + 1, n_vertices + 1)) < c
@@ -191,35 +189,27 @@ def compare_discrete_continuum(
     x values of interest they do not occur.  When every continuum trial is
     truncated there is no continuum CDF, and NumericError is raised.
     """
-    if trials < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {trials}")
+    check_tally(trials)
     if n_vertices < 1:
         raise ConfigurationError(f"n_vertices must be >= 1, got {n_vertices}")
     if x > n_vertices:
         raise ConfigurationError(
             f"x={x} with n_vertices={n_vertices} needs edge probability > 1"
         )
-    c = x / n_vertices
 
-    lengths = sample_longest_paths(n_vertices, c, trials, seed)
+    lengths = sample_longest_paths(n_vertices, x / n_vertices, trials, seed)
     heights = sample_heights(x, trials, seed, None, particle_cap)
-    resolved = heights[heights != TRUNCATED]
-    truncated = trials - resolved.size
-    if not resolved.size:
+    top = int(max(lengths.max(), heights.max()))
+    hist_g = outcome_histogram(lengths, top)
+    hist_c = outcome_histogram(heights, top)
+    continuum = EmpiricalCdf.from_histogram(x, trials, hist_c)
+    if not continuum.counts[-1]:
         raise NumericError(
             f"all {trials} continuum trials at x={x} exceeded particle_cap={particle_cap}"
         )
-
-    top = int(max(lengths.max(), resolved.max(initial=0)))
-    counts_g = np.bincount(lengths, minlength=top + 1)
-    counts_c = np.bincount(resolved, minlength=top + 1)
-
     return ComparisonReport(
         n_vertices=n_vertices,
-        x=x,
-        trials=trials,
-        cdf_discrete=np.cumsum(counts_g) / counts_g.sum(),
-        cdf_continuum=np.cumsum(counts_c) / counts_c.sum(),
-        ks_statistic=ks_two_sample(counts_g, counts_c),
-        truncated_continuum=truncated,
+        discrete=EmpiricalCdf.from_histogram(x, trials, hist_g),
+        continuum=continuum,
+        ks_statistic=ks_two_sample(hist_g[1:-1], hist_c[1:-1]),
     )

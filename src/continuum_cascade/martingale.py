@@ -52,6 +52,12 @@ def check_v_max(v_max: float) -> None:
         raise ConfigurationError(f"v_max must be finite and >= -1, got {v_max}")
 
 
+def check_prune_window(prune_window: float | None) -> None:
+    """A kill barrier, when there is one, must be a finite offset."""
+    if prune_window is not None and not math.isfinite(prune_window):
+        raise ConfigurationError(f"prune_window must be finite, got {prune_window}")
+
+
 @dataclass(frozen=True)
 class NormalizedOffspringLaw:
     """Poisson point process of intensity 1/e on [-1, v_max]."""
@@ -168,6 +174,7 @@ def simulate_Dn(
     if n < 0:
         raise ConfigurationError(f"n must be >= 0, got {n}")
     check_v_max(v_max)
+    check_prune_window(prune_window)
     positions = np.zeros(1)
     values = np.zeros(n + 1)
     sizes = np.zeros(n + 1, dtype=np.int64)

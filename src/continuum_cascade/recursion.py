@@ -254,7 +254,7 @@ def iterate_step(
     out_p = np.empty(nodes)
     out_g = np.empty(nodes)
     excess = _STEPPERS[config.quadrature](prev_g, config.delta, out_p, out_g)
-    if excess > CLAMP_TOLERANCE:
+    if not excess <= CLAMP_TOLERANCE:  # a NaN excess fails too
         raise NumericError(
             f"clamp exceeded tolerance at generation {prev.generation + 1}: "
             f"excess={excess:.3e}"

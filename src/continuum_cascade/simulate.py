@@ -83,6 +83,23 @@ def sample_blocks(
     return np.concatenate(parts)
 
 
+def check_tally(trials: int, n_cap: int | None = None) -> None:
+    """A CDF table needs a trial to count and, when capped, a row 0."""
+    if trials < 1:
+        raise ConfigurationError(f"trials must be >= 1, got {trials}")
+    if n_cap is not None and n_cap < 0:
+        raise ConfigurationError(f"n_cap must be >= 0, got {n_cap}")
+
+
+def outcome_histogram(outcomes: np.ndarray, n_cap: int) -> np.ndarray:
+    """Tally of trial outcomes, the one histogram behind every CDF table.
+
+    Slot 0 counts TRUNCATED outcomes, slot k + 1 outcome k for k = 0..n_cap,
+    and the last slot every outcome past n_cap.
+    """
+    return np.bincount(np.minimum(outcomes, n_cap + 1) + 1, minlength=n_cap + 3)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     x: float
@@ -94,10 +111,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.x < math.inf:
             raise ConfigurationError(f"x must be finite and >= 0, got {self.x}")
-        if self.trials < 1:
-            raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
-        if self.n_cap < 0:
-            raise ConfigurationError(f"n_cap must be >= 0, got {self.n_cap}")
+        check_tally(self.trials, self.n_cap)
         if self.particle_cap < 1:
             raise ConfigurationError(f"particle_cap must be >= 1, got {self.particle_cap}")
 
@@ -120,6 +134,14 @@ class EmpiricalCdf:
     def stderr(self) -> np.ndarray:
         p = self.p_hat
         return np.sqrt(p * (1.0 - p) / self.trials)
+
+    @classmethod
+    def from_histogram(cls, x: float, trials: int, hist: np.ndarray) -> EmpiricalCdf:
+        """Table of an outcome_histogram; raises unless it counts every trial."""
+        cdf = cls(x=x, trials=trials, counts=np.cumsum(hist[1:-1]),
+                  truncated_trials=int(hist[0]), beyond_cap_trials=int(hist[-1]))
+        cdf.check_accounting()
+        return cdf
 
     def check_accounting(self) -> None:
         resolved = int(self.counts[-1])
@@ -228,11 +250,10 @@ def leftmost_trace(
     return mins, False
 
 
-def _height_counts(args) -> np.ndarray:
+def _height_histogram(args) -> np.ndarray:
     x, n_cap, particle_cap, seed, trials, blocks = args
     heights = sample_heights(x, trials, seed, n_cap, particle_cap, blocks)
-    # slot 0 counts truncated trials, slot n_cap + 2 the ones beyond n_cap
-    return np.bincount(heights + 1, minlength=n_cap + 3)
+    return outcome_histogram(heights, n_cap)
 
 
 def empirical_cdf(config: SimConfig, workers: int = 1) -> EmpiricalCdf:
@@ -249,15 +270,7 @@ def empirical_cdf(config: SimConfig, workers: int = 1) -> EmpiricalCdf:
     ]
     if len(jobs) > 1:
         with get_context("spawn").Pool(processes=len(jobs)) as pool:
-            parts = pool.map(_height_counts, jobs)
+            parts = pool.map(_height_histogram, jobs)
     else:
-        parts = [_height_counts(job) for job in jobs]
-
-    hist = np.sum(parts, axis=0)
-    return EmpiricalCdf(
-        x=config.x,
-        trials=config.trials,
-        counts=np.cumsum(hist[1:-1]),
-        truncated_trials=int(hist[0]),
-        beyond_cap_trials=int(hist[-1]),
-    )
+        parts = [_height_histogram(job) for job in jobs]
+    return EmpiricalCdf.from_histogram(config.x, config.trials, np.sum(parts, axis=0))

@@ -226,6 +226,8 @@ def test_front_rejects_bad_fit_flags_before_computing(tmp_path, capsys, fit_args
     ["simulate", "--x", "nan", "--trials", "10"],
     ["simulate", "--x", "inf", "--trials", "10"],
     ["recurse", "--xmax", "inf", "--nmax", "2"],
+    ["brw", "--trials", "1", "--n", "3", "--prune-window", "nan"],
+    ["brw", "--trials", "1", "--n", "3", "--prune-window", "inf"],
 ])
 def test_bad_counts_exit_two(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 2
@@ -292,6 +294,26 @@ def test_graph_cdf_counts_every_trial_and_keeps_its_bytes(tmp_path):
         p = cum / trials
         lines.append(",".join(fmt(v) for v in (k, cum, p, math.sqrt(p * (1.0 - p) / trials))))
     assert (tmp_path / "ln_cdf.csv").read_text() == "\n".join(lines) + "\n"
+
+
+def test_compare_csv_keeps_its_bytes(tmp_path):
+    # every row, the KS row too, recomputed by plain loops over the two samplers
+    n, x, trials, seed = 50, 1.0, 5000, 3
+    assert main(["compare", "--n-vertices", str(n), "--x", str(x), "--trials", str(trials),
+                 "--seed", str(seed), "--out", str(tmp_path)]) == 0
+    lengths = graphs.sample_longest_paths(n, x / n, trials, seed).tolist()
+    heights = simulate.sample_heights(x, trials, seed).tolist()
+    resolved = [h for h in heights if h != simulate.TRUNCATED]
+    lines = ["n,p_discrete,p_continuum"]
+    ks = 0.0
+    for k in range(max(lengths + resolved) + 1):
+        p_d = sum(1 for length in lengths if length <= k) / len(lengths)
+        p_c = sum(1 for h in resolved if h <= k) / len(resolved)
+        ks = max(ks, abs(p_d - p_c))
+        lines.append(",".join(fmt(v) for v in (k, p_d, p_c)))
+    critical = math.sqrt(-math.log(0.01 / 2.0) / 2.0) * math.sqrt(2 / trials)
+    lines.append(",".join(["KS", fmt(ks), fmt(critical)]))
+    assert (tmp_path / "compare.csv").read_text() == "\n".join(lines) + "\n"
 
 
 def test_failed_rerun_leaves_no_stale_manifest(tmp_path):

@@ -15,22 +15,17 @@ from continuum_cascade.graphs import (
     longest_path_bruteforce,
     longest_path_dp,
     sample_adjacency,
-    sample_cascade_graph,
     sample_longest_paths,
 )
-from continuum_cascade.simulate import BLOCK, GRAPH_STREAM, trial_rng
+from continuum_cascade.simulate import BLOCK
 
 
 def test_forced_chain_has_full_length():
-    rng = np.random.default_rng(0)
-    s = sample_cascade_graph(3, 1.0, rng)
-    assert s.longest_path_from_1 == 2
+    assert sample_longest_paths(3, 1.0, 1, seed=0).tolist() == [2]
 
 
 def test_empty_graph_has_length_zero():
-    rng = np.random.default_rng(0)
-    s = sample_cascade_graph(50, 0.0, rng)
-    assert s.longest_path_from_1 == 0
+    assert sample_longest_paths(50, 0.0, 1, seed=0).tolist() == [0]
 
 
 def test_dp_matches_bruteforce_on_random_instances():
@@ -63,10 +58,7 @@ def test_lazy_sampler_agrees_with_dense_distribution():
     # same law, different rngs: compare mean longest path at 3 sigma
     trials = 3000
     n, c = 30, 0.1
-    lazy = np.array([
-        sample_cascade_graph(n, c, np.random.default_rng((1, i))).longest_path_from_1
-        for i in range(trials)
-    ])
+    lazy = sample_longest_paths(n, c, trials, seed=1)
     dense = np.array([
         longest_path_dp(sample_adjacency(n, c, np.random.default_rng((2, i))))
         for i in range(trials)
@@ -108,9 +100,6 @@ def test_block_engine_matches_enumerated_law(n, c, check_binomial):
 def test_block_engine_edge_cases():
     assert not sample_longest_paths(40, 0.0, BLOCK + 1, seed=1).any()
     assert sample_longest_paths(7, 1.0, 3, seed=1).tolist() == [6, 6, 6]
-    for seed in range(20):
-        one = sample_cascade_graph(30, 0.1, trial_rng(seed, GRAPH_STREAM, 0)).longest_path_from_1
-        assert sample_longest_paths(30, 0.1, 1, seed).tolist() == [one]
 
 
 def test_ks_two_sample_hand_case():
@@ -146,11 +135,10 @@ def test_compare_rejects_infeasible_edge_probability():
 
 
 def test_graph_sampler_validates_inputs():
-    rng = np.random.default_rng(0)
     with pytest.raises(ConfigurationError):
-        sample_cascade_graph(0, 0.5, rng)
+        sample_longest_paths(0, 0.5, 1)
     with pytest.raises(ConfigurationError):
-        sample_cascade_graph(5, 1.5, rng)
+        sample_longest_paths(5, 1.5, 1)
 
 
 def test_compare_report_shapes():
@@ -160,3 +148,15 @@ def test_compare_report_shapes():
     assert report.cdf_continuum[-1] == 1.0
     assert 0.0 <= report.ks_statistic <= 1.0
     assert report.truncated_continuum == 0
+
+
+def test_compare_with_truncated_continuum_trials():
+    # a low particle cap truncates some continuum trials: they are counted,
+    # reported, and left out of the conditioned continuum CDF
+    report = compare_discrete_continuum(100, 9.0, 300, seed=1, particle_cap=2000)
+    assert report.truncated_continuum > 0
+    assert report.cdf_continuum[-1] == 1.0
+    assert report.cdf_discrete[-1] == 1.0
+    for table in (report.discrete, report.continuum):
+        table.check_accounting()
+    assert report.continuum.counts[-1] + report.truncated_continuum == 300

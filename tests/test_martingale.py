@@ -54,6 +54,12 @@ def test_simulate_Dn_rejects_a_bad_v_max(v_max):
         simulate_Dn(2, np.random.default_rng(0), v_max=v_max)
 
 
+@pytest.mark.parametrize("window", [math.nan, math.inf, -math.inf])
+def test_simulate_Dn_rejects_a_non_finite_prune_window(window):
+    with pytest.raises(ConfigurationError, match="prune_window"):
+        simulate_Dn(3, np.random.default_rng(0), prune_window=window)
+
+
 def test_offspring_empty_at_degenerate_support():
     rng = np.random.default_rng(0)
     for _ in range(100):

@@ -203,6 +203,18 @@ def test_clamp_diagnostic_fires_on_bad_input():
         iterate_step(bad, config)
 
 
+def test_clamp_diagnostic_fires_on_a_nan():
+    # one NaN in a band's complement gives a NaN excess, which must not pass
+    # the tolerance check and spread to every later node
+    config = RecursionConfig(delta=0.01, x_max=2.0, n_max=1)
+    p0 = init_p0(config)
+    g = p0.complement[:50].copy()
+    g[10] = math.nan
+    band = GridFunction(delta=0.01, values=1.0 - g, generation=0, complement=g)
+    with pytest.raises(NumericError):
+        iterate_step(band, config, 50)
+
+
 def _as_curve(raw: np.ndarray) -> np.ndarray:
     values = np.minimum.accumulate(np.sort(raw)[::-1].copy())
     values[0] = 1.0

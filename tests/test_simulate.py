@@ -14,7 +14,9 @@ from continuum_cascade.simulate import (
     EmpiricalCdf,
     SimConfig,
     empirical_cdf,
+    TRUNCATED,
     leftmost_trace,
+    outcome_histogram,
     sample_height,
     sample_heights,
     trial_rng,
@@ -194,3 +196,15 @@ def test_empirical_cdf_dataclass_fields():
     )
     assert cdf.p_hat[1] == 0.5
     assert math.isclose(cdf.stderr[1], math.sqrt(0.25 / 10))
+
+
+def test_outcome_histogram_slots_and_table():
+    # slot 0 truncated, slots 1..n_cap+1 outcomes 0..n_cap, last slot beyond
+    outcomes = np.array([TRUNCATED, 0, 2, 5, 3, 2])
+    hist = outcome_histogram(outcomes, 2)
+    assert hist.tolist() == [1, 1, 0, 2, 2]
+    cdf = EmpiricalCdf.from_histogram(1.0, outcomes.size, hist)
+    assert cdf.counts.tolist() == [1, 1, 3]
+    assert (cdf.truncated_trials, cdf.beyond_cap_trials) == (1, 2)
+    with pytest.raises(AssertionError):  # a trial missing from the tally
+        EmpiricalCdf.from_histogram(1.0, outcomes.size + 1, hist)
