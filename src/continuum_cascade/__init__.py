@@ -40,6 +40,7 @@ from .fronts import (
     front_position,
     log_correction_fit,
     probe_slabs,
+    read_probe,
     richardson_velocity,
     velocity_estimate,
     wave_shape_collapse,
@@ -65,9 +66,7 @@ from .martingale import (
     LimitLawProbe,
     MartingaleTrajectory,
     MomentReport,
-    NormalizedOffspringLaw,
     equivalence_check,
-    sample_normalized_offspring,
     simulate_Dn,
     verify_boundary_conditions,
 )

@@ -199,8 +199,14 @@ def cmd_front(params: dict, writer: RunWriter) -> None:
     lo, hi = params["fit-lo"], params["fit-hi"]
     if (lo is None) != (hi is None):
         raise ConfigurationError("--fit-lo and --fit-hi must be given together")
-    if lo is not None and params["fit"] not in ("joint", "fixed"):
-        raise ConfigurationError(f"unknown fit flavor '{params['fit']}'")
+    if lo is not None:
+        if params["fit"] not in ("joint", "fixed"):
+            raise ConfigurationError(f"unknown fit flavor '{params['fit']}'")
+        if not 1 <= lo < hi <= config.n_max:
+            raise ConfigurationError(
+                f"fit window needs 1 <= fit-lo < fit-hi <= nmax, "
+                f"got fit-lo={lo} fit-hi={hi} nmax={config.n_max}"
+            )
     result = recursion.run_recursion(config, front_levels=(params["level"],))
     trace = result.front_traces[0]
     writer.write_csv(
@@ -252,6 +258,7 @@ def cmd_brw(params: dict, writer: RunWriter) -> None:
     if params["n"] < 0:
         raise ConfigurationError(f"n must be >= 0, got {params['n']}")
     martingale.check_v_max(params["vmax"])
+    simulate.check_particle_cap(params["pcap"])
     martingale.check_prune_window(params["prune-window"])
     report = martingale.verify_boundary_conditions()
     writer.write_csv(

@@ -79,6 +79,12 @@ def velocity_estimate(trace: FrontTrace, window: tuple[int, int]) -> FrontFit:
     return FrontFit(v=v, b=0.0, a=a, fit_window=tuple(window), residual_rms=rms)
 
 
+def _check_log_window(window: tuple[int, int]) -> None:
+    """The ln n fits need a window of n >= 1."""
+    if window[0] < 1:
+        raise FitError(f"fit window {tuple(window)} reaches below n = 1")
+
+
 def _lstsq(design: np.ndarray, y: np.ndarray) -> np.ndarray:
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < design.shape[1]:
@@ -95,6 +101,7 @@ def log_correction_fit(
     With v_fixed only {ln n, 1} are regressed; otherwise all three terms are
     fit jointly (poorly conditioned on short windows, hence the choice).
     """
+    _check_log_window(window)
     n, x = _window_slice(trace, *window)
     if len(n) < 50:
         raise FitError(f"log-fit window {window} holds {len(n)} entries, need >= 50")
@@ -127,6 +134,7 @@ def richardson_velocity(trace: FrontTrace, window: tuple[int, int]) -> float:
     solving the 2x2 system in (v, b) cancels that bias exactly for data
     following v*n + b*ln(n) + a.
     """
+    _check_log_window(window)
     n_lo, n_hi = window
     n_mid = int(round(math.sqrt(n_lo * n_hi)))
     if not (n_lo < n_mid < n_hi):
@@ -185,15 +193,16 @@ def probe_positions(generations: np.ndarray, alpha: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProbeSlabs:
-    """The nodes of generations 1..n_max-1 that the probe can read.
+    """The nodes of generations 1..n_max-1 that a probe can read.
 
-    Generation m keeps the grid nodes from first[m-1] on that the probe of
-    n = m + 1 interpolates between for any alpha in `alpha_range`, in
-    values[offsets[m-1]:offsets[m]].
+    The probe of n = m + 1 reads generation m at points in [lo[m-1],
+    hi[m-1]]; generation m keeps the grid nodes from first[m-1] on that
+    those points interpolate between, in values[offsets[m-1]:offsets[m]].
     """
 
     config: RecursionConfig
-    alpha_range: tuple[float, float]
+    lo: np.ndarray
+    hi: np.ndarray
     first: np.ndarray
     offsets: np.ndarray
     values: np.ndarray
@@ -210,60 +219,66 @@ def _probe_nodes(targets: np.ndarray, config: RecursionConfig) -> tuple[np.ndarr
     return pos, np.minimum(pos.astype(np.int64), m - 1)
 
 
-def probe_slabs(config: RecursionConfig, alpha_range: tuple[float, float]) -> ProbeSlabs:
+def probe_slabs(config: RecursionConfig, lo: np.ndarray, hi: np.ndarray) -> ProbeSlabs:
     """Run the recursion to generation n_max-1, keeping only the probe's slabs.
 
-    Each generation's band is asked to reach its slab's end, so the slab
-    comes from the band alone: nodes below the band read as exactly 1.
-    Memory is the sum of the slabs, about (alpha_hi - alpha_lo) times the
-    front position over delta nodes per generation, instead of a full grid
+    `lo` and `hi` hold, for n = 2..n_max, the bounds of the points where
+    the probe of n reads generation n-1.  Each generation's band is asked
+    to reach its slab's end, so the slab comes from the band alone: nodes
+    below the band read as exactly 1.  Memory is the sum of the slabs,
+    about (hi - lo) over delta nodes per generation, instead of a full grid
     per generation.
     """
-    lo_alpha, hi_alpha = alpha_range
-    if not lo_alpha <= hi_alpha:
-        raise ConfigurationError(f"alpha range {alpha_range} is empty")
     n_max = config.n_max
-    ns = np.arange(2, n_max + 1)
-    first = _probe_nodes(probe_positions(ns, lo_alpha), config)[1]
+    lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
+    if lo.shape != (max(n_max - 1, 0),) or hi.shape != lo.shape or not np.all(lo <= hi):
+        raise ConfigurationError(f"probe window needs lo <= hi for each n = 2..{n_max}")
+    first = _probe_nodes(lo, config)[1]
     # the probe reads node i + 1, so a slab ends one node past the last i
-    stop = _probe_nodes(probe_positions(ns, hi_alpha), config)[1] + 2
+    stop = _probe_nodes(hi, config)[1] + 2
     offsets = np.concatenate(([0], np.cumsum(stop - first)))
     values = np.empty(int(offsets[-1]))
     steps = bands(config, lambda n: int(stop[n - 1]) if 0 < n < n_max else 0)
-    for m, (band, lo) in enumerate(itertools.islice(steps, 1, n_max), start=1):
-        at = np.arange(first[m - 1], stop[m - 1]) - lo  # slab nodes, from the band's start
+    for m, (band, start) in enumerate(itertools.islice(steps, 1, n_max), start=1):
+        at = np.arange(first[m - 1], stop[m - 1]) - start  # slab nodes, from the band's start
         values[offsets[m - 1] : offsets[m]] = np.where(
             at < 0, 1.0, band.values[np.maximum(at, 0)]
         )
     values.flags.writeable = False
-    return ProbeSlabs(config, (lo_alpha, hi_alpha), first, offsets, values)
+    return ProbeSlabs(config, lo, hi, first, offsets, values)
+
+
+def read_probe(slabs: ProbeSlabs, ns: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Generation n-1 at targets[..., k] for n = ns[k], read off the slabs.
+
+    Linear interpolation between grid nodes, bit-identical to
+    GridFunction.evaluate on the full generation.  Raises DomainError for a
+    target off the grid and ConfigurationError for one outside the window
+    the slabs were kept for.
+    """
+    outside = (targets < 0.0) | (targets > slabs.x_max)
+    if outside.any():
+        k = np.unravel_index(np.argmax(outside), outside.shape)
+        raise DomainError(
+            f"probe point {targets[k]:.4f} exits the grid at n={int(ns[k[-1]])} "
+            f"(x_max={slabs.x_max:.4f})"
+        )
+    col = ns - 2
+    if not np.all((slabs.lo[col] <= targets) & (targets <= slabs.hi[col])):
+        raise ConfigurationError("probe point outside the window the slabs were kept for")
+    pos, i = _probe_nodes(targets, slabs.config)
+    frac = pos - i
+    at = slabs.offsets[col] + (i - slabs.first[col])
+    return (1.0 - frac) * slabs.values[at] + frac * slabs.values[at + 1]
 
 
 def front_constancy_probe(slabs: ProbeSlabs, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate generation n-1 at alpha*(n/e + (3/(2e)) ln n) for n = 2..n_max.
 
-    Linear interpolation between grid nodes, bit-identical to
-    GridFunction.evaluate on the full generation.  Returns (n, values).
+    Returns (n, values); see read_probe.
     """
     ns = np.arange(2, slabs.config.n_max + 1)
-    targets = probe_positions(ns, alpha)
-    outside = (targets < 0.0) | (targets > slabs.x_max)
-    if outside.any():
-        k = int(np.argmax(outside))
-        raise DomainError(
-            f"probe point {targets[k]:.4f} exits the grid at n={int(ns[k])} "
-            f"(x_max={slabs.x_max:.4f})"
-        )
-    lo_alpha, hi_alpha = slabs.alpha_range
-    if not lo_alpha <= alpha <= hi_alpha:
-        raise ConfigurationError(
-            f"alpha={alpha} outside the range {slabs.alpha_range} the slabs were kept for"
-        )
-    pos, i = _probe_nodes(targets, slabs.config)
-    frac = pos - i
-    at = slabs.offsets[:-1] + (i - slabs.first)
-    values = (1.0 - frac) * slabs.values[at] + frac * slabs.values[at + 1]
-    return ns, values
+    return ns, read_probe(slabs, ns, probe_positions(ns, alpha))
 
 
 def probe_drift_rms(values: np.ndarray) -> float:
@@ -317,15 +332,17 @@ def alpha_scan(
         )
         for delta in deltas
     ]
+    lo, hi = alpha_range
+    ns = np.arange(2, n_max + 1)
+    window = probe_positions(ns, lo), probe_positions(ns, hi)
     results = []
     for config in configs:
-        slabs = probe_slabs(config, alpha_range)
+        slabs = probe_slabs(config, *window)
 
         def drift(alpha: float) -> float:
             _, vals = front_constancy_probe(slabs, alpha)
             return probe_drift_rms(vals)
 
-        lo, hi = alpha_range
         grid = np.linspace(lo, hi, 13)
         objective = [drift(a) for a in grid]
         best = int(np.argmin(objective))
@@ -334,7 +351,7 @@ def alpha_scan(
                 f"drift minimum for delta={config.delta} sits at the alpha range boundary"
             )
         alpha_star = _golden_section(drift, grid[best - 1], grid[best + 1])
-        ns, vals = front_constancy_probe(slabs, alpha_star)
+        _, vals = front_constancy_probe(slabs, alpha_star)
         results.append(
             AlphaScanResult(
                 delta=config.delta,

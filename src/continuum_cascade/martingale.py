@@ -35,8 +35,9 @@ import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
 from .errors import ConfigurationError, NumericError
-from .recursion import RecursionResult
-from .fronts import LOG_COEFFICIENT, VELOCITY
+from .fronts import probe_positions, probe_slabs, read_probe
+from .recursion import RecursionConfig
+from .simulate import check_particle_cap
 
 INTENSITY = 1.0 / math.e
 SUPPORT_LO = -1.0
@@ -56,29 +57,6 @@ def check_prune_window(prune_window: float | None) -> None:
     """A kill barrier, when there is one, must be a finite offset."""
     if prune_window is not None and not math.isfinite(prune_window):
         raise ConfigurationError(f"prune_window must be finite, got {prune_window}")
-
-
-@dataclass(frozen=True)
-class NormalizedOffspringLaw:
-    """Poisson point process of intensity 1/e on [-1, v_max]."""
-
-    v_max: float = DEFAULT_V_MAX
-    intensity: float = INTENSITY
-    support_lo: float = SUPPORT_LO
-
-    def __post_init__(self) -> None:
-        if self.intensity != INTENSITY or self.support_lo != SUPPORT_LO:
-            raise ConfigurationError("offspring law normalization is fixed")
-        check_v_max(self.v_max)
-
-    @property
-    def mean_offspring(self) -> float:
-        return (self.v_max - self.support_lo) * self.intensity
-
-    @property
-    def truncation_bound(self) -> float:
-        """Neglected intensity mass beyond v_max: e^-v (v + 2) tail estimate."""
-        return math.exp(-self.v_max) * (self.v_max + 2.0)
 
 
 @dataclass
@@ -131,18 +109,6 @@ def verify_boundary_conditions() -> MomentReport:
     )
 
 
-def sample_normalized_offspring(
-    parent_position: float, rng: np.random.Generator, v_max: float = DEFAULT_V_MAX
-) -> np.ndarray:
-    """Children positions: Poisson((v_max+1)/e) displacements uniform on [-1, v_max]."""
-    check_v_max(v_max)
-    lam = (v_max - SUPPORT_LO) * INTENSITY
-    n = rng.poisson(lam)
-    if n == 0:
-        return np.empty(0)
-    return parent_position + rng.uniform(SUPPORT_LO, v_max, size=n)
-
-
 def derivative_weight(positions: np.ndarray) -> float:
     """Sum of V exp(-V) over a particle configuration."""
     if positions.size == 0:
@@ -174,6 +140,7 @@ def simulate_Dn(
     if n < 0:
         raise ConfigurationError(f"n must be >= 0, got {n}")
     check_v_max(v_max)
+    check_particle_cap(particle_cap)
     check_prune_window(prune_window)
     positions = np.zeros(1)
     values = np.zeros(n + 1)
@@ -219,31 +186,36 @@ class LimitLawProbe:
         return (self.values.min(axis=1) > lo) & (self.values.max(axis=1) < hi)
 
 
-def equivalence_check(recursion: RecursionResult, z_grid) -> LimitLawProbe:
-    """Tabulate P_{n-1}(x + n/e + (3/(2e)) ln n) across retained generations.
+def equivalence_check(config: RecursionConfig, z_grid, generations) -> LimitLawProbe:
+    """Tabulate P_{n-1}(x + n/e + (3/(2e)) ln n) for x in z_grid and n in generations.
 
     A Cauchy-style check of the limit law: for each x the values across n
     should agree to within their spread and sit strictly inside (0, 1).
-    Requires a fine grid (delta <= 0.001) and n_max >= 200.
+    Requires a fine grid (delta <= 0.001) and n_max >= 200, checked before
+    the recursion runs.  The recursion keeps only the probe's slabs (see
+    fronts.probe_slabs), over [base + min x, base + max x] per generation
+    with base = n/e + (3/(2e)) ln n.
     """
-    cfg = recursion.config
-    if cfg.delta > 0.001 + 1e-15:
-        raise ConfigurationError(f"probe needs delta <= 0.001, got {cfg.delta}")
-    if cfg.n_max < 200:
-        raise ConfigurationError(f"probe needs n_max >= 200, got {cfg.n_max}")
+    if config.delta > 0.001 + 1e-15:
+        raise ConfigurationError(f"probe needs delta <= 0.001, got {config.delta}")
+    if config.n_max < 200:
+        raise ConfigurationError(f"probe needs n_max >= 200, got {config.n_max}")
     x_grid = np.atleast_1d(np.asarray(z_grid, dtype=np.float64))
-    gens = np.array(sorted(s.generation for s in recursion.snapshots), dtype=np.int64)
+    if x_grid.size == 0:
+        raise ConfigurationError("probe needs at least one offset x")
+    gens = np.unique(np.asarray(generations, dtype=np.int64))
     if len(gens) < 2:
-        raise ConfigurationError("probe needs at least two retained snapshots")
-    values = np.empty((len(x_grid), len(gens)))
-    for j, g in enumerate(gens):
-        snap = recursion.snapshot(int(g))
-        n = g + 1
-        base = n * VELOCITY + LOG_COEFFICIENT * math.log(n)
-        values[:, j] = snap.evaluate(x_grid + base)
+        raise ConfigurationError("probe needs at least two generations")
+    if gens[0] < 2 or gens[-1] > config.n_max:
+        raise ConfigurationError(
+            f"probe generations {gens.tolist()} outside [2, {config.n_max}]"
+        )
+    base = probe_positions(np.arange(2, config.n_max + 1), 1.0)
+    slabs = probe_slabs(config, base + x_grid.min(), base + x_grid.max())
+    values = read_probe(slabs, gens, base[gens - 2] + x_grid[:, None])
     return LimitLawProbe(
         x_grid=x_grid,
-        generations=gens + 1,
+        generations=gens,
         values=values,
         spread=values.max(axis=1) - values.min(axis=1),
     )

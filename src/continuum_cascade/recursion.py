@@ -20,9 +20,9 @@ prefix sum; the band stays a few hundred units wide while the domain grows
 like n/e.  A consumer that needs more of a generation asks the band to
 reach further: run_recursion has snapshot generations and the final one
 reach the grid end and pads them with the exact P = 1, g = 0 below the
-band, and the alpha probe (fronts.probe_slabs) keeps one small slab per
-generation.  Memory is O(grid) because only the requested snapshots and
-the current band are kept.
+band, and the alpha and limit-law probes (fronts.probe_slabs) keep one
+small slab per generation.  Memory is O(grid) because only the requested
+snapshots and the current band are kept.
 """
 
 from __future__ import annotations
@@ -102,27 +102,19 @@ class GridFunction:
     `values` holds the probabilities P_n(x_i).  `complement` holds
     1 - P_n(x_i) at full relative precision; it is the state the iteration
     actually carries, because behind the front 1 - P drops below 2^-53 and
-    would be lost if reconstructed from `values` (see kernels.py).  When
-    a GridFunction is built by hand without a complement, 1 - values is
-    used, which is fine for everything except very long front runs.
+    would be lost if reconstructed from `values` (see kernels.py).
     """
 
     delta: float
     values: np.ndarray
     generation: int
-    complement: np.ndarray | None = None
+    complement: np.ndarray
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64)
         self.values.flags.writeable = False  # snapshots are shared read-only
-        if self.complement is not None:
-            self.complement = np.asarray(self.complement, dtype=np.float64)
-            self.complement.flags.writeable = False
-
-    def complement_values(self) -> np.ndarray:
-        if self.complement is not None:
-            return self.complement
-        return 1.0 - self.values
+        self.complement = np.asarray(self.complement, dtype=np.float64)
+        self.complement.flags.writeable = False
 
     @property
     def x_max(self) -> float:
@@ -155,14 +147,13 @@ class GridFunction:
             raise NumericError("values escaped [0, 1]")
         if np.any(np.diff(v) > 0.0):
             raise NumericError("values are not non-increasing in x")
-        if self.complement is not None:
-            g = self.complement
-            if np.any(g < 0.0) or np.any(g > 1.0):
-                raise NumericError("complement escaped [0, 1]")
-            if np.any(np.diff(g) < 0.0):
-                raise NumericError("complement is not non-decreasing in x")
-            if np.max(np.abs((1.0 - v) - g)) > 1e-15:
-                raise NumericError("values and complement disagree")
+        g = self.complement
+        if np.any(g < 0.0) or np.any(g > 1.0):
+            raise NumericError("complement escaped [0, 1]")
+        if np.any(np.diff(g) < 0.0):
+            raise NumericError("complement is not non-decreasing in x")
+        if np.max(np.abs((1.0 - v) - g)) > 1e-15:
+            raise NumericError("values and complement disagree")
 
 
 @dataclass
@@ -228,7 +219,7 @@ def iterate_step(
         raise ContractViolationError(
             f"grid mismatch: prev.delta={prev.delta} config.delta={config.delta}"
         )
-    prev_g = prev.complement_values()
+    prev_g = prev.complement
     if nodes is None:
         if len(prev_g) != config.grid_size + 1:
             raise ContractViolationError(

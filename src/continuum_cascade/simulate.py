@@ -91,6 +91,12 @@ def check_tally(trials: int, n_cap: int | None = None) -> None:
         raise ConfigurationError(f"n_cap must be >= 0, got {n_cap}")
 
 
+def check_particle_cap(particle_cap: int) -> None:
+    """A trial must be allowed at least its root particle."""
+    if particle_cap < 1:
+        raise ConfigurationError(f"particle_cap must be >= 1, got {particle_cap}")
+
+
 def outcome_histogram(outcomes: np.ndarray, n_cap: int) -> np.ndarray:
     """Tally of trial outcomes, the one histogram behind every CDF table.
 
@@ -112,8 +118,7 @@ class SimConfig:
         if not 0.0 <= self.x < math.inf:
             raise ConfigurationError(f"x must be finite and >= 0, got {self.x}")
         check_tally(self.trials, self.n_cap)
-        if self.particle_cap < 1:
-            raise ConfigurationError(f"particle_cap must be >= 1, got {self.particle_cap}")
+        check_particle_cap(self.particle_cap)
 
 
 @dataclass
@@ -263,10 +268,12 @@ def empirical_cdf(config: SimConfig, workers: int = 1) -> EmpiricalCdf:
     of integer histograms, so the result is bit-identical for any worker
     count.
     """
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
     n_blocks = -(-config.trials // BLOCK)
     jobs = [
         (config.x, config.n_cap, config.particle_cap, config.seed, config.trials, part.tolist())
-        for part in np.array_split(np.arange(n_blocks), max(1, min(workers, n_blocks)))
+        for part in np.array_split(np.arange(n_blocks), min(workers, n_blocks))
     ]
     if len(jobs) > 1:
         with get_context("spawn").Pool(processes=len(jobs)) as pool:

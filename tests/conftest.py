@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 from scipy.stats import binom
 
-from continuum_cascade.fronts import alpha_scan, probe_slabs
+from continuum_cascade.fronts import alpha_scan, probe_positions, probe_slabs
+from continuum_cascade.martingale import equivalence_check
 from continuum_cascade.recursion import (
     Quadrature,
     RecursionConfig,
@@ -73,10 +75,14 @@ def d01_riemann_n400_trace():
 
 
 @pytest.fixture(scope="session")
-def d001_n200_probe_run():
-    """Fine-grid run retaining the generations the limit-law probe needs."""
-    config = RecursionConfig(delta=0.001, x_max=front_clearance_xmax(200), n_max=200)
-    return run_recursion(config, snapshot_generations=(99, 149, 199))
+def d001_n200_limit_law_config():
+    return RecursionConfig(delta=0.001, x_max=front_clearance_xmax(200), n_max=200)
+
+
+@pytest.fixture(scope="session")
+def d001_n200_limit_law_probe(d001_n200_limit_law_config):
+    """The limit-law probe on the fine grid at x = -1, 0, 1, 3 and n = 100, 150, 200."""
+    return equivalence_check(d001_n200_limit_law_config, [-1.0, 0.0, 1.0, 3.0], (100, 150, 200))
 
 
 @pytest.fixture(scope="session")
@@ -95,7 +101,8 @@ def d01_riemann_n100_slabs():
         n_max=100,
         quadrature=Quadrature.RIEMANN,
     )
-    return probe_slabs(config, (0.95, 1.01))
+    ns = np.arange(2, config.n_max + 1)
+    return probe_slabs(config, probe_positions(ns, 0.95), probe_positions(ns, 1.01))
 
 
 @pytest.fixture(scope="session")

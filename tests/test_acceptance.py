@@ -51,7 +51,7 @@ from continuum_cascade.graphs import (
     longest_path_dp,
     sample_adjacency,
 )
-from continuum_cascade.martingale import equivalence_check, verify_boundary_conditions
+from continuum_cascade.martingale import verify_boundary_conditions
 from continuum_cascade.recursion import (
     FrontTrace,
     RecursionConfig,
@@ -180,11 +180,12 @@ def test_criterion_09_boundary_moments():
            f"|m4 - e| = {abs(rep.m4_value - E):.1e}")
 
 
-def test_criterion_10_limit_law_probe(d001_n200_probe_run):
-    probe = equivalence_check(d001_n200_probe_run, [0.0])
+def test_criterion_10_limit_law_probe(d001_n200_limit_law_probe):
+    probe = d001_n200_limit_law_probe
     assert list(probe.generations) == [100, 150, 200]
-    spread = float(probe.spread[0])
-    values = probe.values[0]
+    i0 = list(probe.x_grid).index(0.0)
+    spread = float(probe.spread[i0])
+    values = probe.values[i0]
     assert spread < 0.05
     assert np.all(values > 0.05) and np.all(values < 0.95)
     report(10, "limit-law probe",

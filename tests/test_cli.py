@@ -202,10 +202,15 @@ def test_unknown_command_exits_two():
 @pytest.mark.parametrize("fit_args", [
     ["--fit", "bogus", "--fit-lo", "10", "--fit-hi", "40"],
     ["--fit-lo", "10"],
+    ["--fit-lo", "-100", "--fit-hi", "50"],
+    ["--fit-lo", "0", "--fit-hi", "50", "--fit", "joint"],
+    ["--fit-lo", "10", "--fit-hi", "5000"],
+    ["--fit-lo", "40", "--fit-hi", "10"],
+    ["--fit-lo", "20", "--fit-hi", "20"],
 ])
 def test_front_rejects_bad_fit_flags_before_computing(tmp_path, capsys, fit_args):
     assert main(["front", "--nmax", "50", *fit_args, "--out", str(tmp_path)]) == 2
-    assert not (tmp_path / "front_trace.csv").exists()
+    assert list(tmp_path.iterdir()) == []  # no front_trace.csv, nor anything else
     capsys.readouterr()
 
 
@@ -228,6 +233,11 @@ def test_front_rejects_bad_fit_flags_before_computing(tmp_path, capsys, fit_args
     ["recurse", "--xmax", "inf", "--nmax", "2"],
     ["brw", "--trials", "1", "--n", "3", "--prune-window", "nan"],
     ["brw", "--trials", "1", "--n", "3", "--prune-window", "inf"],
+    ["brw", "--trials", "1", "--n", "3", "--pcap", "0"],
+    ["brw", "--trials", "1", "--n", "3", "--pcap", "-5"],
+    # rejected before any worker process is started
+    ["simulate", "--x", "1", "--trials", "10", "--workers", "0"],
+    ["simulate", "--x", "1", "--trials", "10", "--workers", "-2"],
 ])
 def test_bad_counts_exit_two(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 2

@@ -66,7 +66,7 @@ def test_front_of_p1_matches_root_of_closed_form():
 
 
 def test_front_not_found_on_flat_curve():
-    ones = GridFunction(delta=0.1, values=np.ones(20), generation=0)
+    ones = GridFunction(delta=0.1, values=np.ones(20), generation=0, complement=np.zeros(20))
     with pytest.raises(FrontNotFoundError):
         front_position(ones, 0.5)
 
@@ -139,6 +139,17 @@ def test_log_fit_window_preconditions():
         log_correction_fit(trace, (400, 1000))  # spans less than factor 3
 
 
+def test_log_fits_reject_a_window_below_n_one():
+    trace = make_trace(0, 300, lambda n: n / E)
+    for window in ((-100, 300), (0, 300)):
+        with pytest.raises(FitError, match="below n = 1"):
+            richardson_velocity(trace, window)
+        with pytest.raises(FitError, match="below n = 1"):
+            log_correction_fit(trace, window)
+        with pytest.raises(FitError, match="below n = 1"):
+            log_correction_fit(trace, window, v_fixed=1 / E)
+
+
 def test_fitted_b_is_level_independent(d01_n2000_run):
     bs = {}
     for trace in d01_n2000_run.front_traces:
@@ -178,14 +189,28 @@ def test_probe_drifts_monotonically_at_alpha_one(d01_riemann_n100_slabs):
     assert vals[-1] < vals[len(vals) // 2] - 0.02
 
 
+def _alpha_slabs(config, alpha_lo, alpha_hi):
+    ns = np.arange(2, config.n_max + 1)
+    return probe_slabs(config, probe_positions(ns, alpha_lo), probe_positions(ns, alpha_hi))
+
+
 def test_probe_domain_error_names_generation():
     config = RecursionConfig(delta=0.01, x_max=3.0, n_max=30)
-    slabs = probe_slabs(config, (0.95, 1.01))
+    slabs = _alpha_slabs(config, 0.95, 1.01)
     with pytest.raises(DomainError, match=r"n=6"):
         front_constancy_probe(slabs, 1.0)
-    negative = probe_slabs(config, (-1.0, 1.0))
+    negative = _alpha_slabs(config, -1.0, 1.0)
     with pytest.raises(DomainError, match=r"n=2"):
         front_constancy_probe(negative, -0.5)
+
+
+def test_probe_slabs_reject_a_bad_window():
+    config = RecursionConfig(delta=0.01, x_max=3.0, n_max=30)
+    ns = np.arange(2, 31)
+    lo = probe_positions(ns, 0.95)
+    for bad_lo, bad_hi in ((lo, lo[:-1]), (lo[:-1], lo[:-1]), (lo + 0.1, lo), (lo * np.nan, lo)):
+        with pytest.raises(ConfigurationError):
+            probe_slabs(config, bad_lo, bad_hi)
 
 
 def test_probe_rejects_alpha_outside_its_slabs(d01_riemann_n100_slabs):
@@ -215,7 +240,7 @@ def test_probe_on_slabs_is_bit_identical_to_full_snapshots(delta, n_max, alpha_r
         quadrature=Quadrature.RIEMANN,
     )
     run = run_recursion(config, range(1, n_max))
-    slabs = probe_slabs(config, alpha_range)
+    slabs = _alpha_slabs(config, *alpha_range)
     for alpha in alphas:
         ns, values = front_constancy_probe(slabs, alpha)
         assert np.array_equal(ns, np.arange(2, n_max + 1))
@@ -235,7 +260,7 @@ def test_probe_slabs_hold_a_small_share_of_the_grid():
         delta=0.001, x_max=front_clearance_xmax(200), n_max=200,
         quadrature=Quadrature.RIEMANN,
     )
-    slabs = probe_slabs(config, (0.95, 1.01))
+    slabs = _alpha_slabs(config, 0.95, 1.01)
     assert slabs.values.size < (config.n_max - 1) * (config.grid_size + 1) / 10
 
 

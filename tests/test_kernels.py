@@ -121,7 +121,7 @@ def test_complement_resolves_saturated_tail():
 
     config = RecursionConfig(delta=0.01, x_max=60.0, n_max=120)
     final = run_recursion(config).final
-    g = final.complement_values()
+    g = final.complement
     saturated = final.values == 1.0
     assert saturated.any()
     assert np.all(g[saturated][1:] > 0.0)  # still positive, just < 2^-53

@@ -7,13 +7,12 @@ import pytest
 
 from continuum_cascade import martingale
 from continuum_cascade.errors import ConfigurationError, NumericError
+from continuum_cascade.fronts import LOG_COEFFICIENT, VELOCITY
 from continuum_cascade.martingale import (
     DEFAULT_V_MAX,
-    NormalizedOffspringLaw,
     derivative_weight,
     equivalence_check,
     prune_barrier,
-    sample_normalized_offspring,
     simulate_Dn,
     verify_boundary_conditions,
 )
@@ -60,38 +59,45 @@ def test_simulate_Dn_rejects_a_non_finite_prune_window(window):
         simulate_Dn(3, np.random.default_rng(0), prune_window=window)
 
 
+@pytest.mark.parametrize("cap", [0, -5])
+def test_simulate_Dn_rejects_a_particle_cap_below_one(cap):
+    with pytest.raises(ConfigurationError, match="particle_cap"):
+        simulate_Dn(3, np.random.default_rng(0), particle_cap=cap)
+
+
+# The offspring law is checked on the draw `cascade brw` runs: one or two
+# generations of simulate_Dn from a root at 0.
+
+
 def test_offspring_empty_at_degenerate_support():
     rng = np.random.default_rng(0)
     for _ in range(100):
-        assert sample_normalized_offspring(0.0, rng, v_max=-1.0).size == 0
+        traj = simulate_Dn(1, rng, v_max=-1.0, keep_positions=True)
+        assert traj.positions[1].size == 0
 
 
 def test_offspring_support_and_translation():
+    # children land in [p - 1, p + v_max] of their parent p: generation 1
+    # around the root, generation 2 inside the hull of generation 1 widened
     rng = np.random.default_rng(1)
-    for parent in (-2.0, 0.0, 3.5):
-        for _ in range(200):
-            kids = sample_normalized_offspring(parent, rng, v_max=5.0)
-            if kids.size:
-                assert np.all(kids >= parent - 1.0)
-                assert np.all(kids <= parent + 5.0)
+    for _ in range(200):
+        _, kids, grandkids = simulate_Dn(2, rng, v_max=5.0, keep_positions=True).positions
+        assert np.all(kids >= -1.0) and np.all(kids <= 5.0)
+        if grandkids.size:
+            assert grandkids.min() >= kids.min() - 1.0
+            assert grandkids.max() <= kids.max() + 5.0
 
 
 def test_offspring_mean_count():
     rng = np.random.default_rng(2)
     draws = 20000
-    counts = [sample_normalized_offspring(0.0, rng).size for _ in range(draws)]
+    counts = [
+        simulate_Dn(1, rng, keep_positions=True).positions[1].size for _ in range(draws)
+    ]
     mean = np.mean(counts)
     target = (DEFAULT_V_MAX + 1.0) / math.e
     assert math.isclose(target, 7.7255, abs_tol=1e-3)
     assert abs(mean - target) <= 3.0 * math.sqrt(target / draws)
-
-
-def test_offspring_law_dataclass():
-    law = NormalizedOffspringLaw(v_max=20.0)
-    assert math.isclose(law.mean_offspring, 21.0 / math.e, rel_tol=1e-12)
-    assert law.truncation_bound < 1e-7  # e^-20 * 22
-    with pytest.raises(ConfigurationError):
-        NormalizedOffspringLaw(v_max=-2.0)
 
 
 def test_D0_is_zero():
@@ -184,23 +190,29 @@ def test_extinct_trajectory_stays_zero():
     assert np.all(traj.generation_sizes[1:] == 0)
 
 
-def test_equivalence_check_preconditions(d001_n200_probe_run):
-    coarse = run_recursion(
-        RecursionConfig(delta=0.01, x_max=80.0, n_max=200),
-        snapshot_generations=(99, 199),
-    )
-    with pytest.raises(ConfigurationError):
-        equivalence_check(coarse, [0.0])
-    short = run_recursion(
-        RecursionConfig(delta=0.001, x_max=80.0, n_max=199),
-        snapshot_generations=(99, 150),
-    )
-    with pytest.raises(ConfigurationError):
-        equivalence_check(short, [0.0])
+def test_equivalence_check_preconditions(monkeypatch):
+    # every precondition is checked before the recursion runs
+    def no_stepping(*args):
+        raise AssertionError("the recursion ran before the preconditions were checked")
+
+    monkeypatch.setattr(martingale, "probe_slabs", no_stepping)
+    fine = RecursionConfig(delta=0.001, x_max=80.0, n_max=200)
+    cases = [
+        (RecursionConfig(delta=0.01, x_max=80.0, n_max=200), [0.0], (100, 200)),
+        (RecursionConfig(delta=0.001, x_max=80.0, n_max=199), [0.0], (100, 150)),
+        (fine, [0.0], (100,)),
+        (fine, [0.0], (100, 100)),
+        (fine, [0.0], (1, 100)),
+        (fine, [0.0], (100, 201)),
+        (fine, [], (100, 200)),
+    ]
+    for config, z_grid, generations in cases:
+        with pytest.raises(ConfigurationError):
+            equivalence_check(config, z_grid, generations)
 
 
-def test_limit_law_probe_values(d001_n200_probe_run):
-    probe = equivalence_check(d001_n200_probe_run, [-1.0, 0.0, 1.0, 3.0])
+def test_limit_law_probe_values(d001_n200_limit_law_probe):
+    probe = d001_n200_limit_law_probe
     assert probe.values.shape == (4, 3)
     # monotone in the offset x (P is non-increasing in its argument):
     # large negative offsets approach 1, large positive approach 0
@@ -212,3 +224,20 @@ def test_limit_law_probe_values(d001_n200_probe_run):
     i0 = list(probe.x_grid).index(0.0)
     assert probe.spread[i0] < 0.05
     assert 0.0 < probe.values[i0].min() and probe.values[i0].max() < 1.0
+
+
+def test_limit_law_probe_is_bit_identical_to_full_snapshots(
+    d001_n200_limit_law_config, d001_n200_limit_law_probe
+):
+    # the oracle is the snapshot path: retain generation n - 1 on the whole
+    # grid and interpolate it at x + n/e + (3/(2e)) ln n
+    probe = d001_n200_limit_law_probe
+    run = run_recursion(
+        d001_n200_limit_law_config,
+        snapshot_generations=[int(n) - 1 for n in probe.generations],
+    )
+    assert list(probe.generations) == [100, 150, 200]
+    for j, n in enumerate(probe.generations):
+        base = n * VELOCITY + LOG_COEFFICIENT * math.log(n)
+        expected = run.snapshot(int(n) - 1).evaluate(probe.x_grid + base)
+        assert np.array_equal(probe.values[:, j], expected)

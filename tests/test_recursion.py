@@ -155,7 +155,7 @@ def test_grid_mismatch_rejected():
     config_b = RecursionConfig(delta=0.02, x_max=2.0, n_max=1)
     with pytest.raises(ContractViolationError):
         iterate_step(init_p0(config_a), config_b)
-    short = GridFunction(delta=0.01, values=np.ones(7), generation=0)
+    short = GridFunction(delta=0.01, values=np.ones(7), generation=0, complement=np.zeros(7))
     with pytest.raises(ContractViolationError):
         iterate_step(short, config_a)
 
@@ -237,8 +237,12 @@ def test_step_is_a_monotone_map_on_probability_curves(raw, rnd):
     bumps = np.array([rnd.random() for _ in range(len(lower))])
     upper = np.maximum(lower, _as_curve(bumps))
     config = RecursionConfig(delta=0.05, x_max=0.05 * (len(lower) - 1), n_max=1)
-    out_lo = iterate_step(GridFunction(delta=0.05, values=lower, generation=0), config)
-    out_hi = iterate_step(GridFunction(delta=0.05, values=upper, generation=0), config)
+    out_lo = iterate_step(
+        GridFunction(delta=0.05, values=lower, generation=0, complement=1.0 - lower), config
+    )
+    out_hi = iterate_step(
+        GridFunction(delta=0.05, values=upper, generation=0, complement=1.0 - upper), config
+    )
     out_lo.check_invariants()
     out_hi.check_invariants()
     assert np.all(out_hi.values >= out_lo.values - 1e-12)
