@@ -207,10 +207,6 @@ class ProbeSlabs:
     offsets: np.ndarray
     values: np.ndarray
 
-    @property
-    def x_max(self) -> float:
-        return self.config.delta * self.config.grid_size
-
 
 def _probe_nodes(targets: np.ndarray, config: RecursionConfig) -> tuple[np.ndarray, np.ndarray]:
     """Grid position of each target and the node left of it, as GridFunction.evaluate."""
@@ -248,21 +244,27 @@ def probe_slabs(config: RecursionConfig, lo: np.ndarray, hi: np.ndarray) -> Prob
     return ProbeSlabs(config, lo, hi, first, offsets, values)
 
 
+def check_probe_targets(config: RecursionConfig, ns: np.ndarray, targets: np.ndarray) -> None:
+    """Raise DomainError if a target, read at n = ns[k] for targets[..., k], is off the grid."""
+    x_max = config.delta * config.grid_size
+    outside = (targets < 0.0) | (targets > x_max)
+    if outside.any():
+        k = np.unravel_index(np.argmax(outside), outside.shape)
+        raise DomainError(
+            f"probe point {targets[k]:.4f} exits the grid at n={int(ns[k[-1]])} "
+            f"(x_max={x_max:.4f})"
+        )
+
+
 def read_probe(slabs: ProbeSlabs, ns: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Generation n-1 at targets[..., k] for n = ns[k], read off the slabs.
 
     Linear interpolation between grid nodes, bit-identical to
     GridFunction.evaluate on the full generation.  Raises DomainError for a
-    target off the grid and ConfigurationError for one outside the window
-    the slabs were kept for.
+    target off the grid (see check_probe_targets) and ConfigurationError for
+    one outside the window the slabs were kept for.
     """
-    outside = (targets < 0.0) | (targets > slabs.x_max)
-    if outside.any():
-        k = np.unravel_index(np.argmax(outside), outside.shape)
-        raise DomainError(
-            f"probe point {targets[k]:.4f} exits the grid at n={int(ns[k[-1]])} "
-            f"(x_max={slabs.x_max:.4f})"
-        )
+    check_probe_targets(slabs.config, ns, targets)
     col = ns - 2
     if not np.all((slabs.lo[col] <= targets) & (targets <= slabs.hi[col])):
         raise ConfigurationError("probe point outside the window the slabs were kept for")

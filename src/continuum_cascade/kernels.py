@@ -37,21 +37,31 @@ checked (x86-64, numpy 2.4).  So the run gets the bits numpy's exp and
 expm1 give it.  The return value is the largest clamp applied to keep P
 and g in [0, 1], so the caller can tell last-ulp jitter from a real
 invariant violation.
+
+The steps allocate no array: the caller passes the outputs, as long as
+the band, and a scratch array at least that long (recursion.bands keeps
+one set for a whole run).  Every ufunc writes into them with out=.  The
+outputs double as the TwoSum temporaries and then as the linear-run
+mask; Q is formed in place in the g output, and the scratch holds the
+prefix sums and then -Q.  Nothing is read before it is written, so a
+step gives the same bits whatever its buffers held.
 """
 
 import numpy as np
 
 
-def _prefix_sum(x: np.ndarray) -> np.ndarray:
-    """Compensated prefix sums of `x`.
+def _prefix_sum(x: np.ndarray, out: np.ndarray, err: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Compensated prefix sums of `x`, written to and returned as out[:len(x)].
 
+    `err` and `tmp` hold at least len(x) - 1 values each and are overwritten.
     TwoSum recovers the exact rounding error of each addition in the
     float64 cumsum; this relies on np.cumsum adding strictly left to right.
     """
-    s = np.cumsum(x)
+    m = len(x)
+    s = np.cumsum(x, out=out[:m])
     t, a = s[1:], s[:-1]
-    bp = t - a
-    e = t - bp
+    bp = np.subtract(t, a, out=tmp[: m - 1])
+    e = np.subtract(t, bp, out=err[: m - 1])
     np.subtract(a, e, out=e)
     np.subtract(x[1:], bp, out=bp)
     e += bp  # e[i] = exact rounding error of t[i] = a[i] + x[i + 1]
@@ -64,14 +74,21 @@ def _prefix_sum(x: np.ndarray) -> np.ndarray:
 LINEAR_TAIL = 2.0**-56
 
 
-def _finish(q: np.ndarray, out_p: np.ndarray, out_g: np.ndarray) -> float:
-    linear = np.abs(q) < LINEAR_TAIL
+def _finish(out_p: np.ndarray, out_g: np.ndarray, tmp: np.ndarray) -> float:
+    """P = exp(-Q) and g = -expm1(-Q) from the Q that `out_g` holds on entry.
+
+    `tmp` holds at least len(out_g) values and is overwritten; the bytes of
+    `out_p` hold the linear-run mask until P is written over it.
+    """
+    q = out_g
+    n = len(q)
+    neg_q = tmp[:n]
+    linear = np.less(np.abs(q, out=neg_q), LINEAR_TAIL, out=out_p.view(np.bool_)[:n])
     k = int(np.argmin(linear))  # first node outside the linear run
     if linear[k]:
-        k = len(q)
-    out_p[:k] = 1.0
-    out_g[:k] = q[:k]
-    neg_q = np.negative(q[k:])
+        k = n
+    out_p[:k] = 1.0  # g = q there already
+    neg_q = np.negative(q[k:], out=neg_q[k:])
     np.exp(neg_q, out=out_p[k:])
     np.expm1(neg_q, out=out_g[k:])
     np.negative(out_g[k:], out=out_g[k:])
@@ -85,14 +102,18 @@ def _finish(q: np.ndarray, out_p: np.ndarray, out_g: np.ndarray) -> float:
 
 
 def step_riemann(prev_g: np.ndarray, delta: float,
-                 out_p: np.ndarray, out_g: np.ndarray) -> float:
-    s = _prefix_sum(prev_g)
+                 out_p: np.ndarray, out_g: np.ndarray, work: np.ndarray) -> float:
+    s = _prefix_sum(prev_g, work, out_g, out_p)
     s -= s[0]  # drop the y = 0 term: sum runs over indices 1..i
-    return _finish(delta * s, out_p, out_g)
+    np.multiply(s, delta, out=out_g)
+    return _finish(out_p, out_g, work)
 
 
 def step_trapezoid(prev_g: np.ndarray, delta: float,
-                   out_p: np.ndarray, out_g: np.ndarray) -> float:
-    s = _prefix_sum(prev_g)
-    q = delta * (s - 0.5 * (prev_g[0] + prev_g))
-    return _finish(q, out_p, out_g)
+                   out_p: np.ndarray, out_g: np.ndarray, work: np.ndarray) -> float:
+    s = _prefix_sum(prev_g, work, out_g, out_p)
+    q = np.add(prev_g, prev_g[0], out=out_g)
+    q *= 0.5
+    np.subtract(s, q, out=q)
+    q *= delta
+    return _finish(out_p, out_g, work)

@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
+from . import fronts
 from .errors import ConfigurationError, NumericError
-from .fronts import probe_positions, probe_slabs, read_probe
 from .recursion import RecursionConfig
 from .simulate import check_particle_cap
 
@@ -192,9 +192,10 @@ def equivalence_check(config: RecursionConfig, z_grid, generations) -> LimitLawP
     A Cauchy-style check of the limit law: for each x the values across n
     should agree to within their spread and sit strictly inside (0, 1).
     Requires a fine grid (delta <= 0.001) and n_max >= 200, checked before
-    the recursion runs.  The recursion keeps only the probe's slabs (see
-    fronts.probe_slabs), over [base + min x, base + max x] per generation
-    with base = n/e + (3/(2e)) ln n.
+    the recursion runs, and so is that every point read lies on the grid.
+    The recursion keeps only the probe's slabs (see fronts.probe_slabs),
+    over [base + min x, base + max x] per generation with
+    base = n/e + (3/(2e)) ln n.
     """
     if config.delta > 0.001 + 1e-15:
         raise ConfigurationError(f"probe needs delta <= 0.001, got {config.delta}")
@@ -210,9 +211,11 @@ def equivalence_check(config: RecursionConfig, z_grid, generations) -> LimitLawP
         raise ConfigurationError(
             f"probe generations {gens.tolist()} outside [2, {config.n_max}]"
         )
-    base = probe_positions(np.arange(2, config.n_max + 1), 1.0)
-    slabs = probe_slabs(config, base + x_grid.min(), base + x_grid.max())
-    values = read_probe(slabs, gens, base[gens - 2] + x_grid[:, None])
+    base = fronts.probe_positions(np.arange(2, config.n_max + 1), 1.0)
+    targets = base[gens - 2] + x_grid[:, None]
+    fronts.check_probe_targets(config, gens, targets)
+    slabs = fronts.probe_slabs(config, base + x_grid.min(), base + x_grid.max())
+    values = fronts.read_probe(slabs, gens, targets)
     return LimitLawProbe(
         x_grid=x_grid,
         generations=gens,

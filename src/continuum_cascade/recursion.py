@@ -19,10 +19,20 @@ full-grid step.  Cost is O(band width) per generation, via a running
 prefix sum; the band stays a few hundred units wide while the domain grows
 like n/e.  A consumer that needs more of a generation asks the band to
 reach further: run_recursion has snapshot generations and the final one
-reach the grid end and pads them with the exact P = 1, g = 0 below the
-band, and the alpha and limit-law probes (fronts.probe_slabs) keep one
-small slab per generation.  Memory is O(grid) because only the requested
-snapshots and the current band are kept.
+reach the grid end, and the alpha and limit-law probes
+(fronts.probe_slabs) keep one small slab per generation.
+
+Steps allocate nothing.  Each bands call allocates, once, a workspace a
+whole grid long: two ping-pong g buffers, one P buffer (a step reads
+only g) and the kernels' scratch.  A step writes its g into the buffer
+its input is not in, and the exact g = 1 continuation of its input in
+place past the input's end.  A yielded band is therefore a read-only
+view that is valid only until the generator advances: a consumer copies
+what it keeps.  A step that reaches the grid end is written to fresh
+arrays instead, padded with the exact P = 1, g = 0 below the band and
+yielded whole, so run_recursion keeps its snapshots as they come.
+Memory is O(grid): the workspace, the current band and the requested
+snapshots.
 """
 
 from __future__ import annotations
@@ -46,6 +56,9 @@ from .errors import (
 # Clamp activity beyond this is treated as a real invariant violation,
 # not floating-point jitter.
 CLAMP_TOLERANCE = 1e-12
+
+# Most nodes one float64 array can hold: its size in bytes must fit np.intp.
+MAX_GRID_NODES = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 
 class Quadrature(Enum):
@@ -80,6 +93,11 @@ class RecursionConfig:
             raise ConfigurationError(
                 f"x_max must be finite and at least delta, "
                 f"got x_max={self.x_max} delta={self.delta}"
+            )
+        if not self.x_max / self.delta < MAX_GRID_NODES or self.grid_size >= MAX_GRID_NODES:
+            raise ConfigurationError(
+                f"a grid of x_max/delta = {self.x_max / self.delta:.3g} intervals has more "
+                f"nodes than one array can hold ({MAX_GRID_NODES})"
             )
         if self.n_max < 0:
             raise ConfigurationError(f"n_max must be >= 0, got {self.n_max}")
@@ -187,14 +205,13 @@ def closed_form_p1(x):
 
 
 def init_p0(config: RecursionConfig) -> GridFunction:
-    """Generation 0: exp(-x) sampled at the grid nodes."""
-    xs = config.delta * np.arange(config.grid_size + 1)
-    return GridFunction(
-        delta=config.delta,
-        values=np.exp(-xs),
-        generation=0,
-        complement=-np.expm1(-xs),
-    )
+    """Generation 0: exp(-x) sampled at the grid nodes, built in two arrays."""
+    neg_x = np.arange(config.grid_size + 1, dtype=np.float64)
+    neg_x *= -config.delta
+    values = np.exp(neg_x)
+    complement = np.expm1(neg_x, out=neg_x)
+    np.negative(complement, out=complement)
+    return GridFunction(delta=config.delta, values=values, generation=0, complement=complement)
 
 
 _STEPPERS = {
@@ -204,7 +221,10 @@ _STEPPERS = {
 
 
 def iterate_step(
-    prev: GridFunction, config: RecursionConfig, nodes: int | None = None
+    prev: GridFunction,
+    config: RecursionConfig,
+    nodes: int | None = None,
+    work: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> GridFunction:
     """Advance one generation.  O(nodes) via a running compensated prefix sum.
 
@@ -214,6 +234,13 @@ def iterate_step(
     exactly 1 at every node past its end.  The result is the next
     generation on the band's first `nodes` nodes, bit-identical to those
     nodes of a full-grid step.
+
+    Without `work` the step allocates its result and temporaries.  With
+    `work` = (g, p_out, g_out, scratch) it allocates nothing: g is prev's
+    complement continued by its exact 1s to `nodes` nodes, the result is
+    written to p_out and g_out (`nodes` long, not overlapping g) and
+    returned as read-only views of them, and scratch (at least `nodes`
+    long) is overwritten.
     """
     if prev.delta != config.delta:
         raise ContractViolationError(
@@ -234,17 +261,18 @@ def iterate_step(
             )
         if prev_g[0] != 0.0:
             raise ContractViolationError("band must start where g = 1 - P is exactly 0")
+        if nodes > len(prev_g) and prev_g[-1] != 1.0:
+            raise ContractViolationError(
+                "band can only be extended past a node where g = 1 - P is exactly 1"
+            )
+    if work is None:
         if nodes > len(prev_g):
-            if prev_g[-1] != 1.0:
-                raise ContractViolationError(
-                    "band can only be extended past a node where g = 1 - P is exactly 1"
-                )
             prev_g = np.concatenate((prev_g, np.ones(nodes - len(prev_g))))
-        else:
-            prev_g = prev_g[:nodes]
-    out_p = np.empty(nodes)
-    out_g = np.empty(nodes)
-    excess = _STEPPERS[config.quadrature](prev_g, config.delta, out_p, out_g)
+        work = prev_g[:nodes], np.empty(nodes), np.empty(nodes), np.empty(nodes)
+    g, out_p, out_g, scratch = work
+    if not len(g) == len(out_p) == len(out_g) == nodes <= len(scratch):
+        raise ContractViolationError(f"step arrays do not fit a band of {nodes} nodes")
+    excess = _STEPPERS[config.quadrature](g, config.delta, out_p, out_g, scratch)
     if not excess <= CLAMP_TOLERANCE:  # a NaN excess fails too
         raise NumericError(
             f"clamp exceeded tolerance at generation {prev.generation + 1}: "
@@ -298,12 +326,12 @@ def _first_not(a: np.ndarray, v: float) -> int:
     return 0
 
 
-def _live_band(f: GridFunction, offset: int) -> tuple[GridFunction, int]:
-    """Cut `f` (starting at node `offset`) down to its live band.
+def _live_band(f: GridFunction) -> tuple[GridFunction, int]:
+    """Cut `f` down to its live band.
 
     The band runs from the last node of the leading run of exact g = 0 to
     the first node of the trailing run of exact g = 1.  Returns the band
-    and the grid index of its first node.
+    and the index in `f` of its first node.
     """
     g = f.complement
     start = _first_not(g, 0.0) - 1
@@ -316,7 +344,7 @@ def _live_band(f: GridFunction, offset: int) -> tuple[GridFunction, int]:
         generation=f.generation,
         complement=g[start:stop],
     )
-    return band, offset + start
+    return band, start
 
 
 def bands(
@@ -331,27 +359,61 @@ def bands(
     reach(n) - lo) nodes, capped at the grid end: the margin, at least one
     unit of x, is more than the g = 1 edge moves in a generation, and
     reach(n) (an end node, exclusive) makes band n cover nodes a consumer
-    needs; reach(n) = grid_size + 1 gives the whole grid from lo on.  When a
-    step ends short of the grid end and either short of g = 1 or not below
-    `p_floor`, the margin doubles and the step is redone.  Below lo, P is
-    exactly 1 and g exactly 0; the band's nodes are bit-identical to a
-    full-grid step.  The generator steps lazily, so a consumer that stops
-    early saves the later steps.
+    needs; reach(n) = grid_size + 1 gives the whole grid.  When a step ends
+    short of the grid end and either short of g = 1 or not below `p_floor`,
+    the margin doubles and the step is redone.  Below lo, P is exactly 1 and
+    g exactly 0; the band's nodes are bit-identical to a full-grid step.
+    The generator steps lazily, so a consumer that stops early saves the
+    later steps.
+
+    Steps allocate nothing: after generation 0 the call allocates, once,
+    two ping-pong g buffers, one P buffer and the kernels' scratch, each a
+    whole grid long, and generation n is written at the start of the P
+    buffer and of g buffer n % 2.  So a yielded band is a read-only view
+    that is valid only until the generator advances; a consumer that keeps
+    any of it must copy it.  A step that reaches the grid end is written
+    instead to fresh arrays that span the whole grid, with the exact P = 1,
+    g = 0 below the band, and is yielded whole, with lo = 0; those arrays,
+    like generation 0's, are never written again and may be kept.
     """
     n_nodes = config.grid_size + 1
     margin = math.ceil(1.0 / config.delta)
     band, lo = init_p0(config), 0
+    # the storage of the band's g from grid node lo on, and how much of it
+    # the band's generation filled
+    held, filled = band.complement, n_nodes
     yield band, lo
+    # Allocated after generation 0 is built, so that its build reuses memory
+    # malloc already holds, and as four arrays rather than one block: freeing
+    # a block big enough to be mapped raises malloc's mmap threshold for the
+    # rest of the process.  Either choice, reversed, measurably raised the
+    # peak RSS or the later run times of the front workload.
+    p_buf, scratch = np.empty(n_nodes), np.empty(n_nodes)
+    g_buf = np.empty(n_nodes), np.empty(n_nodes)
     for n in range(1, config.n_max + 1):
-        band, lo = _live_band(band, lo)
+        band, start = _live_band(band)
+        lo += start
         room = n_nodes - lo
         while True:
             nodes = min(room, max(len(band.values) + margin, reach(n) - lo))
-            nxt = iterate_step(band, config, nodes)
+            if start + nodes > filled:  # continue the band by its exact 1s, in place
+                held[filled : start + nodes] = 1.0
+                filled = start + nodes
+            if nodes == room:
+                whole_p, whole_g = np.ones(n_nodes), np.zeros(n_nodes)
+                out = whole_p[lo:], whole_g[lo:]
+            else:
+                out = p_buf[:nodes], g_buf[n % 2][:nodes]
+            nxt = iterate_step(band, config, nodes, (held[start : start + nodes], *out, scratch))
             if nodes == room or (nxt.complement[-1] == 1.0 and nxt.values[-1] < p_floor):
                 break
             margin *= 2
-        band = nxt
+        if nodes == room:
+            band, lo = GridFunction(config.delta, whole_p, n, whole_g), 0
+            held, filled = whole_g, n_nodes
+        else:
+            band = nxt
+            held, filled = g_buf[n % 2], nodes
         yield band, lo
 
 
@@ -368,8 +430,8 @@ def run_recursion(
     approaches the grid boundary.
 
     One consumer of `bands`: crossings are read off each band, and snapshot
-    generations and the final one have their band reach the grid end and
-    are padded with the exact P = 1, g = 0 below it.
+    generations and the final one have their band reach the grid end, so
+    bands yields them whole, padded with the exact P = 1, g = 0 below it.
     """
     wanted = {int(g) for g in snapshot_generations}
     if wanted and (min(wanted) < 0 or max(wanted) > config.n_max):
@@ -389,22 +451,16 @@ def run_recursion(
     levels = tuple(front_levels or ())
     full = wanted | {config.n_max}
     n_nodes = config.grid_size + 1
-    # a band must reach past every crossing recorded on it
+    # a band must reach past every crossing recorded on it; one that reaches
+    # the grid end comes whole, in arrays a snapshot may keep
     steps = bands(config, lambda n: n_nodes if n in full else 0, min(levels, default=1.0))
     snaps: list[GridFunction] = []
     fronts: list[list[float]] = [[] for _ in levels]
     for n, (band, lo) in enumerate(steps):
         for trace, lev in zip(fronts, levels):
             trace.append(_bracketed_crossing(band.values, config.delta, lev, lo))
-        if n in full:
-            whole = band if lo == 0 else GridFunction(
-                delta=config.delta,
-                values=np.concatenate((np.ones(lo), band.values)),
-                generation=n,
-                complement=np.concatenate((np.zeros(lo), band.complement)),
-            )
-            if n in wanted:
-                snaps.append(whole)
+        if n in wanted:
+            snaps.append(band)
 
     traces = []
     if front_levels is not None:
@@ -413,4 +469,4 @@ def run_recursion(
             FrontTrace(level=lev, generations=gens, positions=np.asarray(fs))
             for lev, fs in zip(levels, fronts)
         ]
-    return RecursionResult(config=config, snapshots=snaps, final=whole, front_traces=traces)
+    return RecursionResult(config=config, snapshots=snaps, final=band, front_traces=traces)

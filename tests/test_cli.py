@@ -238,6 +238,11 @@ def test_front_rejects_bad_fit_flags_before_computing(tmp_path, capsys, fit_args
     # rejected before any worker process is started
     ["simulate", "--x", "1", "--trials", "10", "--workers", "0"],
     ["simulate", "--x", "1", "--trials", "10", "--workers", "-2"],
+    # grids with more nodes than one float64 array can address: rejected
+    # before anything is allocated
+    ["recurse", "--delta", "1e-300", "--nmax", "1"],
+    ["front", "--delta", "1e-300", "--nmax", "5"],
+    ["alpha-scan", "--deltas", "1e-300", "--nmax", "50"],
 ])
 def test_bad_counts_exit_two(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 2

@@ -38,7 +38,8 @@ def test_prefix_sum_is_within_one_ulp_of_exact(name):
     # the TwoSum error terms are exact only for a strictly sequential cumsum
     assert np.array_equal(np.cumsum(x), list(itertools.accumulate(x.tolist())))
     exact = np.array([float(q) for q in exact_prefix_sums(x)])
-    got = kernels._prefix_sum(x)
+    m = len(x)
+    got = kernels._prefix_sum(x, np.empty(m), np.empty(m - 1), np.empty(m - 1))
     assert np.all(np.abs(got - exact) <= np.spacing(exact))
 
 
@@ -47,7 +48,7 @@ def test_all_ones_fixed_point(name):
     g = np.zeros(64)
     out_p = np.empty(64)
     out_g = np.empty(64)
-    excess = getattr(kernels, name)(g, 0.01, out_p, out_g)
+    excess = getattr(kernels, name)(g, 0.01, out_p, out_g, np.empty(64))
     assert excess == 0.0
     assert np.all(out_p == 1.0)
     assert np.all(out_g == 0.0)
@@ -67,7 +68,7 @@ def test_step_matches_exact_quadrature(name, seed):
     q = np.array([float(v) for v in q])
     out_p = np.empty_like(g)
     out_g = np.empty_like(g)
-    getattr(kernels, name)(g, delta, out_p, out_g)
+    getattr(kernels, name)(g, delta, out_p, out_g, np.empty_like(g))
     np.testing.assert_allclose(out_p, np.exp(-q), rtol=0.0, atol=5e-15)
     np.testing.assert_allclose(out_g, -np.expm1(-q), rtol=5e-13, atol=0.0)
 
@@ -89,8 +90,8 @@ def test_linear_tail_matches_libm_across_the_threshold():
         2.0 ** np.linspace(-54.3, -54.0, 4000, endpoint=False),
         [2.0**-54, 1e-10, 1e-3, 1.0, 30.0, 700.0],
     ))
-    out_p, out_g = np.empty_like(q), np.empty_like(q)
-    assert kernels._finish(q, out_p, out_g) == 0.0
+    out_p, out_g = np.empty_like(q), q.copy()
+    assert kernels._finish(out_p, out_g, np.empty_like(q)) == 0.0
     p, g = libm_values(q)
     assert np.array_equal(out_p, p)
     assert np.array_equal(out_g, g)
@@ -103,8 +104,8 @@ def test_linear_tail_run_ends_at_the_first_node_outside_it():
     for q in ([0.0, -1e-20, -1e-13, 1e-20], [0.0, 1e-20, np.nan, 1e-20],
               [0.0, 1e-20, 1.0, t / 2, 1e-300]):
         q = np.array(q)
-        out_p, out_g = np.empty_like(q), np.empty_like(q)
-        excess = kernels._finish(q, out_p, out_g)
+        out_p, out_g = np.empty_like(q), q.copy()
+        excess = kernels._finish(out_p, out_g, np.empty_like(q))
         p, g = libm_values(q)
         expected = max(max(float(p.max()) - 1.0, float(-g.min())), 0.0)
         np.testing.assert_equal(excess, expected)  # NaN when q holds one
@@ -112,6 +113,28 @@ def test_linear_tail_run_ends_at_the_first_node_outside_it():
             p, g = np.minimum(p, 1.0), np.maximum(g, 0.0)
         assert np.array_equal(out_p, p, equal_nan=True)
         assert np.array_equal(out_g, g, equal_nan=True)
+
+
+@pytest.mark.parametrize("name", ["step_riemann", "step_trapezoid"])
+def test_step_ignores_what_its_buffers_held(name):
+    # bands reuses its buffers: a step must give the same bits whatever the
+    # outputs and the scratch held before, and a scratch longer than the
+    # band must not change the result
+    g = np.concatenate((
+        [0.0],
+        10.0 ** np.linspace(-300.0, -20.0, 1000),  # a linear tail behind the front
+        random_complement(3000, 4)[1:],
+        np.ones(200),  # the band's trailing exact 1s
+    ))
+    step = getattr(kernels, name)
+    fresh = np.zeros_like(g), np.zeros_like(g)
+    assert step(g, 0.003, *fresh, np.zeros_like(g)) == 0.0
+    assert np.all(fresh[0][:900] == 1.0) and np.all(fresh[1][1:900] > 0.0)
+    work = np.full(2 * len(g) + 7, np.nan)
+    stale = np.full_like(g, np.nan), np.full_like(g, np.nan)
+    assert step(g, 0.003, *stale, work) == 0.0
+    assert np.array_equal(stale[0], fresh[0])
+    assert np.array_equal(stale[1], fresh[1])
 
 
 def test_complement_resolves_saturated_tail():

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from continuum_cascade import martingale
-from continuum_cascade.errors import ConfigurationError, NumericError
+from continuum_cascade import fronts, martingale
+from continuum_cascade.errors import ConfigurationError, DomainError, NumericError
 from continuum_cascade.fronts import LOG_COEFFICIENT, VELOCITY
 from continuum_cascade.martingale import (
     DEFAULT_V_MAX,
@@ -16,7 +16,7 @@ from continuum_cascade.martingale import (
     simulate_Dn,
     verify_boundary_conditions,
 )
-from continuum_cascade.recursion import RecursionConfig, run_recursion
+from continuum_cascade.recursion import RecursionConfig, front_clearance_xmax, run_recursion
 
 
 def test_boundary_moment_residuals():
@@ -195,7 +195,7 @@ def test_equivalence_check_preconditions(monkeypatch):
     def no_stepping(*args):
         raise AssertionError("the recursion ran before the preconditions were checked")
 
-    monkeypatch.setattr(martingale, "probe_slabs", no_stepping)
+    monkeypatch.setattr(fronts, "probe_slabs", no_stepping)
     fine = RecursionConfig(delta=0.001, x_max=80.0, n_max=200)
     cases = [
         (RecursionConfig(delta=0.01, x_max=80.0, n_max=200), [0.0], (100, 200)),
@@ -209,6 +209,25 @@ def test_equivalence_check_preconditions(monkeypatch):
     for config, z_grid, generations in cases:
         with pytest.raises(ConfigurationError):
             equivalence_check(config, z_grid, generations)
+
+
+def test_equivalence_check_finds_off_grid_points_before_stepping(monkeypatch):
+    # the points read are known before the recursion runs, so one off the
+    # grid fails at once; a slab window that leaves the grid only at
+    # generations that are not read passes the check and reaches the slabs
+    def no_stepping(*args):
+        raise AssertionError("the recursion ran")
+
+    monkeypatch.setattr(fronts, "probe_slabs", no_stepping)
+    config = RecursionConfig(0.001, front_clearance_xmax(200), 200)  # x_max 126.56
+    # base + x is 136.5 at n = 200 and -95.5 at n = 100
+    for z_grid, generations, where in (([0.0, 60.0], [100, 200], "n=200"),
+                                       ([-130.0, 0.0], [100, 200], "n=100")):
+        with pytest.raises(DomainError, match=f"exits the grid at {where} "):
+            equivalence_check(config, z_grid, generations)
+    # x = 60 reads 117.9 at n = 150; the window's 136.5 at n = 200 is not read
+    with pytest.raises(AssertionError, match="the recursion ran"):
+        equivalence_check(config, [0.0, 60.0], [100, 150])
 
 
 def test_limit_law_probe_values(d001_n200_limit_law_probe):

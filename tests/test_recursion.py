@@ -23,6 +23,7 @@ from continuum_cascade.recursion import (
     RecursionConfig,
     closed_form_p1,
     front_clearance_xmax,
+    bands,
     init_p0,
     iterate_step,
     run_recursion,
@@ -142,6 +143,14 @@ def test_config_validation():
         RecursionConfig(delta=0.01, x_max=0.005, n_max=1)
     with pytest.raises(ConfigurationError):
         RecursionConfig(delta=0.01, x_max=1.0, n_max=-1)
+    # one float64 array must be able to hold the grid's nodes (a config
+    # allocates nothing, so the bound itself is checked here)
+    for x_max in (float(recursion.MAX_GRID_NODES), 1e300):
+        with pytest.raises(ConfigurationError):
+            RecursionConfig(delta=1.0, x_max=x_max, n_max=1)
+    with pytest.raises(ConfigurationError):  # x_max / delta overflows to inf
+        RecursionConfig(delta=5e-324, x_max=1.0, n_max=1)
+    assert RecursionConfig(delta=1.0, x_max=2.0**59, n_max=1).grid_size == 2**59
 
 
 def test_snapshot_out_of_range_rejected():
@@ -317,13 +326,37 @@ def test_window_widens_for_a_low_front_level(monkeypatch):
     config = RecursionConfig(delta=0.01, x_max=250.0, n_max=200)
     steps = []
 
-    def counted(prev, cfg, nodes=None):
+    def counted(prev, cfg, nodes=None, work=None):
         steps.append(prev.generation)
-        return iterate_step(prev, cfg, nodes)
+        return iterate_step(prev, cfg, nodes, work)
 
     monkeypatch.setattr(recursion, "iterate_step", counted)
     _assert_matches_full_grid(config, {120}, (1e-30, 0.5))
     assert steps.count(0) > 1  # the first step was redone
+
+
+@pytest.mark.parametrize("quadrature", list(Quadrature))
+def test_bands_step_in_two_reused_buffers(quadrature):
+    # each step writes into the buffer its input is not in: from generation 3
+    # on, a band shares storage with the band two generations before it, and
+    # a copy taken while it is current matches the full-grid step.  x_max
+    # leaves the g = 1 edge (x ~ n/e + 38) far from the grid end, so no step
+    # reaches it and is yielded whole
+    n_max = 60
+    config = RecursionConfig(delta=0.01, x_max=150.0, n_max=n_max, quadrature=quadrature)
+    ref = run_recursion(config, range(n_max + 1))
+    held = []
+    for n, (band, lo) in enumerate(bands(config)):
+        assert not band.values.flags.writeable and not band.complement.flags.writeable
+        if n >= 3:
+            assert np.shares_memory(band.values, held[n - 2].values)
+            assert np.shares_memory(band.complement, held[n - 2].complement)
+        if n >= 1:
+            assert not np.shares_memory(band.complement, held[n - 1].complement)
+        full = ref.snapshot(n)
+        assert np.array_equal(band.values, full.values[lo : lo + len(band.values)])
+        assert np.array_equal(band.complement, full.complement[lo : lo + len(band.values)])
+        held.append(band)
 
 
 def test_band_step_contract():
@@ -344,8 +377,9 @@ def test_band_step_contract():
                           iterate_step(p0, config).values[:40])
 
 
-def _libm_finish(q, out_p, out_g):
+def _libm_finish(out_p, out_g, tmp):
     """Reference kernel finish: exp and expm1 at every node, no linear tail."""
+    q = out_g.copy()
     np.exp(-q, out=out_p)
     out_g[:] = -np.expm1(-q)
     out_p[0] = 1.0
