@@ -65,13 +65,11 @@ def _longest_paths(n_vertices: int, c: float, trials: int, rng: np.random.Genera
     vertex's forward edges are a Bernoulli(c) sequence over the later
     vertices, drawn as Geometric(c) gaps between successive targets, which
     is distributionally identical to sampling the full edge set and costs
-    draws in proportion to the out-degree.  Every edge points to a larger
-    index, so relaxing the recorded edges in increasing source-vertex order
-    makes each distance final before it is used.
+    draws in proportion to the out-degree.  The recorded edges are then
+    relaxed in per-trial rank order (_relax_by_rank).
     """
-    lengths = np.zeros(trials, dtype=np.int64)
     if c == 0.0:
-        return lengths
+        return np.zeros(trials, dtype=np.int64)
     stride = n_vertices + 1  # key of (trial t, vertex v) is t * stride + v
     frontier = np.arange(trials, dtype=np.int64) * stride + 1
     seen = frontier
@@ -91,17 +89,41 @@ def _longest_paths(n_vertices: int, c: float, trials: int, rng: np.random.Genera
         known[1:] |= reached[1:] == reached[:-1]
         frontier = reached[~known]
         seen = np.sort(np.concatenate([seen, frontier]))
+    del reached, at, known  # each as long as the last round's edges
     source, target = np.concatenate(sources), np.concatenate(targets)
-    order = np.argsort(source % stride, kind="stable")
-    source, target = source[order], target[order]
-    starts = np.flatnonzero(np.diff(source % stride, prepend=-1)).tolist()
+    del sources, targets
+    return _relax_by_rank(seen, source, target, stride, trials)
+
+
+def _relax_by_rank(
+    seen: np.ndarray, source: np.ndarray, target: np.ndarray, stride: int, trials: int
+) -> np.ndarray:
+    """Longest path from vertex 1 per trial, relaxing edges by source rank.
+
+    `seen` holds the sorted keys t * stride + v of the vertices each trial
+    reached, vertex 1 included; `source`/`target` hold the keys of every
+    edge out of them once, in any order.  A source's rank is its position
+    among its trial's reached vertices, and ranks are relaxed 0, 1, 2, ...:
+    every edge points to a larger vertex, so a vertex's predecessors rank
+    below it and its distance is final before it is read.
+    """
+    first = np.searchsorted(seen, np.arange(trials, dtype=np.int64) * stride + 1)
     src = np.searchsorted(seen, source)
-    dst = np.searchsorted(seen, target)
+    rank = src - first[source // stride]
+    order = np.argsort(rank)
+    bounds = np.cumsum(np.bincount(rank)).tolist()
+    del rank
+    src = src[order]
+    dst = np.searchsorted(seen, target)[order]
     dist = np.zeros(seen.size, dtype=np.int64)
-    for lo, hi in zip(starts, starts[1:] + [source.size]):
-        np.maximum.at(dist, dst[lo:hi], dist[src[lo:hi]] + 1)
-    np.maximum.at(lengths, seen // stride, dist)
-    return lengths
+    for lo, hi in zip([0] + bounds, bounds):
+        # A rank holds at most one source per trial, and each edge is
+        # recorded once (a source's targets strictly increase), so the
+        # targets here are distinct and a plain indexed assignment is an
+        # exact scatter-max: no ufunc.at needed.
+        d = dst[lo:hi]
+        dist[d] = np.maximum(dist[d], dist[src[lo:hi]] + 1)
+    return np.maximum.reduceat(dist, first)  # every trial holds vertex 1
 
 
 def _expected_edges(n_vertices: int, c: float) -> float:
