@@ -91,7 +91,7 @@ COMMANDS: dict[str, list[Option]] = {
     "compare": [
         Option("n-vertices", int, 2000, "number of vertices"),
         Option("x", float, 2.0, "interval length; edge probability is x/n"),
-        Option("trials", int, 20000, "trials per side"),
+        Option("trials", int, 20000, "graph trials (samples of L_n)"),
         Option("seed", int, 0, "base RNG seed"),
     ],
     "alpha-scan": [
@@ -283,13 +283,8 @@ def cmd_compare(params: dict, writer: RunWriter) -> None:
     report = graphs.compare_discrete_continuum(
         params["n-vertices"], params["x"], params["trials"], seed=params["seed"],
     )
-    rows = [
-        (k, report.cdf_discrete[k], report.cdf_continuum[k])
-        for k in range(len(report.cdf_discrete))
-    ]
-    critical = graphs.ks_critical_value(
-        report.discrete.trials, report.continuum.trials, alpha=0.01
-    )
+    rows = list(zip(range(len(report.continuum)), report.discrete.p_hat, report.continuum))
+    critical = graphs.ks_critical_value(report.discrete.trials, alpha=0.01)
     rows.append(("KS", report.ks_statistic, critical))
     writer.write_csv("compare.csv", "n,p_discrete,p_continuum", rows)
 

@@ -5,7 +5,7 @@ probability c.  L_n is the length of the longest directed path starting at
 vertex 1.  With c = x/n the out-degree law at vertex 1 converges to
 Poisson(x), and L_n converges in distribution to the continuum height H(x);
 compare_discrete_continuum measures the Kolmogorov-Smirnov distance between
-the two empirical laws.
+the empirical law of L_n and the law of H(x) read off the recursion.
 """
 
 from __future__ import annotations
@@ -15,39 +15,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError
+from .fronts import probe_slabs, read_probe
+from .recursion import RecursionConfig, init_p0
 from .simulate import (
     GRAPH_STREAM,
-    DEFAULT_PARTICLE_CAP,
     EmpiricalCdf,
     check_tally,
     outcome_histogram,
     sample_blocks,
-    sample_heights,
 )
+
+# Grid spacing of the recursion that gives compare its continuum law: its
+# O(delta^2) error, about 1e-7, is far below the 1/sqrt(trials) of the sample.
+CONTINUUM_DELTA = 0.001
 
 
 @dataclass
 class ComparisonReport:
-    """The L_n and H(x) tables of one comparison, on a shared support."""
+    """The L_n table of one comparison and P_k(x) on the same rows k = 0..K."""
 
-    n_vertices: int
     discrete: EmpiricalCdf
-    continuum: EmpiricalCdf
+    continuum: np.ndarray
     ks_statistic: float
-
-    @property
-    def cdf_discrete(self) -> np.ndarray:
-        return self.discrete.p_hat
-
-    @property
-    def cdf_continuum(self) -> np.ndarray:
-        """Conditioned on the resolved trials: truncated ones are left out."""
-        return self.continuum.counts / self.continuum.counts[-1]
-
-    @property
-    def truncated_continuum(self) -> int:
-        return self.continuum.truncated_trials
 
 
 def _check_graph(n_vertices: int, c: float) -> None:
@@ -192,24 +182,42 @@ def ks_two_sample(counts_a: np.ndarray, counts_b: np.ndarray) -> float:
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
-def ks_critical_value(m: int, n: int, alpha: float = 0.01) -> float:
-    """Asymptotic two-sample KS quantile c(alpha)*sqrt((m+n)/(m*n))."""
-    c = math.sqrt(-math.log(alpha / 2.0) / 2.0)
-    return c * math.sqrt((m + n) / (m * n))
+def ks_critical_value(size: float, alpha: float = 0.01) -> float:
+    """Asymptotic KS quantile c(alpha)/sqrt(size); size is m*n/(m+n) for two samples."""
+    return math.sqrt(-math.log(alpha / 2.0) / 2.0) / math.sqrt(size)
+
+
+def _continuum_cdf(x: float, k_min: int) -> np.ndarray:
+    """P_k(x) for k = 0..K from the TRAPEZOID recursion at CONTINUUM_DELTA.
+
+    K is the larger of k_min and the first k with P_k(x) == 1.0.  Each
+    generation is read at x as GridFunction.evaluate reads it: generation 0
+    off init_p0, the later ones off probe slabs with the window lo = hi = x.
+    """
+    # 1 - P_k(x) is at most x^(k+1)/(k+1)!, the expected size of generation
+    # k + 1; where that is below 2^-56 the exact P_k(x) rounds to 1.  Near
+    # x = 0 the grid's tail can lag the exact one; k is then doubled.
+    k = k_min
+    while x > 0.0 and (k + 1) * math.log(x) - math.lgamma(k + 2) >= -56.0 * math.log(2.0):
+        k += 1
+    while True:
+        config = RecursionConfig(CONTINUUM_DELTA, x + CONTINUUM_DELTA, k + 1)
+        at = np.full(k, x)
+        later = read_probe(probe_slabs(config, at, at), np.arange(2, k + 2), at)
+        p = np.concatenate(([init_p0(config).evaluate(x)], later))
+        ones = np.flatnonzero(p == 1.0)
+        if ones.size:
+            return p[: max(k_min, int(ones[0])) + 1]
+        k = 2 * k + 1
 
 
 def compare_discrete_continuum(
-    n_vertices: int,
-    x: float,
-    trials: int,
-    seed: int = 0,
-    particle_cap: int = DEFAULT_PARTICLE_CAP,
+    n_vertices: int, x: float, trials: int, seed: int = 0
 ) -> ComparisonReport:
-    """Sample L_n (graph, c = x/n) and H(x) (continuum) and report KS distance.
+    """Sample L_n (graph, c = x/n) and score it against the recursion's P_k(x).
 
-    Truncated continuum trials are excluded from the CDF and reported; at the
-    x values of interest they do not occur.  When every continuum trial is
-    truncated there is no continuum CDF, and NumericError is raised.
+    The KS statistic is one-sample, max_k |F_L(k) - P_k(x)|, over the rows
+    k = 0..K of _continuum_cdf, with k_min = max L.
     """
     check_tally(trials)
     if n_vertices < 1:
@@ -220,18 +228,11 @@ def compare_discrete_continuum(
         )
 
     lengths = sample_longest_paths(n_vertices, x / n_vertices, trials, seed)
-    heights = sample_heights(x, trials, seed, None, particle_cap)
-    top = int(max(lengths.max(), heights.max()))
-    hist_g = outcome_histogram(lengths, top)
-    hist_c = outcome_histogram(heights, top)
-    continuum = EmpiricalCdf.from_histogram(x, trials, hist_c)
-    if not continuum.counts[-1]:
-        raise NumericError(
-            f"all {trials} continuum trials at x={x} exceeded particle_cap={particle_cap}"
-        )
+    continuum = _continuum_cdf(x, int(lengths.max()))
+    hist = outcome_histogram(lengths, len(continuum) - 1)
+    discrete = EmpiricalCdf.from_histogram(x, trials, hist)
     return ComparisonReport(
-        n_vertices=n_vertices,
-        discrete=EmpiricalCdf.from_histogram(x, trials, hist_g),
+        discrete=discrete,
         continuum=continuum,
-        ks_statistic=ks_two_sample(hist_g[1:-1], hist_c[1:-1]),
+        ks_statistic=float(np.max(np.abs(discrete.p_hat - continuum))),
     )

@@ -19,8 +19,8 @@ full-grid step.  Cost is O(band width) per generation, via a running
 prefix sum; the band stays a few hundred units wide while the domain grows
 like n/e.  A consumer that needs more of a generation asks the band to
 reach further: run_recursion has snapshot generations and the final one
-reach the grid end, and the alpha and limit-law probes
-(fronts.probe_slabs) keep one small slab per generation.
+reach the grid end, and the alpha and limit-law probes and compare's
+continuum law (fronts.probe_slabs) keep one small slab per generation.
 
 Steps allocate nothing.  Each bands call allocates, once, a workspace a
 whole grid long: two ping-pong g buffers, one P buffer (a step reads

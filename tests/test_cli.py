@@ -253,8 +253,6 @@ def test_bad_counts_exit_two(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv, code", [
     (["alpha-scan", "--deltas", ",,"], 2),  # no delta
     (["alpha-scan", "--deltas", "0.02", "--nmax", "3"], 2),  # too few probe values
-    # every continuum trial exceeds the particle cap: no continuum CDF
-    (["compare", "--x", "25", "--n-vertices", "2000", "--trials", "2"], 3),
 ])
 def test_runs_without_a_result_write_nothing(tmp_path, capsys, argv, code):
     assert main([*argv, "--out", str(tmp_path)]) == code
@@ -312,23 +310,34 @@ def test_graph_cdf_counts_every_trial_and_keeps_its_bytes(tmp_path):
 
 
 def test_compare_csv_keeps_its_bytes(tmp_path):
-    # every row, the KS row too, recomputed by plain loops over the two samplers
-    n, x, trials, seed = 50, 1.0, 5000, 3
+    # every row, the KS row too, recomputed by plain loops over the graph
+    # sampler and full snapshots of the recursion; x sits between grid nodes
+    n, x, trials, seed = 50, 1.2345, 5000, 3
     assert main(["compare", "--n-vertices", str(n), "--x", str(x), "--trials", str(trials),
                  "--seed", str(seed), "--out", str(tmp_path)]) == 0
     lengths = graphs.sample_longest_paths(n, x / n, trials, seed).tolist()
-    heights = simulate.sample_heights(x, trials, seed).tolist()
-    resolved = [h for h in heights if h != simulate.TRUNCATED]
+    law = run_recursion(RecursionConfig(delta=0.001, x_max=2.0, n_max=40),
+                        snapshot_generations=range(41))
+    p_continuum = [law.snapshot(k).evaluate(x) for k in range(41)]
     lines = ["n,p_discrete,p_continuum"]
     ks = 0.0
-    for k in range(max(lengths + resolved) + 1):
+    for k in range(max(max(lengths), p_continuum.index(1.0)) + 1):
         p_d = sum(1 for length in lengths if length <= k) / len(lengths)
-        p_c = sum(1 for h in resolved if h <= k) / len(resolved)
-        ks = max(ks, abs(p_d - p_c))
-        lines.append(",".join(fmt(v) for v in (k, p_d, p_c)))
-    critical = math.sqrt(-math.log(0.01 / 2.0) / 2.0) * math.sqrt(2 / trials)
+        ks = max(ks, abs(p_d - p_continuum[k]))
+        lines.append(",".join(fmt(v) for v in (k, p_d, p_continuum[k])))
+    critical = math.sqrt(-math.log(0.01 / 2.0) / 2.0) / math.sqrt(trials)
     lines.append(",".join(["KS", fmt(ks), fmt(critical)]))
     assert (tmp_path / "compare.csv").read_text() == "\n".join(lines) + "\n"
+
+
+def test_compare_at_large_x_ends_at_exactly_one(tmp_path):
+    # a tree at x = 25 peaks near 6e9 particles in one generation; the law
+    # read off the recursion needs no particle cap and still ends at 1
+    assert main(["compare", "--x", "25", "--n-vertices", "2000", "--trials", "2",
+                 "--out", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "compare.csv")
+    assert rows[-1]["n"] == "KS"
+    assert float(rows[-2]["p_continuum"]) == 1.0
 
 
 def test_failed_rerun_leaves_no_stale_manifest(tmp_path):

@@ -1,6 +1,7 @@
 """Cascade random graph: longest-path DP vs exhaustive oracle, KS machinery."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,16 +161,19 @@ def test_ks_handles_unequal_support():
 
 
 def test_ks_critical_value_formula():
-    # c(0.01) = sqrt(-ln(0.005)/2) ~ 1.6276
-    got = ks_critical_value(20000, 20000, alpha=0.01)
+    # c(0.01) = sqrt(-ln(0.005)/2) ~ 1.6276, over the root of the sample size
+    got = ks_critical_value(20000, alpha=0.01)
+    assert math.isclose(got, 1.6276 / math.sqrt(20000), rel_tol=1e-4)
+    # two samples of 20000 have the effective size 20000 * 20000 / 40000
+    got = ks_critical_value(20000 * 20000 / 40000, alpha=0.01)
     assert math.isclose(got, 1.6276 * math.sqrt(2 / 20000), rel_tol=1e-4)
 
 
 def test_compare_zero_interval_is_degenerate():
     report = compare_discrete_continuum(50, 0.0, 200, seed=3)
     assert report.ks_statistic == 0.0
-    assert report.cdf_discrete[0] == 1.0
-    assert report.cdf_continuum[0] == 1.0
+    assert report.discrete.p_hat[0] == 1.0
+    assert report.continuum[0] == 1.0
 
 
 def test_compare_rejects_infeasible_edge_probability():
@@ -186,20 +190,36 @@ def test_graph_sampler_validates_inputs():
 
 def test_compare_report_shapes():
     report = compare_discrete_continuum(100, 1.0, 500, seed=4)
-    assert len(report.cdf_discrete) == len(report.cdf_continuum)
-    assert report.cdf_discrete[-1] == 1.0
-    assert report.cdf_continuum[-1] == 1.0
+    assert len(report.discrete.p_hat) == len(report.continuum)
+    assert report.discrete.p_hat[-1] == 1.0
+    assert report.continuum[-1] == 1.0
     assert 0.0 <= report.ks_statistic <= 1.0
-    assert report.truncated_continuum == 0
 
 
-def test_compare_with_truncated_continuum_trials():
-    # a low particle cap truncates some continuum trials: they are counted,
-    # reported, and left out of the conditioned continuum CDF
-    report = compare_discrete_continuum(100, 9.0, 300, seed=1, particle_cap=2000)
-    assert report.truncated_continuum > 0
-    assert report.cdf_continuum[-1] == 1.0
-    assert report.cdf_discrete[-1] == 1.0
-    for table in (report.discrete, report.continuum):
-        table.check_accounting()
-    assert report.continuum.counts[-1] + report.truncated_continuum == 300
+def test_compare_continuum_is_the_recursion_oracle(recursion_oracle_x3):
+    # the column is criterion 07's full-snapshot oracle bit for bit, and at
+    # x = 2 the stored reference the benchmark checks against
+    for x in (1.0, 2.0, 3.0):
+        column = compare_discrete_continuum(100, x, 50, seed=6).continuum
+        assert [column[n] for n in range(16)] == [
+            recursion_oracle_x3.snapshot(n).evaluate(x) for n in range(16)
+        ]
+        if x == 2.0:
+            reference = Path(__file__).resolve().parents[1] / "perfbench/reference/pn_x2.csv"
+            rows = reference.read_text().split()[1:]
+            assert [column[n] for n in range(16)] == [float(r.split(",")[1]) for r in rows]
+
+
+@pytest.mark.parametrize("x", [0.0, 0.001, 0.37, 1.2345, 2.0, 9.0, 25.0])
+def test_compare_continuum_runs_to_its_first_exact_one(x):
+    # 0.001 is the first grid node, where the grid's tail lags the exact
+    # first-moment bound and more generations are needed; 1.2345 is off the nodes
+    n, trials, seed = 200, 300, 8
+    report = compare_discrete_continuum(n, x, trials, seed)
+    column = report.continuum
+    assert np.all(np.diff(column) >= 0.0)
+    assert column[-1] == 1.0
+    first_one = int(np.argmax(column == 1.0))
+    assert first_one >= sample_longest_paths(n, x / n, trials, seed).max()
+    assert len(column) == first_one + 1 == len(report.discrete.p_hat)
+    assert report.discrete.p_hat[-1] == 1.0

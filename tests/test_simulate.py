@@ -175,7 +175,7 @@ def test_block_engine_agrees_in_law_with_one_trial_substreams():
     single = [sample_height(2.0, trial_rng(24, HEIGHT_STREAM, i)) for i in range(trials)]
     blocks = sample_heights(2.0, 2 * BLOCK, seed=25)
     ks = ks_two_sample(np.bincount(single), np.bincount(blocks))
-    assert ks < ks_critical_value(trials, blocks.size, alpha=0.01)
+    assert ks < ks_critical_value(trials * blocks.size / (trials + blocks.size), alpha=0.01)
 
 
 def test_config_validation():
