@@ -50,7 +50,6 @@ from .simulate import (
     SimConfig,
     empirical_cdf,
     leftmost_trace,
-    sample_height,
     sample_heights,
 )
 from .graphs import (

@@ -26,6 +26,7 @@ from .recursion import (
     _bracketed_crossing,
     bands,
     front_clearance_xmax,
+    grid_position,
 )
 
 VELOCITY = 1.0 / math.e
@@ -193,11 +194,11 @@ def probe_positions(generations: np.ndarray, alpha: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProbeSlabs:
-    """The nodes of generations 1..n_max-1 that a probe can read.
+    """The nodes of generations 0..G that a probe can read.
 
-    The probe of n = m + 1 reads generation m at points in [lo[m-1],
-    hi[m-1]]; generation m keeps the grid nodes from first[m-1] on that
-    those points interpolate between, in values[offsets[m-1]:offsets[m]].
+    Generation m is read at points in [lo[m], hi[m]]; it keeps the grid
+    nodes from first[m] on that those points interpolate between, in
+    values[offsets[m]:offsets[m + 1]].
     """
 
     config: RecursionConfig
@@ -208,38 +209,31 @@ class ProbeSlabs:
     values: np.ndarray
 
 
-def _probe_nodes(targets: np.ndarray, config: RecursionConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Grid position of each target and the node left of it, as GridFunction.evaluate."""
-    m = config.grid_size
-    pos = np.clip(targets / config.delta, 0.0, float(m))
-    return pos, np.minimum(pos.astype(np.int64), m - 1)
-
-
 def probe_slabs(config: RecursionConfig, lo: np.ndarray, hi: np.ndarray) -> ProbeSlabs:
-    """Run the recursion to generation n_max-1, keeping only the probe's slabs.
+    """Run the recursion to generation G = len(lo) - 1, keeping only the probe's slabs.
 
-    `lo` and `hi` hold, for n = 2..n_max, the bounds of the points where
-    the probe of n reads generation n-1.  Each generation's band is asked
-    to reach its slab's end, so the slab comes from the band alone: nodes
+    `lo[m]` and `hi[m]` bound the points where generation m will be read,
+    for m = 0..G; G is at most n_max.  Each generation's band is asked to
+    reach its slab's end, so the slab comes from the band alone: nodes
     below the band read as exactly 1.  Memory is the sum of the slabs,
     about (hi - lo) over delta nodes per generation, instead of a full grid
     per generation.
     """
-    n_max = config.n_max
     lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
-    if lo.shape != (max(n_max - 1, 0),) or hi.shape != lo.shape or not np.all(lo <= hi):
-        raise ConfigurationError(f"probe window needs lo <= hi for each n = 2..{n_max}")
-    first = _probe_nodes(lo, config)[1]
+    if (lo.ndim != 1 or not 0 < len(lo) <= config.n_max + 1 or hi.shape != lo.shape
+            or not np.all(lo <= hi)):
+        raise ConfigurationError(
+            f"probe window needs lo <= hi for each generation m = 0..G, G <= {config.n_max}"
+        )
+    first = grid_position(lo, config.delta, config.grid_size)[1]
     # the probe reads node i + 1, so a slab ends one node past the last i
-    stop = _probe_nodes(hi, config)[1] + 2
+    stop = grid_position(hi, config.delta, config.grid_size)[1] + 2
     offsets = np.concatenate(([0], np.cumsum(stop - first)))
     values = np.empty(int(offsets[-1]))
-    steps = bands(config, lambda n: int(stop[n - 1]) if 0 < n < n_max else 0)
-    for m, (band, start) in enumerate(itertools.islice(steps, 1, n_max), start=1):
-        at = np.arange(first[m - 1], stop[m - 1]) - start  # slab nodes, from the band's start
-        values[offsets[m - 1] : offsets[m]] = np.where(
-            at < 0, 1.0, band.values[np.maximum(at, 0)]
-        )
+    steps = bands(config, lambda m: int(stop[m]))
+    for m, (band, start) in enumerate(itertools.islice(steps, len(lo))):
+        at = np.arange(first[m], stop[m]) - start  # slab nodes, from the band's start
+        values[offsets[m] : offsets[m + 1]] = np.where(at < 0, 1.0, band.values[np.maximum(at, 0)])
     values.flags.writeable = False
     return ProbeSlabs(config, lo, hi, first, offsets, values)
 
@@ -256,31 +250,36 @@ def check_probe_targets(config: RecursionConfig, ns: np.ndarray, targets: np.nda
         )
 
 
-def read_probe(slabs: ProbeSlabs, ns: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Generation n-1 at targets[..., k] for n = ns[k], read off the slabs.
+def read_probe(slabs: ProbeSlabs, generations: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Generation generations[k] at targets[..., k], read off the slabs.
 
     Linear interpolation between grid nodes, bit-identical to
     GridFunction.evaluate on the full generation.  Raises DomainError for a
-    target off the grid (see check_probe_targets) and ConfigurationError for
-    one outside the window the slabs were kept for.
+    target off the grid (see check_probe_targets; it names the generation
+    as n) and ConfigurationError for a generation or target outside the
+    window the slabs were kept for.
     """
-    check_probe_targets(slabs.config, ns, targets)
-    col = ns - 2
-    if not np.all((slabs.lo[col] <= targets) & (targets <= slabs.hi[col])):
+    check_probe_targets(slabs.config, generations, targets)
+    if not np.all((0 <= generations) & (generations < len(slabs.lo))):
+        raise ConfigurationError(f"slabs were kept for generations 0..{len(slabs.lo) - 1}")
+    if not np.all((slabs.lo[generations] <= targets) & (targets <= slabs.hi[generations])):
         raise ConfigurationError("probe point outside the window the slabs were kept for")
-    pos, i = _probe_nodes(targets, slabs.config)
+    pos, i = grid_position(targets, slabs.config.delta, slabs.config.grid_size)
     frac = pos - i
-    at = slabs.offsets[col] + (i - slabs.first[col])
+    at = slabs.offsets[generations] + (i - slabs.first[generations])
     return (1.0 - frac) * slabs.values[at] + frac * slabs.values[at + 1]
 
 
 def front_constancy_probe(slabs: ProbeSlabs, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate generation n-1 at alpha*(n/e + (3/(2e)) ln n) for n = 2..n_max.
 
-    Returns (n, values); see read_probe.
+    Returns (n, values); see read_probe.  The slabs must hold generations
+    1..n_max-1, and points off the grid are named by their n.
     """
     ns = np.arange(2, slabs.config.n_max + 1)
-    return ns, read_probe(slabs, ns, probe_positions(ns, alpha))
+    targets = probe_positions(ns, alpha)
+    check_probe_targets(slabs.config, ns, targets)
+    return ns, read_probe(slabs, ns - 1, targets)
 
 
 def probe_drift_rms(values: np.ndarray) -> float:
@@ -336,7 +335,9 @@ def alpha_scan(
     ]
     lo, hi = alpha_range
     ns = np.arange(2, n_max + 1)
-    window = probe_positions(ns, lo), probe_positions(ns, hi)
+    # the probe of n reads generation n - 1; the slabs hold it for n = 1..n_max
+    reads = np.arange(1, n_max + 1)
+    window = probe_positions(reads, lo), probe_positions(reads, hi)
     results = []
     for config in configs:
         slabs = probe_slabs(config, *window)

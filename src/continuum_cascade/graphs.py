@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .fronts import probe_slabs, read_probe
-from .recursion import RecursionConfig, init_p0
+from .recursion import RecursionConfig
 from .simulate import (
     GRAPH_STREAM,
     EmpiricalCdf,
@@ -191,8 +191,8 @@ def _continuum_cdf(x: float, k_min: int) -> np.ndarray:
     """P_k(x) for k = 0..K from the TRAPEZOID recursion at CONTINUUM_DELTA.
 
     K is the larger of k_min and the first k with P_k(x) == 1.0.  Each
-    generation is read at x as GridFunction.evaluate reads it: generation 0
-    off init_p0, the later ones off probe slabs with the window lo = hi = x.
+    generation is read at x off probe slabs with the window lo = hi = x, as
+    GridFunction.evaluate reads it.
     """
     # 1 - P_k(x) is at most x^(k+1)/(k+1)!, the expected size of generation
     # k + 1; where that is below 2^-56 the exact P_k(x) rounds to 1.  Near
@@ -201,10 +201,9 @@ def _continuum_cdf(x: float, k_min: int) -> np.ndarray:
     while x > 0.0 and (k + 1) * math.log(x) - math.lgamma(k + 2) >= -56.0 * math.log(2.0):
         k += 1
     while True:
-        config = RecursionConfig(CONTINUUM_DELTA, x + CONTINUUM_DELTA, k + 1)
-        at = np.full(k, x)
-        later = read_probe(probe_slabs(config, at, at), np.arange(2, k + 2), at)
-        p = np.concatenate(([init_p0(config).evaluate(x)], later))
+        at = np.full(k + 1, x)
+        config = RecursionConfig(CONTINUUM_DELTA, x + CONTINUUM_DELTA, k)
+        p = read_probe(probe_slabs(config, at, at), np.arange(k + 1), at)
         ones = np.flatnonzero(p == 1.0)
         if ones.size:
             return p[: max(k_min, int(ones[0])) + 1]

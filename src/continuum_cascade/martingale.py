@@ -211,11 +211,12 @@ def equivalence_check(config: RecursionConfig, z_grid, generations) -> LimitLawP
         raise ConfigurationError(
             f"probe generations {gens.tolist()} outside [2, {config.n_max}]"
         )
-    base = fronts.probe_positions(np.arange(2, config.n_max + 1), 1.0)
-    targets = base[gens - 2] + x_grid[:, None]
+    # base[m] is where the probe of n = m + 1 reads generation m
+    base = fronts.probe_positions(np.arange(1, config.n_max + 1), 1.0)
+    targets = base[gens - 1] + x_grid[:, None]
     fronts.check_probe_targets(config, gens, targets)
     slabs = fronts.probe_slabs(config, base + x_grid.min(), base + x_grid.max())
-    values = fronts.read_probe(slabs, gens, targets)
+    values = fronts.read_probe(slabs, gens - 1, targets)
     return LimitLawProbe(
         x_grid=x_grid,
         generations=gens,

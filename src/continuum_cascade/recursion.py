@@ -19,20 +19,17 @@ full-grid step.  Cost is O(band width) per generation, via a running
 prefix sum; the band stays a few hundred units wide while the domain grows
 like n/e.  A consumer that needs more of a generation asks the band to
 reach further: run_recursion has snapshot generations and the final one
-reach the grid end, and the alpha and limit-law probes and compare's
-continuum law (fronts.probe_slabs) keep one small slab per generation.
+reach the grid end, and fronts.probe_slabs has each band reach the end
+of the slab it keeps.
 
 Steps allocate nothing.  Each bands call allocates, once, a workspace a
 whole grid long: two ping-pong g buffers, one P buffer (a step reads
 only g) and the kernels' scratch.  A step writes its g into the buffer
 its input is not in, and the exact g = 1 continuation of its input in
-place past the input's end.  A yielded band is therefore a read-only
-view that is valid only until the generator advances: a consumer copies
-what it keeps.  A step that reaches the grid end is written to fresh
-arrays instead, padded with the exact P = 1, g = 0 below the band and
-yielded whole, so run_recursion keeps its snapshots as they come.
-Memory is O(grid): the workspace, the current band and the requested
-snapshots.
+place past the input's end.  Every band after generation 0 is therefore
+a read-only view that is valid only until the generator advances: a
+consumer copies what it keeps.  Memory is O(grid): the workspace, the
+current band and the copies a consumer keeps.
 """
 
 from __future__ import annotations
@@ -113,6 +110,17 @@ class RecursionConfig:
         return self.delta * np.arange(self.grid_size + 1)
 
 
+def grid_position(x: np.ndarray, delta: float, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid position x/delta, clipped to [0, grid_size], and the node i left of it.
+
+    i is at most grid_size - 1, so a read interpolates between nodes i and
+    i + 1.  The one position formula of GridFunction.evaluate and
+    fronts.read_probe, which must agree bit for bit.
+    """
+    pos = np.clip(x / delta, 0.0, float(grid_size))
+    return pos, np.minimum(pos.astype(np.int64), grid_size - 1)
+
+
 @dataclass
 class GridFunction:
     """One generation of the recursion sampled on the uniform grid.
@@ -151,8 +159,7 @@ class GridFunction:
             raise DomainError(
                 f"evaluation point outside [0, {self.x_max:.6g}]: {x!r}"
             )
-        pos = np.clip(x_arr / self.delta, 0.0, len(self.values) - 1.0)
-        i = np.minimum(pos.astype(np.int64), len(self.values) - 2)
+        pos, i = grid_position(x_arr, self.delta, len(self.values) - 1)
         frac = pos - i
         out = (1.0 - frac) * self.values[i] + frac * self.values[i + 1]
         return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
@@ -369,12 +376,9 @@ def bands(
     Steps allocate nothing: after generation 0 the call allocates, once,
     two ping-pong g buffers, one P buffer and the kernels' scratch, each a
     whole grid long, and generation n is written at the start of the P
-    buffer and of g buffer n % 2.  So a yielded band is a read-only view
-    that is valid only until the generator advances; a consumer that keeps
-    any of it must copy it.  A step that reaches the grid end is written
-    instead to fresh arrays that span the whole grid, with the exact P = 1,
-    g = 0 below the band, and is yielded whole, with lo = 0; those arrays,
-    like generation 0's, are never written again and may be kept.
+    buffer and of g buffer n % 2.  So every band after generation 0 is a
+    read-only view that is valid only until the generator advances; a
+    consumer that keeps any of it must copy it.
     """
     n_nodes = config.grid_size + 1
     margin = math.ceil(1.0 / config.delta)
@@ -399,21 +403,12 @@ def bands(
             if start + nodes > filled:  # continue the band by its exact 1s, in place
                 held[filled : start + nodes] = 1.0
                 filled = start + nodes
-            if nodes == room:
-                whole_p, whole_g = np.ones(n_nodes), np.zeros(n_nodes)
-                out = whole_p[lo:], whole_g[lo:]
-            else:
-                out = p_buf[:nodes], g_buf[n % 2][:nodes]
-            nxt = iterate_step(band, config, nodes, (held[start : start + nodes], *out, scratch))
+            work = held[start : start + nodes], p_buf[:nodes], g_buf[n % 2][:nodes], scratch
+            nxt = iterate_step(band, config, nodes, work)
             if nodes == room or (nxt.complement[-1] == 1.0 and nxt.values[-1] < p_floor):
                 break
             margin *= 2
-        if nodes == room:
-            band, lo = GridFunction(config.delta, whole_p, n, whole_g), 0
-            held, filled = whole_g, n_nodes
-        else:
-            band = nxt
-            held, filled = g_buf[n % 2], nodes
+        band, held, filled = nxt, g_buf[n % 2], nodes
         yield band, lo
 
 
@@ -430,8 +425,8 @@ def run_recursion(
     approaches the grid boundary.
 
     One consumer of `bands`: crossings are read off each band, and snapshot
-    generations and the final one have their band reach the grid end, so
-    bands yields them whole, padded with the exact P = 1, g = 0 below it.
+    generations and the final one have their band reach the grid end and
+    are copied whole, padded with the exact P = 1, g = 0 below the band.
     """
     wanted = {int(g) for g in snapshot_generations}
     if wanted and (min(wanted) < 0 or max(wanted) > config.n_max):
@@ -451,16 +446,19 @@ def run_recursion(
     levels = tuple(front_levels or ())
     full = wanted | {config.n_max}
     n_nodes = config.grid_size + 1
-    # a band must reach past every crossing recorded on it; one that reaches
-    # the grid end comes whole, in arrays a snapshot may keep
+    # a band must reach past every crossing recorded on it
     steps = bands(config, lambda n: n_nodes if n in full else 0, min(levels, default=1.0))
     snaps: list[GridFunction] = []
     fronts: list[list[float]] = [[] for _ in levels]
     for n, (band, lo) in enumerate(steps):
         for trace, lev in zip(fronts, levels):
             trace.append(_bracketed_crossing(band.values, config.delta, lev, lo))
-        if n in wanted:
-            snaps.append(band)
+        if n in full:
+            values, complement = np.ones(n_nodes), np.zeros(n_nodes)
+            values[lo:], complement[lo:] = band.values, band.complement
+            kept = GridFunction(config.delta, values, n, complement)
+            if n in wanted:
+                snaps.append(kept)
 
     traces = []
     if front_levels is not None:
@@ -469,4 +467,4 @@ def run_recursion(
             FrontTrace(level=lev, generations=gens, positions=np.asarray(fs))
             for lev, fs in zip(levels, fronts)
         ]
-    return RecursionResult(config=config, snapshots=snaps, final=band, front_traces=traces)
+    return RecursionResult(config=config, snapshots=snaps, final=kept, front_traces=traces)

@@ -12,8 +12,7 @@ the particles of every trial of a block, with the trial that owns each, so
 a generation costs a few numpy calls however many trials it advances.
 Block b draws from an independent substream derived from (seed, stream, b),
 and workers split whole blocks, so aggregates are identical for any worker
-count.  `sample_height` and `leftmost_trace` are the same engine run on a
-block of one trial.
+count.  `leftmost_trace` is the same engine run on a block of one trial.
 """
 
 from __future__ import annotations
@@ -195,10 +194,13 @@ def _grow(
 
 
 def _peak_generation(x: float, particle_cap: int) -> float:
-    """Expected size of the largest generation, x^k/k! at k = floor(x)."""
+    """Expected size of the largest generation, x^k/k! at k = floor(x), capped.
+
+    Compared with the cap in log space: x^k/k! overflows a float from x = 714 on.
+    """
     k = math.floor(x)
-    peak = math.exp(k * math.log(x) - math.lgamma(k + 1)) if x > 0.0 else 1.0
-    return min(peak, particle_cap)
+    log_peak = k * math.log(x) - math.lgamma(k + 1) if x > 0.0 else 0.0
+    return min(math.exp(min(log_peak, math.log(particle_cap))), particle_cap)
 
 
 def sample_heights(
@@ -211,28 +213,13 @@ def sample_heights(
 ) -> np.ndarray:
     """Heights of trials 0..trials-1 on block-keyed substreams of `seed`.
 
-    Values as in sample_height, with TRUNCATED in place of None.
+    Each is the exact height, n_cap + 1 when the tree is still alive past
+    n_cap, or TRUNCATED when the particle cap was hit first.
     """
     return sample_blocks(
         lambda k, rng: _grow(x, k, rng, n_cap, particle_cap),
         trials, seed, HEIGHT_STREAM, _peak_generation(x, particle_cap), blocks,
     )
-
-
-def sample_height(
-    x: float,
-    rng: np.random.Generator,
-    n_cap: int | None = None,
-    particle_cap: int = DEFAULT_PARTICLE_CAP,
-) -> int | None:
-    """Height of one simulated tree.
-
-    Returns the exact height, or n_cap + 1 when the tree is still alive past
-    n_cap (height resolved as "beyond the table"), or None when the particle
-    cap was hit first (truncated, reported as data downstream).
-    """
-    height = int(_grow(x, 1, rng, n_cap, particle_cap)[0])
-    return None if height == TRUNCATED else height
 
 
 def leftmost_trace(
@@ -243,8 +230,9 @@ def leftmost_trace(
 ) -> tuple[list[float], bool]:
     """Minimum particle position per generation (inf marks the empty one).
 
-    Shares the generation mechanism with sample_height, so on a shared
-    substream the two views of a trial agree exactly.
+    Shares the generation mechanism with sample_heights, so on a shared
+    substream (block 0 of a one-trial run) the two views of a trial agree
+    exactly.
     """
     mins: list[float] = []
     height = int(_grow(x, 1, rng, n_cap, particle_cap, mins)[0])

@@ -101,7 +101,7 @@ def d01_riemann_n100_slabs():
         n_max=100,
         quadrature=Quadrature.RIEMANN,
     )
-    ns = np.arange(2, config.n_max + 1)
+    ns = np.arange(1, config.n_max + 1)  # the probe of n reads generation n - 1
     return probe_slabs(config, probe_positions(ns, 0.95), probe_positions(ns, 1.01))
 
 

@@ -97,6 +97,17 @@ def test_simulate_cdf_schema(tmp_path):
     assert abs(p0 - math.exp(-1)) < 0.1
 
 
+def test_simulate_at_large_x_counts_every_trial_as_truncated(tmp_path):
+    # the expected peak generation x^k/k! overflows a float at x = 720; the
+    # particle cap bounds it first, and the root's children exceed the cap
+    assert main(["simulate", "--x", "720", "--trials", "1", "--pcap", "10",
+                 "--out", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "height_cdf.csv")
+    assert len(rows) == 41 and all(int(r["count"]) == 0 for r in rows)
+    cdf = simulate.empirical_cdf(simulate.SimConfig(x=720.0, trials=1, particle_cap=10))
+    assert cdf.truncated_trials == 1 and cdf.beyond_cap_trials == 0
+
+
 def test_graph_command_schema(tmp_path):
     assert main(["graph", "--n-vertices", "50", "--c", "0.02", "--trials", "400",
                  "--seed", "2", "--ncap", "10", "--out", str(tmp_path)]) == 0

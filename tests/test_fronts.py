@@ -24,6 +24,7 @@ from continuum_cascade.fronts import (
     probe_drift_rms,
     probe_positions,
     probe_slabs,
+    read_probe,
     richardson_velocity,
     velocity_estimate,
     wave_shape_collapse,
@@ -190,7 +191,7 @@ def test_probe_drifts_monotonically_at_alpha_one(d01_riemann_n100_slabs):
 
 
 def _alpha_slabs(config, alpha_lo, alpha_hi):
-    ns = np.arange(2, config.n_max + 1)
+    ns = np.arange(1, config.n_max + 1)  # the probe of n reads generation n - 1
     return probe_slabs(config, probe_positions(ns, alpha_lo), probe_positions(ns, alpha_hi))
 
 
@@ -206,17 +207,29 @@ def test_probe_domain_error_names_generation():
 
 def test_probe_slabs_reject_a_bad_window():
     config = RecursionConfig(delta=0.01, x_max=3.0, n_max=30)
-    ns = np.arange(2, 31)
+    ns = np.arange(1, 31)
     lo = probe_positions(ns, 0.95)
-    for bad_lo, bad_hi in ((lo, lo[:-1]), (lo[:-1], lo[:-1]), (lo + 0.1, lo), (lo * np.nan, lo)):
+    # generations 0..31, one past the 0..30 that n_max = 30 allows
+    longer = np.concatenate((lo, lo[-1:], lo[-1:]))
+    for bad_lo, bad_hi in ((lo, lo[:-1]), (lo + 0.1, lo), (lo * np.nan, lo),
+                           (lo[:0], lo[:0]), (longer, longer), (lo[None], lo[None])):
         with pytest.raises(ConfigurationError):
             probe_slabs(config, bad_lo, bad_hi)
+    # generations 0..n_max are the most a window can ask for
+    widest = longer[:-1]
+    assert len(probe_slabs(config, widest, widest).offsets) == config.n_max + 2
 
 
 def test_probe_rejects_alpha_outside_its_slabs(d01_riemann_n100_slabs):
+    slabs = d01_riemann_n100_slabs
     for alpha in (0.9, 1.02, float("nan")):
         with pytest.raises(ConfigurationError):
-            front_constancy_probe(d01_riemann_n100_slabs, alpha)
+            front_constancy_probe(slabs, alpha)
+    # the slabs hold generations 0..99; a point inside generation 99's
+    # window is still outside them when read as generation -1 or 100
+    for generation in (-1, 100):
+        with pytest.raises(ConfigurationError):
+            read_probe(slabs, np.array([generation]), slabs.lo[-1:])
 
 
 def _evaluate_on_snapshots(run, alpha):
@@ -239,19 +252,25 @@ def test_probe_on_slabs_is_bit_identical_to_full_snapshots(delta, n_max, alpha_r
         delta=delta, x_max=front_clearance_xmax(n_max), n_max=n_max,
         quadrature=Quadrature.RIEMANN,
     )
-    run = run_recursion(config, range(1, n_max))
+    run = run_recursion(config, range(n_max))
     slabs = _alpha_slabs(config, *alpha_range)
     for alpha in alphas:
         ns, values = front_constancy_probe(slabs, alpha)
         assert np.array_equal(ns, np.arange(2, n_max + 1))
         assert np.array_equal(values, _evaluate_on_snapshots(run, alpha))
+    # the slabs hold generations 0..G, G = n_max - 1: the first, which the
+    # probe never reads, and the last match the snapshots node by node
+    for m in (0, n_max - 1):
+        slab = slabs.values[slabs.offsets[m] : slabs.offsets[m + 1]]
+        nodes = run.snapshot(m).values[slabs.first[m] : slabs.first[m] + len(slab)]
+        assert np.array_equal(slab, nodes)
     if alpha_range[1] > 1.5:
         # some slabs end past the band a generation steps on its own, which
         # ends a margin past where g = 1 - P reaches exactly 1
-        natural = [lo + len(band.values) for band, lo in bands(config)][1:n_max]
+        natural = [lo + len(band.values) for band, lo in bands(config)][:n_max]
         assert np.any(slabs.first + np.diff(slabs.offsets) > natural)
     if alpha_range[0] == 0.0:
-        lows = [lo for _, lo in bands(config)][1:n_max]
+        lows = [lo for _, lo in bands(config)][:n_max]
         assert np.any(slabs.first < lows)
 
 

@@ -337,26 +337,32 @@ def test_window_widens_for_a_low_front_level(monkeypatch):
 
 @pytest.mark.parametrize("quadrature", list(Quadrature))
 def test_bands_step_in_two_reused_buffers(quadrature):
-    # each step writes into the buffer its input is not in: from generation 3
-    # on, a band shares storage with the band two generations before it, and
-    # a copy taken while it is current matches the full-grid step.  x_max
-    # leaves the g = 1 edge (x ~ n/e + 38) far from the grid end, so no step
-    # reaches it and is yielded whole
+    # each step writes its P into one buffer and its g into the buffer its
+    # input is not in: from generation 2 on, a band's P shares storage with
+    # the band before it, from 3 on its g with the band two generations
+    # before it, and a copy taken while it is current matches the full-grid
+    # step.  x_max leaves the g = 1 edge (x ~ n/e + 38) far from the grid
+    # end; in the second pass the generations in `ends` have their band
+    # reach it, and are views into the same buffers all the same
     n_max = 60
     config = RecursionConfig(delta=0.01, x_max=150.0, n_max=n_max, quadrature=quadrature)
+    n_nodes = config.grid_size + 1
     ref = run_recursion(config, range(n_max + 1))
-    held = []
-    for n, (band, lo) in enumerate(bands(config)):
-        assert not band.values.flags.writeable and not band.complement.flags.writeable
-        if n >= 3:
-            assert np.shares_memory(band.values, held[n - 2].values)
-            assert np.shares_memory(band.complement, held[n - 2].complement)
-        if n >= 1:
-            assert not np.shares_memory(band.complement, held[n - 1].complement)
-        full = ref.snapshot(n)
-        assert np.array_equal(band.values, full.values[lo : lo + len(band.values)])
-        assert np.array_equal(band.complement, full.complement[lo : lo + len(band.values)])
-        held.append(band)
+    for ends in ((), (1, 10, 11, 30, 60)):
+        held = []
+        for n, (band, lo) in enumerate(bands(config, lambda n: n_nodes if n in ends else 0)):
+            assert not band.values.flags.writeable and not band.complement.flags.writeable
+            assert (lo + len(band.values) == n_nodes) == (n == 0 or n in ends)
+            if n >= 2:
+                assert np.shares_memory(band.values, held[n - 1].values)
+            if n >= 3:
+                assert np.shares_memory(band.complement, held[n - 2].complement)
+            if n >= 1:
+                assert not np.shares_memory(band.complement, held[n - 1].complement)
+            full = ref.snapshot(n)
+            assert np.array_equal(band.values, full.values[lo : lo + len(band.values)])
+            assert np.array_equal(band.complement, full.complement[lo : lo + len(band.values)])
+            held.append(band)
 
 
 def test_band_step_contract():

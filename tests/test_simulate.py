@@ -17,7 +17,6 @@ from continuum_cascade.simulate import (
     TRUNCATED,
     leftmost_trace,
     outcome_histogram,
-    sample_height,
     sample_heights,
     trial_rng,
 )
@@ -28,9 +27,8 @@ def three_sigma(p, trials):
 
 
 def test_zero_interval_has_height_zero():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        assert sample_height(0.0, rng) == 0
+    for seed in range(50):
+        assert sample_heights(0.0, 1, seed).tolist() == [0]
 
 
 def test_height_zero_probability_matches_exponential():
@@ -121,9 +119,9 @@ def test_leftmost_trace_zero_interval():
 def test_leftmost_trace_consistent_with_height_on_shared_stream():
     # identical substream -> the two views describe the same tree:
     # {H <= n-1} is exactly {generation n is empty}
-    for trial in range(200):
-        h = sample_height(2.0, trial_rng(20, HEIGHT_STREAM, trial))
-        mins, _ = leftmost_trace(2.0, trial_rng(20, HEIGHT_STREAM, trial))
+    for seed in range(200):
+        (h,) = sample_heights(2.0, 1, seed)
+        mins, _ = leftmost_trace(2.0, trial_rng(seed, HEIGHT_STREAM, 0))
         assert math.isinf(mins[-1])
         assert len(mins) - 2 == h  # generations 0..h alive, then the empty marker
 
@@ -148,12 +146,6 @@ def test_survival_to_generation_matches_recursion(recursion_oracle_x3):
     assert abs(p_alive - (1.0 - p9)) <= three_sigma(1.0 - p9, trials)
 
 
-def test_single_trial_block_is_the_batch_of_one_view():
-    for seed in range(20):
-        h = sample_height(2.0, trial_rng(seed, HEIGHT_STREAM, 0), n_cap=12)
-        assert sample_heights(2.0, 1, seed, n_cap=12).tolist() == [h]
-
-
 def test_zero_interval_block_has_height_zero():
     assert not sample_heights(0.0, BLOCK + 3, seed=5).any()
 
@@ -169,10 +161,12 @@ def test_table_cap_only_stops_the_lockstep_early():
 
 
 def test_block_engine_agrees_in_law_with_one_trial_substreams():
-    # the batch-of-one view on per-trial substreams against whole blocks:
-    # one law, so the two-sample KS stays below its 1 % critical value
+    # one-trial runs on per-trial substreams against whole blocks: one law,
+    # so the two-sample KS stays below its 1 % critical value.  A trace of
+    # height h holds generations 0..h and then the empty marker
     trials = 4000
-    single = [sample_height(2.0, trial_rng(24, HEIGHT_STREAM, i)) for i in range(trials)]
+    single = [len(leftmost_trace(2.0, trial_rng(24, HEIGHT_STREAM, i))[0]) - 2
+              for i in range(trials)]
     blocks = sample_heights(2.0, 2 * BLOCK, seed=25)
     ks = ks_two_sample(np.bincount(single), np.bincount(blocks))
     assert ks < ks_critical_value(trials * blocks.size / (trials + blocks.size), alpha=0.01)
