@@ -85,7 +85,7 @@ COMMANDS: dict[str, list[Option]] = {
         Option("n", int, 40, "generations per trajectory"),
         Option("vmax", float, martingale.DEFAULT_V_MAX, "displacement support cutoff"),
         Option("prune-window", float, None, "moving kill barrier offset (see docs)"),
-        Option("pcap", int, 1000000, "particle cap per trajectory"),
+        Option("pcap", int, simulate.DEFAULT_PARTICLE_CAP, "particle cap per trajectory"),
         Option("seed", int, 0, "base RNG seed"),
     ],
     "compare": [
@@ -255,11 +255,7 @@ def cmd_graph(params: dict, writer: RunWriter) -> None:
 def cmd_brw(params: dict, writer: RunWriter) -> None:
     if params["trials"] < 0:
         raise ConfigurationError(f"trials must be >= 0, got {params['trials']}")
-    if params["n"] < 0:
-        raise ConfigurationError(f"n must be >= 0, got {params['n']}")
-    martingale.check_v_max(params["vmax"])
-    simulate.check_particle_cap(params["pcap"])
-    martingale.check_prune_window(params["prune-window"])
+    martingale.check_walk(params["n"], params["vmax"], params["pcap"], params["prune-window"])
     report = martingale.verify_boundary_conditions()
     writer.write_csv(
         "moments.csv", "m1_residual,m2_residual,m4_value",

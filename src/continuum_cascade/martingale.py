@@ -15,15 +15,16 @@ The offspring intensity on [-1, v_max] has mean (v_max + 1)/e per particle
 (about 7.7 at v_max = 20), so populations grow like 7.7^k and the particle
 cap truncates every deep run: exact simulation of D_n is feasible only for
 small n (7 generations is ~2e6 particles).  For exploratory horizon scans
-simulate_Dn accepts `prune_window`: at generation k, children born above
-(3/2) ln k + prune_window are dropped, which bounds the population while
-tracking the rising minimum.  Note the bias this introduces is NOT small
-for D_n itself: the martingale draws most of its mass from particles
-order sqrt(k) above the minimum, so a fixed window keeps the front intact
-but suppresses a window-dependent fraction of D and the pruned D_k decays
-instead of converging.  Pruned runs are for qualitative exploration only;
-quantitative martingale checks in the tests use the exact process at
-small n.
+simulate_Dn accepts `prune_window`: at generation k, children above the
+barrier (3/2) ln k + prune_window are never drawn (a thinned Poisson
+process, the same law as drawing them all and dropping those above), and
+the particle cap counts the kept children.  This bounds the population
+while tracking the rising minimum, but the bias is NOT small for D_n
+itself: the martingale draws most of its mass from particles order sqrt(k)
+above the minimum, so a fixed window keeps the front intact but suppresses
+a window-dependent fraction of D and the pruned D_k decays instead of
+converging.  Pruned runs are for qualitative exploration only; quantitative
+martingale checks in the tests use the exact process at small n.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from numpy.polynomial.laguerre import laggauss
 from . import fronts
 from .errors import ConfigurationError, NumericError
 from .recursion import RecursionConfig
-from .simulate import check_particle_cap
+from .simulate import DEFAULT_PARTICLE_CAP, check_particle_cap, offspring
 
 INTENSITY = 1.0 / math.e
 SUPPORT_LO = -1.0
@@ -47,14 +48,13 @@ DEFAULT_V_MAX = 20.0
 MOMENT_RULE_NODES = (10, 20)
 
 
-def check_v_max(v_max: float) -> None:
-    """The displacement support [-1, v_max] must be a bounded interval."""
+def check_walk(n: int, v_max: float, particle_cap: int, prune_window: float | None) -> None:
+    """A walk needs n >= 0, a bounded support [-1, v_max], a cap >= 1 and a finite barrier."""
+    if n < 0:
+        raise ConfigurationError(f"n must be >= 0, got {n}")
     if not SUPPORT_LO <= v_max < math.inf:
         raise ConfigurationError(f"v_max must be finite and >= -1, got {v_max}")
-
-
-def check_prune_window(prune_window: float | None) -> None:
-    """A kill barrier, when there is one, must be a finite offset."""
+    check_particle_cap(particle_cap)
     if prune_window is not None and not math.isfinite(prune_window):
         raise ConfigurationError(f"prune_window must be finite, got {prune_window}")
 
@@ -111,8 +111,6 @@ def verify_boundary_conditions() -> MomentReport:
 
 def derivative_weight(positions: np.ndarray) -> float:
     """Sum of V exp(-V) over a particle configuration."""
-    if positions.size == 0:
-        return 0.0
     return float(np.sum(positions * np.exp(-positions)))
 
 
@@ -125,50 +123,40 @@ def simulate_Dn(
     n: int,
     rng: np.random.Generator,
     v_max: float = DEFAULT_V_MAX,
-    particle_cap: int = 1_000_000,
+    particle_cap: int = DEFAULT_PARTICLE_CAP,
     prune_window: float | None = None,
     keep_positions: bool = False,
 ) -> MartingaleTrajectory:
     """Grow the walk from a root at 0 and record D_k for k = 0..n.
 
-    `prune_window`, when given, drops children born above the moving
-    barrier prune_barrier(k, .); see the module docstring for why this
-    keeps runs bounded but systematically suppresses D_k.  Without it the
-    population grows like ((v_max+1)/e)^k and the particle cap truncates
-    any deep run.
+    Each generation is one simulate.offspring step.  `prune_window`, when
+    given, draws only the children at or below the moving barrier
+    prune_barrier(k, .); see the module docstring for why this keeps runs
+    bounded but systematically suppresses D_k.  Without it the population
+    grows like ((v_max+1)/e)^k and the particle cap truncates any deep run.
     """
-    if n < 0:
-        raise ConfigurationError(f"n must be >= 0, got {n}")
-    check_v_max(v_max)
-    check_particle_cap(particle_cap)
-    check_prune_window(prune_window)
+    check_walk(n, v_max, particle_cap, prune_window)
     positions = np.zeros(1)
+    owner = np.zeros(1, dtype=np.int64)
     values = np.zeros(n + 1)
     sizes = np.zeros(n + 1, dtype=np.int64)
     sizes[0] = 1
-    stored = [positions.copy()] if keep_positions else None
+    stored = [positions] if keep_positions else None
     truncated = False
     for k in range(1, n + 1):
-        if positions.size:
-            counts = rng.poisson((v_max - SUPPORT_LO) * INTENSITY, size=positions.size)
-            total = int(counts.sum())
-            if total > particle_cap:
-                truncated = True
-                positions = np.empty(0)
-            elif total == 0:
-                positions = np.empty(0)
-            else:
-                parents = np.repeat(positions, counts)
-                positions = parents + rng.uniform(SUPPORT_LO, v_max, size=total)
-                if prune_window is not None:
-                    positions = positions[positions <= prune_barrier(k, prune_window)]
+        barrier = math.inf if prune_window is None else prune_barrier(k, prune_window)
+        width = np.maximum(np.minimum(v_max, barrier - positions) - SUPPORT_LO, 0.0)
+        positions, owner, over = offspring(
+            rng, positions, owner, 1, INTENSITY, SUPPORT_LO, width, particle_cap
+        )
+        truncated |= bool(over[0])
         values[k] = derivative_weight(positions)
         sizes[k] = positions.size
         if stored is not None:
-            stored.append(positions.copy())
+            stored.append(positions)
     return MartingaleTrajectory(
         values=values,
-        survived=bool(sizes[n] > 0) and not truncated,
+        survived=bool(sizes[n] > 0),  # a truncated walk is empty from then on
         generation_sizes=sizes,
         truncated=truncated,
         positions=stored,
@@ -181,9 +169,6 @@ class LimitLawProbe:
     generations: np.ndarray            # the n in P_{n-1}(x + n/e + ...)
     values: np.ndarray                 # shape (len(x_grid), len(generations))
     spread: np.ndarray                 # per-x max minus min across generations
-
-    def within_open_interval(self, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        return (self.values.min(axis=1) > lo) & (self.values.max(axis=1) < hi)
 
 
 def equivalence_check(config: RecursionConfig, z_grid, generations) -> LimitLawProbe:

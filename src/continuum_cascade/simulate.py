@@ -13,6 +13,7 @@ a generation costs a few numpy calls however many trials it advances.
 Block b draws from an independent substream derived from (seed, stream, b),
 and workers split whole blocks, so aggregates are identical for any worker
 count.  `leftmost_trace` is the same engine run on a block of one trial.
+`offspring` is the one generation step, shared with martingale.simulate_Dn.
 """
 
 from __future__ import annotations
@@ -153,6 +154,26 @@ class EmpiricalCdf:
             raise AssertionError("trial accounting broken")
 
 
+def offspring(
+    rng: np.random.Generator, positions: np.ndarray, owner: np.ndarray, trials: int,
+    intensity: float, offset: float, width: np.ndarray, particle_cap: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One generation of a branching Poisson point process, every trial at once.
+
+    A parent at p of trial owner(p) has Poisson(intensity * width(p)) children
+    uniform on [p + offset, p + offset + width(p)], or none when its trial's
+    children would exceed particle_cap.  Returns the children, their owners
+    and the mask of the trials that went over the cap.
+    """
+    counts = rng.poisson(intensity * width)
+    # float64 totals: a cap past 2^53 is never reached, and as a float may overflow
+    over = np.bincount(owner, counts, minlength=trials) > min(particle_cap, 2**53)
+    counts[over[owner]] = 0
+    parents = np.repeat(positions, counts)
+    spread = rng.random(parents.size) * np.repeat(width, counts)
+    return parents + (offset + spread), np.repeat(owner, counts), over
+
+
 def _grow(
     x: float,
     trials: int,
@@ -170,7 +191,6 @@ def _grow(
     generation is appended to it (a left-most trace when trials == 1).
     """
     heights = np.zeros(trials, dtype=np.int64)
-    truncated = np.zeros(trials, dtype=bool)
     positions = np.zeros(trials)
     owner = np.arange(trials)
     gen = 0
@@ -180,16 +200,11 @@ def _grow(
             minima.append(float(positions.min()))
         if n_cap is not None and gen > n_cap:
             break
-        counts = rng.poisson(x - positions)
-        over = np.bincount(owner, counts, minlength=trials) > particle_cap
-        if over.any():
-            truncated |= over
-            counts[over[owner]] = 0
-        positions = np.repeat(positions, counts)
-        owner = np.repeat(owner, counts)
-        positions += rng.random(positions.size) * (x - positions)
+        positions, owner, over = offspring(
+            rng, positions, owner, trials, 1.0, 0.0, x - positions, particle_cap
+        )
+        heights[over] = TRUNCATED  # a trial over the cap has no particles left
         gen += 1
-    heights[truncated] = TRUNCATED
     return heights
 
 

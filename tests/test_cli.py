@@ -108,6 +108,19 @@ def test_simulate_at_large_x_counts_every_trial_as_truncated(tmp_path):
     assert cdf.truncated_trials == 1 and cdf.beyond_cap_trials == 0
 
 
+@pytest.mark.parametrize("argv, artifacts", [
+    (["simulate", "--x", "1", "--trials", "50"], ["height_cdf.csv"]),
+    (["brw", "--trials", "1", "--n", "3"], ["moments.csv", "trajectories.csv"]),
+])
+def test_a_particle_cap_past_any_float_is_no_cap(tmp_path, argv, artifacts):
+    # 10^400 overflows a float; no trial comes near either cap
+    huge, plain = tmp_path / "huge", tmp_path / "plain"
+    assert main([*argv, "--pcap", str(10**400), "--out", str(huge)]) == 0
+    assert main([*argv, "--pcap", "1000000", "--out", str(plain)]) == 0
+    for name in artifacts:
+        assert (huge / name).read_bytes() == (plain / name).read_bytes()
+
+
 def test_graph_command_schema(tmp_path):
     assert main(["graph", "--n-vertices", "50", "--c", "0.02", "--trials", "400",
                  "--seed", "2", "--ncap", "10", "--out", str(tmp_path)]) == 0

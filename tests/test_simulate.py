@@ -10,6 +10,7 @@ from continuum_cascade.graphs import ks_critical_value, ks_two_sample
 from continuum_cascade.recursion import closed_form_p1
 from continuum_cascade.simulate import (
     BLOCK,
+    DEFAULT_PARTICLE_CAP,
     HEIGHT_STREAM,
     EmpiricalCdf,
     SimConfig,
@@ -202,3 +203,55 @@ def test_outcome_histogram_slots_and_table():
     assert (cdf.truncated_trials, cdf.beyond_cap_trials) == (1, 2)
     with pytest.raises(AssertionError):  # a trial missing from the tally
         EmpiricalCdf.from_histogram(1.0, outcomes.size + 1, hist)
+
+
+def _grow_before_offspring(x, trials, rng, n_cap, particle_cap, minima=None):
+    """The height engine's generation loop as it was written before it called
+    simulate.offspring: the oracle for the bits the shared step must keep."""
+    heights = np.zeros(trials, dtype=np.int64)
+    truncated = np.zeros(trials, dtype=bool)
+    positions = np.zeros(trials)
+    owner = np.arange(trials)
+    gen = 0
+    while positions.size:
+        heights[owner] = gen
+        if minima is not None:
+            minima.append(float(positions.min()))
+        if n_cap is not None and gen > n_cap:
+            break
+        counts = rng.poisson(x - positions)
+        over = np.bincount(owner, counts, minlength=trials) > particle_cap
+        if over.any():
+            truncated |= over
+            counts[over[owner]] = 0
+        positions = np.repeat(positions, counts)
+        owner = np.repeat(owner, counts)
+        positions += rng.random(positions.size) * (x - positions)
+        gen += 1
+    heights[truncated] = TRUNCATED
+    return heights
+
+
+@pytest.mark.parametrize("x, trials, seed, n_cap, cap", [
+    (1.0, 3000, 0, None, DEFAULT_PARTICLE_CAP),
+    (2.0, 500, 1, 10, DEFAULT_PARTICLE_CAP),
+    (3.0, 2000, 2, 6, 10),  # the cap is hit
+])
+def test_heights_keep_their_bits_through_the_shared_step(x, trials, seed, n_cap, cap):
+    # every trial fits in one pass of block 0, so the oracle runs on its stream
+    expected = _grow_before_offspring(x, trials, trial_rng(seed, HEIGHT_STREAM, 0), n_cap, cap)
+    assert (expected == TRUNCATED).any() == (cap == 10)
+    np.testing.assert_array_equal(sample_heights(x, trials, seed, n_cap, cap), expected)
+
+
+def test_leftmost_trace_keeps_its_bits_through_the_shared_step():
+    truncated_seeds = 0
+    for seed in range(40):
+        mins = []
+        rng = trial_rng(seed, HEIGHT_STREAM, 0)
+        (height,) = _grow_before_offspring(3.0, 1, rng, None, 10, mins)
+        trace, truncated = leftmost_trace(3.0, trial_rng(seed, HEIGHT_STREAM, 0), particle_cap=10)
+        assert truncated == (height == TRUNCATED)
+        assert trace == mins + ([] if truncated else [math.inf])
+        truncated_seeds += truncated
+    assert 0 < truncated_seeds < 40
