@@ -286,6 +286,13 @@ def cmd_compare(params: dict, writer: RunWriter) -> None:
 
 
 def cmd_alpha_scan(params: dict, writer: RunWriter) -> None:
+    # probe_<delta>.csv names a delta to 6 significant digits: deltas that
+    # share a name would share a file, and equal ones would repeat a row
+    names = [f"{d:g}" for d in params["deltas"]]
+    if len(set(names)) < len(names):
+        raise ConfigurationError(
+            f"deltas must differ in their first 6 significant digits, got {','.join(names)}"
+        )
     results = fronts.alpha_scan(params["deltas"], n_max=params["nmax"])
     writer.write_csv(
         "alpha_scan.csv", "delta,alpha_star",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -215,9 +215,12 @@ def probe_slabs(config: RecursionConfig, lo: np.ndarray, hi: np.ndarray) -> Prob
     `lo[m]` and `hi[m]` bound the points where generation m will be read,
     for m = 0..G; G is at most n_max.  Each generation's band is asked to
     reach its slab's end, so the slab comes from the band alone: nodes
-    below the band read as exactly 1.  Memory is the sum of the slabs,
+    below the band read as exactly 1.  A node depends only on the nodes
+    left of it, so the recursion runs on the grid cut at the last slab
+    end: no node past it is stepped.  Memory is the sum of the slabs,
     about (hi - lo) over delta nodes per generation, instead of a full grid
-    per generation.
+    per generation.  The slabs keep `config`, so reads are checked against
+    the caller's grid.
     """
     lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
     if (lo.ndim != 1 or not 0 < len(lo) <= config.n_max + 1 or hi.shape != lo.shape
@@ -230,10 +233,15 @@ def probe_slabs(config: RecursionConfig, lo: np.ndarray, hi: np.ndarray) -> Prob
     stop = grid_position(hi, config.delta, config.grid_size)[1] + 2
     offsets = np.concatenate(([0], np.cumsum(stop - first)))
     values = np.empty(int(offsets[-1]))
-    steps = bands(config, lambda m: int(stop[m]))
+    # the grid cut at the last slab end, node stop.max() - 1; x_max half an
+    # interval past it, so no rounding of x_max / delta moves grid_size
+    cut = replace(config, x_max=(int(stop.max()) - 0.5) * config.delta)
+    steps = bands(cut, lambda m: int(stop[m]))
     for m, (band, start) in enumerate(itertools.islice(steps, len(lo))):
-        at = np.arange(first[m], stop[m]) - start  # slab nodes, from the band's start
-        values[offsets[m] : offsets[m + 1]] = np.where(at < 0, 1.0, band.values[np.maximum(at, 0)])
+        slab = values[offsets[m] : offsets[m + 1]]
+        below = min(max(start - first[m], 0), len(slab))  # slab nodes below the band
+        slab[:below] = 1.0
+        slab[below:] = band.values[first[m] + below - start : stop[m] - start]
     values.flags.writeable = False
     return ProbeSlabs(config, lo, hi, first, offsets, values)
 
@@ -270,14 +278,17 @@ def read_probe(slabs: ProbeSlabs, generations: np.ndarray, targets: np.ndarray) 
     return (1.0 - frac) * slabs.values[at] + frac * slabs.values[at + 1]
 
 
-def front_constancy_probe(slabs: ProbeSlabs, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+def front_constancy_probe(
+    slabs: ProbeSlabs, alpha: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate generation n-1 at alpha*(n/e + (3/(2e)) ln n) for n = 2..n_max.
 
-    Returns (n, values); see read_probe.  The slabs must hold generations
-    1..n_max-1, and points off the grid are named by their n.
+    Returns (n, values); see read_probe.  For a 1-D array of alphas, values
+    has one row per alpha, read in one call.  The slabs must hold
+    generations 1..n_max-1, and points off the grid are named by their n.
     """
     ns = np.arange(2, slabs.config.n_max + 1)
-    targets = probe_positions(ns, alpha)
+    targets = probe_positions(ns, np.expand_dims(alpha, -1))
     check_probe_targets(slabs.config, ns, targets)
     return ns, read_probe(slabs, ns - 1, targets)
 
@@ -347,7 +358,7 @@ def alpha_scan(
             return probe_drift_rms(vals)
 
         grid = np.linspace(lo, hi, 13)
-        objective = [drift(a) for a in grid]
+        objective = [probe_drift_rms(vals) for vals in front_constancy_probe(slabs, grid)[1]]
         best = int(np.argmin(objective))
         if best in (0, len(grid) - 1):
             raise ScanError(

@@ -14,15 +14,19 @@ Brunet-Derrida cutoff effect; the magnitude matches pi^2/(2e)/ln^2(eps)).
 In g form the tail stays resolved down to exp(-708) and the continuum
 asymptotics survive to n ~ 10^4 and beyond.
 
-Riemann mode sums g at indices 1..i (the y = 0 endpoint is omitted; g(0)
-is 0 anyway).  Trapezoid mode subtracts half the endpoint values.  At
-delta = 0.001 a generation is a ~1e5-term prefix sum and the recursion
-runs for thousands of generations, so the sum is compensated: a float64
-cumulative sum plus the running total of its TwoSum rounding errors
-(cascaded summation, Ogita-Rump-Oishi 2005, "Accurate sum and dot
-product").  That is as accurate as summing in twice the working precision
-and rounding once, and it uses float64 alone, so it gives the same bits on
-every platform.
+Every state a step reads has g(0) exactly 0: init_p0 builds it, _finish
+writes it, and recursion.iterate_step checks it of every band that
+recursion.bands steps.  So Riemann mode, which sums g at indices 1..i (the
+y = 0 endpoint omitted), is the plain prefix sum, and trapezoid mode
+subtracts half of g(x_i) alone.  At delta = 0.001 a generation is a
+~1e5-term prefix sum and the recursion runs for thousands of generations,
+so the sum is compensated: a float64 cumulative sum plus the running total
+of its rounding errors (cascaded summation, Ogita-Rump-Oishi 2005,
+"Accurate sum and dot product").  Each error is recovered exactly by
+Dekker's FastTwoSum (1971), which needs the larger operand first; every
+term of g is >= 0, so max and min put them in that order.  That is as
+accurate as summing in twice the working precision and rounding once, and
+it uses float64 alone, so it gives the same bits on every platform.
 
 Both steps fill the exposed probability array and the complement array
 from the same exponent Q.  Behind the front the step is linear to the
@@ -41,7 +45,7 @@ invariant violation.
 The steps allocate no array: the caller passes the outputs, as long as
 the band, and a scratch array at least that long (recursion.bands keeps
 one set for a whole run).  Every ufunc writes into them with out=.  The
-outputs double as the TwoSum temporaries and then as the linear-run
+outputs double as the FastTwoSum temporaries and then as the linear-run
 mask; Q is formed in place in the g output, and the scratch holds the
 prefix sums and then -Q.  Nothing is read before it is written, so a
 step gives the same bits whatever its buffers held.
@@ -51,20 +55,21 @@ import numpy as np
 
 
 def _prefix_sum(x: np.ndarray, out: np.ndarray, err: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Compensated prefix sums of `x`, written to and returned as out[:len(x)].
+    """Compensated prefix sums of `x` >= 0, written to and returned as out[:len(x)].
 
     `err` and `tmp` hold at least len(x) - 1 values each and are overwritten.
-    TwoSum recovers the exact rounding error of each addition in the
-    float64 cumsum; this relies on np.cumsum adding strictly left to right.
+    FastTwoSum recovers the exact rounding error of each addition in the
+    float64 cumsum; this relies on np.cumsum adding strictly left to right,
+    and on no term being negative, so that the larger of the two operands
+    is the larger in magnitude.
     """
     m = len(x)
     s = np.cumsum(x, out=out[:m])
-    t, a = s[1:], s[:-1]
-    bp = np.subtract(t, a, out=tmp[: m - 1])
-    e = np.subtract(t, bp, out=err[: m - 1])
-    np.subtract(a, e, out=e)
-    np.subtract(x[1:], bp, out=bp)
-    e += bp  # e[i] = exact rounding error of t[i] = a[i] + x[i + 1]
+    t, a, b = s[1:], s[:-1], x[1:]
+    big = np.maximum(a, b, out=tmp[: m - 1])
+    np.subtract(t, big, out=big)
+    e = np.minimum(a, b, out=err[: m - 1])
+    e -= big  # e[i] = exact rounding error of t[i] = a[i] + x[i + 1]
     np.cumsum(e, out=e)
     t += e
     return s
@@ -104,7 +109,6 @@ def _finish(out_p: np.ndarray, out_g: np.ndarray, tmp: np.ndarray) -> float:
 def step_riemann(prev_g: np.ndarray, delta: float,
                  out_p: np.ndarray, out_g: np.ndarray, work: np.ndarray) -> float:
     s = _prefix_sum(prev_g, work, out_g, out_p)
-    s -= s[0]  # drop the y = 0 term: sum runs over indices 1..i
     np.multiply(s, delta, out=out_g)
     return _finish(out_p, out_g, work)
 
@@ -112,8 +116,7 @@ def step_riemann(prev_g: np.ndarray, delta: float,
 def step_trapezoid(prev_g: np.ndarray, delta: float,
                    out_p: np.ndarray, out_g: np.ndarray, work: np.ndarray) -> float:
     s = _prefix_sum(prev_g, work, out_g, out_p)
-    q = np.add(prev_g, prev_g[0], out=out_g)
-    q *= 0.5
+    q = np.multiply(prev_g, 0.5, out=out_g)
     np.subtract(s, q, out=q)
     q *= delta
     return _finish(out_p, out_g, work)

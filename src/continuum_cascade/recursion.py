@@ -235,7 +235,9 @@ def iterate_step(
 ) -> GridFunction:
     """Advance one generation.  O(nodes) via a running compensated prefix sum.
 
-    By default `prev` spans the whole grid and so does the result.  With
+    By default `prev` spans the whole grid and so does the result; its
+    g = 1 - P must be exactly 0 at x = 0, as in every generation init_p0
+    and the steps build (the kernels rely on it, see kernels.py).  With
     `nodes`, `prev` is a band of the grid instead: g = 1 - P is exactly 0
     at its first node (so the prefix sum up to there is exactly 0) and
     exactly 1 at every node past its end.  The result is the next
@@ -371,7 +373,10 @@ def bands(
     the margin doubles and the step is redone.  Below lo, P is exactly 1 and
     g exactly 0; the band's nodes are bit-identical to a full-grid step.
     The generator steps lazily, so a consumer that stops early saves the
-    later steps.
+    later steps.  A node depends only on the nodes left of it in the
+    generation before, so a config with a smaller x_max gives the same bits
+    on the nodes it keeps: a consumer that reads nothing past node k of any
+    generation can run on a grid that ends there (fronts.probe_slabs does).
 
     Steps allocate nothing: after generation 0 the call allocates, once,
     two ping-pong g buffers, one P buffer and the kernels' scratch, each a

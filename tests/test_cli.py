@@ -267,6 +267,9 @@ def test_front_rejects_bad_fit_flags_before_computing(tmp_path, capsys, fit_args
     ["recurse", "--delta", "1e-300", "--nmax", "1"],
     ["front", "--delta", "1e-300", "--nmax", "5"],
     ["alpha-scan", "--deltas", "1e-300", "--nmax", "50"],
+    # deltas that would share a probe_<delta>.csv, or repeat an alpha_scan.csv row
+    ["alpha-scan", "--deltas", "0.02,0.02000001", "--nmax", "60", "--emit-probe"],
+    ["alpha-scan", "--deltas", "0.02,0.02", "--nmax", "60"],
 ])
 def test_bad_counts_exit_two(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 2
@@ -304,6 +307,27 @@ assert loaded == [] and sys.modules["scipy"] is None, loaded
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "brw" / "manifest.json").exists()
     assert (tmp_path / "front" / "front_trace.csv").exists()
+
+
+def test_commands_do_not_load_multiprocessing(tmp_path):
+    # only simulate with workers > 1 needs it; importing it costs every
+    # command several milliseconds of start-up
+    script = f"""
+import sys
+from continuum_cascade.cli import main
+assert main(["compare", "--n-vertices", "50", "--x", "1", "--trials", "20",
+             "--out", {str(tmp_path / "compare")!r}]) == 0
+assert main(["alpha-scan", "--deltas", "0.02", "--nmax", "60", "--emit-probe",
+             "--out", {str(tmp_path / "alpha-scan")!r}]) == 0
+loaded = [m for m in sys.modules if m.split(".")[0] == "multiprocessing"]
+assert loaded == [], loaded
+"""
+    src = Path(graphs.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "alpha-scan" / "probe_0.02.csv").exists()
 
 
 def test_manifest_checksums_cover_all_artifacts(tmp_path):

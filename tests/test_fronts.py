@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from continuum_cascade import recursion
 from continuum_cascade.errors import (
     ConfigurationError,
     DomainError,
@@ -281,6 +282,32 @@ def test_probe_slabs_hold_a_small_share_of_the_grid():
     )
     slabs = _alpha_slabs(config, 0.95, 1.01)
     assert slabs.values.size < (config.n_max - 1) * (config.grid_size + 1) / 10
+
+
+def test_probe_slabs_step_no_node_past_the_last_slab_end(monkeypatch):
+    # node i of a generation depends only on nodes 0..i of the one before,
+    # so nothing past the last slab end can reach a slab: the recursion
+    # runs on the grid cut there
+    config = RecursionConfig(
+        delta=0.001, x_max=front_clearance_xmax(200), n_max=200,
+        quadrature=Quadrature.RIEMANN,
+    )
+    stepped = []
+
+    def counted(prev, cfg, nodes=None, work=None):
+        stepped.append((cfg, nodes))
+        return iterate_step(prev, cfg, nodes, work)
+
+    monkeypatch.setattr(recursion, "iterate_step", counted)
+    slabs = _alpha_slabs(config, 0.95, 1.01)
+    end = int(np.max(slabs.first + np.diff(slabs.offsets)))  # exclusive
+    assert end < (config.grid_size + 1) * 0.7  # x 77.3 of the grid's 126.6
+    assert len(stepped) == config.n_max - 1  # generations 1..n_max-1
+    for cfg, nodes in stepped:
+        assert cfg.grid_size + 1 == end and cfg.delta == config.delta
+        assert cfg.n_max == config.n_max and cfg.quadrature == config.quadrature
+        assert nodes <= end
+    assert slabs.config == config
 
 
 def test_alpha_scan_reproduces_reference_values(alpha_scan_results):

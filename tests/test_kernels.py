@@ -43,6 +43,35 @@ def test_prefix_sum_is_within_one_ulp_of_exact(name):
     assert np.all(np.abs(got - exact) <= np.spacing(exact))
 
 
+def two_sum_prefix(x: np.ndarray) -> np.ndarray:
+    """Cascaded prefix sums with Knuth's TwoSum error terms, valid for any signs."""
+    s = np.cumsum(x)
+    t, a, b = s[1:], s[:-1], x[1:]
+    bp = t - a
+    e = (a - (t - bp)) + (b - bp)
+    s[1:] += np.cumsum(e)
+    return s
+
+
+@pytest.mark.parametrize("name", sorted(prefix_inputs()) + ["zeros", "subnormal_tail"])
+def test_prefix_sum_matches_two_sum_bit_for_bit(name):
+    # FastTwoSum's error term is exact for terms >= 0, so it must equal TwoSum's
+    inputs = {
+        **prefix_inputs(),
+        # g behind the front: a run of exact zeros, then the profile
+        "zeros": np.concatenate((np.zeros(3000), -np.expm1(-0.01 * np.arange(2000)))),
+        # subnormal terms, under any ulp of the running sum, then normal ones
+        "subnormal_tail": np.concatenate((
+            [0.0], np.sort(10.0 ** np.random.default_rng(5).uniform(-323.0, -308.0, 3000)),
+            np.linspace(1e-300, 1.0, 3000),
+        )),
+    }
+    x = inputs[name]
+    m = len(x)
+    got = kernels._prefix_sum(x, np.empty(m), np.empty(m - 1), np.empty(m - 1))
+    assert np.array_equal(got, two_sum_prefix(x))
+
+
 @pytest.mark.parametrize("name", ["step_riemann", "step_trapezoid"])
 def test_all_ones_fixed_point(name):
     g = np.zeros(64)
