@@ -5,7 +5,8 @@ probability c.  L_n is the length of the longest directed path starting at
 vertex 1.  With c = x/n the out-degree law at vertex 1 converges to
 Poisson(x), and L_n converges in distribution to the continuum height H(x);
 compare_discrete_continuum measures the Kolmogorov-Smirnov distance between
-the empirical law of L_n and the law of H(x) read off the recursion.
+the empirical law of L_n and the law of H(x) read off the recursion.  L_n
+is sampled with no edge list, by an exact Markov chain on level counts.
 """
 
 from __future__ import annotations
@@ -50,79 +51,38 @@ def _check_graph(n_vertices: int, c: float) -> None:
 def _longest_paths(n_vertices: int, c: float, trials: int, rng: np.random.Generator) -> np.ndarray:
     """L for `trials` independent graphs grown together from one generator.
 
-    Edges are instantiated lazily: only (trial, vertex) pairs reachable from
-    vertex 1 are expanded, in breadth-first rounds, each exactly once.  A
-    vertex's forward edges are a Bernoulli(c) sequence over the later
-    vertices, drawn as Geometric(c) gaps between successive targets, which
-    is distributionally identical to sampling the full edge set and costs
-    draws in proportion to the out-degree.  The recorded edges are then
-    relaxed in per-trial rank order (_relax_by_rank).
+    A trial keeps N[k], how many of its reached vertices have level (longest
+    path from vertex 1) >= k.  A later vertex's edges from them are fresh
+    Bernoulli(c) draws, so whatever else the graph holds, it has one from a
+    level >= k with probability hit_k = 1 - (1 - c)^N[k].  The next reached
+    vertex is the last one plus Geometric(hit_0), and its level d has
+    P(d > k) = hit_k / hit_0: d = 1 + #{k >= 1: N[k] > ln(1 - U hit_0) / ln(1 - c)}.
     """
     if c == 0.0:
         return np.zeros(trials, dtype=np.int64)
-    stride = n_vertices + 1  # key of (trial t, vertex v) is t * stride + v
-    frontier = np.arange(trials, dtype=np.int64) * stride + 1
-    seen = frontier
-    sources, targets = [], []
-    while frontier.size:
-        first = len(targets)
-        source, vertex = frontier, frontier % stride
-        while source.size:
-            vertex = vertex + rng.geometric(c, size=vertex.size)
-            keep = vertex <= n_vertices
-            source, vertex = source[keep], vertex[keep]
-            sources.append(source)
-            targets.append(source + (vertex - source % stride))
-        reached = np.sort(np.concatenate(targets[first:]))
-        at = np.searchsorted(seen, reached)
-        known = seen[np.minimum(at, seen.size - 1)] == reached
-        known[1:] |= reached[1:] == reached[:-1]
-        frontier = reached[~known]
-        seen = np.sort(np.concatenate([seen, frontier]))
-    del reached, at, known  # each as long as the last round's edges
-    source, target = np.concatenate(sources), np.concatenate(targets)
-    del sources, targets
-    return _relax_by_rank(seen, source, target, stride, trials)
-
-
-def _relax_by_rank(
-    seen: np.ndarray, source: np.ndarray, target: np.ndarray, stride: int, trials: int
-) -> np.ndarray:
-    """Longest path from vertex 1 per trial, relaxing edges by source rank.
-
-    `seen` holds the sorted keys t * stride + v of the vertices each trial
-    reached, vertex 1 included; `source`/`target` hold the keys of every
-    edge out of them once, in any order.  A source's rank is its position
-    among its trial's reached vertices, and ranks are relaxed 0, 1, 2, ...:
-    every edge points to a larger vertex, so a vertex's predecessors rank
-    below it and its distance is final before it is read.
-    """
-    first = np.searchsorted(seen, np.arange(trials, dtype=np.int64) * stride + 1)
-    src = np.searchsorted(seen, source)
-    rank = src - first[source // stride]
-    order = np.argsort(rank)
-    bounds = np.cumsum(np.bincount(rank)).tolist()
-    del rank
-    src = src[order]
-    dst = np.searchsorted(seen, target)[order]
-    dist = np.zeros(seen.size, dtype=np.int64)
-    for lo, hi in zip([0] + bounds, bounds):
-        # A rank holds at most one source per trial, and each edge is
-        # recorded once (a source's targets strictly increase), so the
-        # targets here are distinct and a plain indexed assignment is an
-        # exact scatter-max: no ufunc.at needed.
-        d = dst[lo:hi]
-        dist[d] = np.maximum(dist[d], dist[src[lo:hi]] + 1)
-    return np.maximum.reduceat(dist, first)  # every trial holds vertex 1
-
-
-def _expected_edges(n_vertices: int, c: float) -> float:
-    """Bound on the mean edges per trial: reachable vertices times out-degree.
-
-    The mean number of paths from vertex 1 is (1 + c)^(n - 1).
-    """
-    reachable = math.exp(min(math.log(n_vertices), (n_vertices - 1) * math.log1p(c)))
-    return reachable * max(1.0, (n_vertices - 1) * c)
+    if c == 1.0:  # every vertex is reached, one level above the last
+        return np.full(trials, n_vertices - 1, dtype=np.int64)
+    log_miss = math.log1p(-c)
+    lengths = np.empty(trials, dtype=np.int64)
+    trial = np.arange(trials)
+    vertex = np.ones(trials, dtype=np.int64)
+    above = np.zeros((trials, 0), dtype=np.int64)  # N[1], N[2], ...
+    reached = 1  # N[0]: each step reaches one more vertex in every live trial
+    while trial.size:
+        hit = -math.expm1(reached * log_miss)
+        # past n the trial ends; clipped to n first, as hit_0 < ~1e-19 draws int64 max
+        vertex = vertex + np.minimum(rng.geometric(hit, trial.size), n_vertices)
+        live = vertex <= n_vertices
+        if not live.all():
+            lengths[trial[~live]] = (above[~live] > 0).sum(axis=1)
+            trial, vertex, above = trial[live], vertex[live], above[live]
+        bar = np.log1p(-hit * rng.random(trial.size)) / log_miss
+        level = 1 + (above > bar[:, None]).sum(axis=1)
+        if level.max(initial=0) > above.shape[1]:  # a level above every live trial's
+            above = np.pad(above, ((0, 0), (0, 1)))
+        above += np.arange(above.shape[1]) < level[:, None]
+        reached += 1
+    return lengths
 
 
 def sample_longest_paths(n_vertices: int, c: float, trials: int, seed: int = 0) -> np.ndarray:
@@ -130,7 +90,9 @@ def sample_longest_paths(n_vertices: int, c: float, trials: int, seed: int = 0) 
     _check_graph(n_vertices, c)
     return sample_blocks(
         lambda k, rng: _longest_paths(n_vertices, c, k, rng),
-        trials, seed, GRAPH_STREAM, _expected_edges(n_vertices, c),
+        trials, seed, GRAPH_STREAM,
+        # a trial's levels: at most its reached vertices, mean <= min(n, (1 + c)^(n - 1))
+        math.exp(min(math.log(n_vertices), (n_vertices - 1) * math.log1p(c))),
     )
 
 

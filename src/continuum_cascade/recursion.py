@@ -235,14 +235,13 @@ def iterate_step(
 ) -> GridFunction:
     """Advance one generation.  O(nodes) via a running compensated prefix sum.
 
-    By default `prev` spans the whole grid and so does the result; its
-    g = 1 - P must be exactly 0 at x = 0, as in every generation init_p0
-    and the steps build (the kernels rely on it, see kernels.py).  With
-    `nodes`, `prev` is a band of the grid instead: g = 1 - P is exactly 0
-    at its first node (so the prefix sum up to there is exactly 0) and
-    exactly 1 at every node past its end.  The result is the next
-    generation on the band's first `nodes` nodes, bit-identical to those
-    nodes of a full-grid step.
+    `prev`'s g = 1 - P must be exactly 0 at its first node, as in every
+    generation init_p0 and the steps build (the kernels rely on it, see
+    kernels.py).  By default `prev` spans the whole grid and so does the
+    result.  With `nodes`, `prev` is a band of the grid instead, with g
+    exactly 1 at every node past its end, and the result is the next
+    generation on its first `nodes` nodes, bit-identical to those nodes
+    of a full-grid step.
 
     Without `work` the step allocates its result and temporaries.  With
     `work` = (g, p_out, g_out, scratch) it allocates nothing: g is prev's
@@ -263,17 +262,16 @@ def iterate_step(
                 f"config wants {config.grid_size + 1}"
             )
         nodes = len(prev_g)
-    else:
-        if not 1 <= nodes <= config.grid_size + 1:
-            raise ContractViolationError(
-                f"band of {nodes} nodes does not fit a grid of {config.grid_size + 1}"
-            )
-        if prev_g[0] != 0.0:
-            raise ContractViolationError("band must start where g = 1 - P is exactly 0")
-        if nodes > len(prev_g) and prev_g[-1] != 1.0:
-            raise ContractViolationError(
-                "band can only be extended past a node where g = 1 - P is exactly 1"
-            )
+    elif not 1 <= nodes <= config.grid_size + 1:
+        raise ContractViolationError(
+            f"band of {nodes} nodes does not fit a grid of {config.grid_size + 1}"
+        )
+    elif nodes > len(prev_g) and prev_g[-1] != 1.0:
+        raise ContractViolationError(
+            "band can only be extended past a node where g = 1 - P is exactly 1"
+        )
+    if prev_g[0] != 0.0:
+        raise ContractViolationError("a step must start where g = 1 - P is exactly 0")
     if work is None:
         if nodes > len(prev_g):
             prev_g = np.concatenate((prev_g, np.ones(nodes - len(prev_g))))

@@ -38,7 +38,7 @@ BRW_STREAM = 2
 # hence every result, do not depend on how blocks are spread over workers.
 BLOCK = 4096
 # A block whose trials are expected to hold more than about this many
-# particles (or graph edges) at once is advanced in several passes of fewer
+# particles (or graph levels) at once is advanced in several passes of fewer
 # trials, one after another on the block's generator, to bound memory.
 PASS_ELEMENTS = 1 << 20
 

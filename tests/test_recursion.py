@@ -169,6 +169,15 @@ def test_grid_mismatch_rejected():
         iterate_step(short, config_a)
 
 
+def test_full_grid_step_starts_where_g_is_zero():
+    # the full-grid step makes the same g(0) = 0 check as a band step
+    config = RecursionConfig(delta=0.01, x_max=2.0, n_max=1)
+    g = np.full(config.grid_size + 1, -0.5)
+    bad = GridFunction(delta=0.01, values=1.0 - g, generation=0, complement=g)
+    with pytest.raises(ContractViolationError):
+        iterate_step(bad, config)
+
+
 def test_nmax_zero_returns_p0():
     config = RecursionConfig(delta=0.01, x_max=2.0, n_max=0)
     result = run_recursion(config)
@@ -199,15 +208,12 @@ def test_front_clearance_enforced_only_for_front_runs():
 
 
 def test_clamp_diagnostic_fires_on_bad_input():
-    # negative complement (P > 1) drives the exponent negative, pushing the
-    # output probability past 1 by more than the clamp tolerance
+    # negative complement (P > 1) past x = 0 drives the exponent negative,
+    # pushing the output probability past 1 by more than the clamp tolerance
     config = RecursionConfig(delta=0.01, x_max=2.0, n_max=1)
-    bad = GridFunction(
-        delta=0.01,
-        values=np.full(config.grid_size + 1, 1.5),
-        generation=0,
-        complement=np.full(config.grid_size + 1, -0.5),
-    )
+    g = np.full(config.grid_size + 1, -0.5)
+    g[0] = 0.0
+    bad = GridFunction(delta=0.01, values=1.0 - g, generation=0, complement=g)
     with pytest.raises(NumericError):
         iterate_step(bad, config)
 
