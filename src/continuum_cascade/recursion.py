@@ -18,24 +18,20 @@ prefix sum adds exact 1s), so the band's nodes come out bit-identical to a
 full-grid step.  Cost is O(band width) per generation, via a running
 prefix sum; the band stays a few hundred units wide while the domain grows
 like n/e.  A consumer that needs more of a generation asks the band to
-reach further: run_recursion has snapshot generations and the final one
-reach the grid end, and fronts.probe_slabs has each band reach the end
-of the slab it keeps.
+reach further: run_recursion has each snapshot reach the grid end, and
+fronts.probe_slabs has each band reach the end of the slab it keeps.
 
-Steps allocate nothing.  Each bands call allocates, once, a workspace a
-whole grid long: two ping-pong g buffers, one P buffer (a step reads
-only g) and the kernels' scratch.  A step writes its g into the buffer
-its input is not in, and the exact g = 1 continuation of its input in
-place past the input's end.  Every band after generation 0 is therefore
-a read-only view that is valid only until the generator advances: a
-consumer copies what it keeps.  Memory is O(grid): the workspace, the
-current band and the copies a consumer keeps.
+Steps allocate nothing: `bands` steps in one workspace that grows with
+the band, not with the grid.  Every band after generation 0 is a
+read-only view into it that is valid only until the generator advances:
+a consumer copies what it keeps.  Memory is the workspace, the current
+band and the copies a consumer keeps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -72,7 +68,7 @@ def front_clearance_xmax(n_max: int) -> float:
     so this bound is enforced only for runs that measure fronts.
     """
     if n_max <= 0:
-        return 0.0
+        return 10.0  # the formula's limit at n = 0
     return n_max / math.e + 10.0 * max(1.0, math.log(n_max))
 
 
@@ -185,7 +181,6 @@ class GridFunction:
 class RecursionResult:
     config: RecursionConfig
     snapshots: list[GridFunction]
-    final: GridFunction
     front_traces: list["FrontTrace"] = field(default_factory=list)
 
     def snapshot(self, generation: int) -> GridFunction:
@@ -361,8 +356,10 @@ def bands(
 ) -> Iterator[tuple[GridFunction, int]]:
     """Yield (band, lo) for generations 0..n_max: generation n from grid node lo on.
 
-    Generation 0 is the whole grid.  Each later band is the live band of the
-    one before (see _live_band) stepped over at least max(len + margin,
+    Generation 0 ends at node reach(0) - 1 or, if later, at its first node at
+    x >= 40 - ln p_floor, where g is exactly 1 (past 54 ln 2) and P is below
+    `p_floor`; it stops at the grid end.  Each later band is the live band of
+    the one before (see _live_band) stepped over at least max(len + margin,
     reach(n) - lo) nodes, capped at the grid end: the margin, at least one
     unit of x, is more than the g = 1 edge moves in a generation, and
     reach(n) (an end node, exclusive) makes band n cover nodes a consumer
@@ -376,42 +373,49 @@ def bands(
     on the nodes it keeps: a consumer that reads nothing past node k of any
     generation can run on a grid that ends there (fronts.probe_slabs does).
 
-    Steps allocate nothing: after generation 0 the call allocates, once,
-    two ping-pong g buffers, one P buffer and the kernels' scratch, each a
-    whole grid long, and generation n is written at the start of the P
-    buffer and of g buffer n % 2.  So every band after generation 0 is a
-    read-only view that is valid only until the generator advances; a
-    consumer that keeps any of it must copy it.
+    Steps allocate nothing: the first step allocates two ping-pong g
+    buffers, one P buffer (a step reads only g) and the kernels' scratch, a
+    step that outgrows them first doubles them, to at most the grid, and
+    generation n is written at the start of the P buffer and of the g buffer
+    its input is not in.  So every band after generation 0 is a read-only
+    view that is valid only until the generator advances; a consumer that
+    keeps any of it must copy it.
     """
     n_nodes = config.grid_size + 1
     margin = math.ceil(1.0 / config.delta)
-    band, lo = init_p0(config), 0
+    nodes = min(n_nodes, max(reach(0), math.ceil((40.0 - math.log(p_floor)) / config.delta) + 1))
+    band, lo = init_p0(replace(config, x_max=(nodes - 0.5) * config.delta)), 0
     # the storage of the band's g from grid node lo on, and how much of it
     # the band's generation filled
-    held, filled = band.complement, n_nodes
+    held, filled = band.complement, nodes
     yield band, lo
-    # Allocated after generation 0 is built, so that its build reuses memory
-    # malloc already holds, and as four arrays rather than one block: freeing
-    # a block big enough to be mapped raises malloc's mmap threshold for the
-    # rest of the process.  Either choice, reversed, measurably raised the
-    # peak RSS or the later run times of the front workload.
-    p_buf, scratch = np.empty(n_nodes), np.empty(n_nodes)
-    g_buf = np.empty(n_nodes), np.empty(n_nodes)
+    # The workspace is allocated on the first step, after generation 0 is
+    # built, so that its build reuses memory malloc already holds, and as four
+    # arrays rather than one block: freeing a block big enough to be mapped
+    # raises malloc's mmap threshold for the rest of the process.  Either
+    # choice, reversed, measurably raised the peak RSS or the later run times
+    # of the front workload.
+    p_buf = np.empty(0)
     for n in range(1, config.n_max + 1):
         band, start = _live_band(band)
         lo += start
         room = n_nodes - lo
         while True:
             nodes = min(room, max(len(band.values) + margin, reach(n) - lo))
+            if start + nodes > len(p_buf):  # the first step, or a band outgrew the workspace
+                size = min(n_nodes, max(2 * len(p_buf), start + nodes, filled))
+                p_buf, scratch, spare = np.empty(size), np.empty(size), np.empty(size)
+                spare[:filled] = held[:filled]
+                held, spare = spare, np.empty(size)
             if start + nodes > filled:  # continue the band by its exact 1s, in place
                 held[filled : start + nodes] = 1.0
                 filled = start + nodes
-            work = held[start : start + nodes], p_buf[:nodes], g_buf[n % 2][:nodes], scratch
+            work = held[start : start + nodes], p_buf[:nodes], spare[:nodes], scratch
             nxt = iterate_step(band, config, nodes, work)
             if nodes == room or (nxt.complement[-1] == 1.0 and nxt.values[-1] < p_floor):
                 break
             margin *= 2
-        band, held, filled = nxt, g_buf[n % 2], nodes
+        band, held, spare, filled = nxt, spare, held, nodes
         yield band, lo
 
 
@@ -427,9 +431,8 @@ def run_recursion(
     clearance bound (see front_clearance_xmax) so the measurement never
     approaches the grid boundary.
 
-    One consumer of `bands`: crossings are read off each band, and snapshot
-    generations and the final one have their band reach the grid end and
-    are copied whole, padded with the exact P = 1, g = 0 below the band.
+    One consumer of `bands`: crossings are read off each band; snapshot bands
+    reach the grid end and are copied whole, with P = 1, g = 0 below them.
     """
     wanted = {int(g) for g in snapshot_generations}
     if wanted and (min(wanted) < 0 or max(wanted) > config.n_max):
@@ -447,21 +450,18 @@ def run_recursion(
                 raise ConfigurationError(f"front level must be in (0,1), got {lev}")
 
     levels = tuple(front_levels or ())
-    full = wanted | {config.n_max}
     n_nodes = config.grid_size + 1
     # a band must reach past every crossing recorded on it
-    steps = bands(config, lambda n: n_nodes if n in full else 0, min(levels, default=1.0))
+    steps = bands(config, lambda n: n_nodes if n in wanted else 0, min(levels, default=1.0))
     snaps: list[GridFunction] = []
     fronts: list[list[float]] = [[] for _ in levels]
     for n, (band, lo) in enumerate(steps):
         for trace, lev in zip(fronts, levels):
             trace.append(_bracketed_crossing(band.values, config.delta, lev, lo))
-        if n in full:
+        if n in wanted:
             values, complement = np.ones(n_nodes), np.zeros(n_nodes)
             values[lo:], complement[lo:] = band.values, band.complement
-            kept = GridFunction(config.delta, values, n, complement)
-            if n in wanted:
-                snaps.append(kept)
+            snaps.append(GridFunction(config.delta, values, n, complement))
 
     traces = []
     if front_levels is not None:
@@ -470,4 +470,4 @@ def run_recursion(
             FrontTrace(level=lev, generations=gens, positions=np.asarray(fs))
             for lev, fs in zip(levels, fronts)
         ]
-    return RecursionResult(config=config, snapshots=snaps, final=kept, front_traces=traces)
+    return RecursionResult(config=config, snapshots=snaps, front_traces=traces)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from continuum_cascade import graphs, simulate
 from continuum_cascade.cli import COMMANDS, build_parser, main, resolve_params
 from continuum_cascade.output import fmt, sha256_file
-from continuum_cascade.recursion import RecursionConfig, run_recursion
+from continuum_cascade.recursion import RecursionConfig, init_p0, run_recursion
 
 
 def read_csv(path: Path) -> list[dict]:
@@ -47,11 +47,21 @@ def test_recurse_writes_snapshots_and_manifest(tmp_path):
 
     rows = read_csv(tmp_path / "pn_5.csv")
     config = RecursionConfig(delta=0.01, x_max=10.0, n_max=5)
-    expected = run_recursion(config, snapshot_generations=[5]).final
+    expected = run_recursion(config, snapshot_generations=[5]).snapshot(5)
     assert len(rows) == config.grid_size + 1
     k = 150
     assert float(rows[k]["x"]) == 0.01 * k
     assert float(rows[k]["p"]) == expected.values[k]  # 17 digits round-trip
+
+
+def test_recurse_nmax_zero_writes_p0(tmp_path):
+    # the default x_max of n_max = 0 is the clearance formula's 10, a valid grid
+    assert main(["recurse", "--nmax", "0", "--out", str(tmp_path)]) == 0
+    assert {p.name for p in tmp_path.iterdir()} == {"pn_0.csv", "manifest.json"}
+    rows = read_csv(tmp_path / "pn_0.csv")
+    p0 = init_p0(RecursionConfig(delta=0.01, x_max=10.0, n_max=0))
+    assert np.array_equal([float(r["x"]) for r in rows], p0.grid_x())
+    assert np.array_equal([float(r["p"]) for r in rows], p0.values)
 
 
 def test_full_float_precision_in_csv(tmp_path):
@@ -61,7 +71,7 @@ def test_full_float_precision_in_csv(tmp_path):
     rows = read_csv(tmp_path / "pn_1.csv")
     values = [float(r["p"]) for r in rows]
     config = RecursionConfig(delta=0.01, x_max=2.0, n_max=1)
-    expected = run_recursion(config, snapshot_generations=[1]).final.values
+    expected = run_recursion(config, snapshot_generations=[1]).snapshot(1).values
     np.testing.assert_array_equal(np.array(values), expected)
 
 
@@ -270,11 +280,15 @@ def test_front_rejects_bad_fit_flags_before_computing(tmp_path, capsys, fit_args
     # deltas that would share a probe_<delta>.csv, or repeat an alpha_scan.csv row
     ["alpha-scan", "--deltas", "0.02,0.02000001", "--nmax", "60", "--emit-probe"],
     ["alpha-scan", "--deltas", "0.02,0.02", "--nmax", "60"],
+    # named by the option given, not by the default x_max derived from it
+    ["recurse", "--nmax", "-1"],
 ])
 def test_bad_counts_exit_two(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 2
     assert list(tmp_path.iterdir()) == []  # no manifest, and no artifact either
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    if argv == ["recurse", "--nmax", "-1"]:
+        assert "n_max" in err and "x_max" not in err
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -83,7 +83,7 @@ def test_front_position_stable_under_grid_refinement():
     fronts = {}
     for delta in (0.02, 0.01):
         config = RecursionConfig(delta=delta, x_max=20.0, n_max=20)
-        fronts[delta] = front_position(run_recursion(config).final, 0.5)
+        fronts[delta] = front_position(run_recursion(config, [20]).snapshot(20), 0.5)
     assert abs(fronts[0.02] - fronts[0.01]) < 2 * 0.02
 
 

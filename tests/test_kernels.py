@@ -172,7 +172,7 @@ def test_complement_resolves_saturated_tail():
     from continuum_cascade.recursion import RecursionConfig, run_recursion
 
     config = RecursionConfig(delta=0.01, x_max=60.0, n_max=120)
-    final = run_recursion(config).final
+    final = run_recursion(config, [120]).snapshot(120)
     g = final.complement
     saturated = final.values == 1.0
     assert saturated.any()

@@ -1,6 +1,8 @@
 """Grid recursion: initial condition, one-step oracle, invariants, quadrature order."""
 
+import collections
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,7 +115,7 @@ def test_modes_converge_to_each_other():
         snaps = {}
         for quad in Quadrature:
             config = RecursionConfig(delta=delta, x_max=40.0, n_max=50, quadrature=quad)
-            snaps[quad] = run_recursion(config).final
+            snaps[quad] = run_recursion(config, [50]).snapshot(50)
         grid = np.arange(0.0, 40.0, 0.01)
         diffs[delta] = np.max(
             np.abs(snaps[Quadrature.RIEMANN].evaluate(grid)
@@ -180,8 +182,8 @@ def test_full_grid_step_starts_where_g_is_zero():
 
 def test_nmax_zero_returns_p0():
     config = RecursionConfig(delta=0.01, x_max=2.0, n_max=0)
-    result = run_recursion(config)
-    np.testing.assert_array_equal(result.final.values, init_p0(config).values)
+    result = run_recursion(config, [0])
+    np.testing.assert_array_equal(result.snapshot(0).values, init_p0(config).values)
 
 
 def test_evaluate_interpolates_and_guards_domain():
@@ -200,7 +202,7 @@ def test_front_clearance_enforced_only_for_front_runs():
     # x_max = 5 is fine without front recording, and too small with it
     config = RecursionConfig(delta=0.01, x_max=5.0, n_max=1)
     result = run_recursion(config, snapshot_generations=[1])
-    assert math.isclose(result.final.evaluate(1.0), 0.6922, abs_tol=1e-3)
+    assert math.isclose(result.snapshot(1).evaluate(1.0), 0.6922, abs_tol=1e-3)
     small = RecursionConfig(delta=0.01, x_max=5.0, n_max=100)
     with pytest.raises(ConfigurationError):
         run_recursion(small, front_levels=(0.5,))
@@ -282,8 +284,8 @@ def _assert_matches_full_grid(config, snapshot_generations, levels):
     snaps, final, fronts = _full_grid_loop(config, snapshot_generations, levels)
     result = run_recursion(config, snapshot_generations, front_levels=levels)
     assert [s.generation for s in result.snapshots] == sorted(snapshot_generations)
-    for snap in result.snapshots + [result.final]:
-        ref = final if snap is result.final else snaps[snap.generation]
+    for snap in result.snapshots:
+        ref = snaps[snap.generation]
         assert np.array_equal(snap.values, ref.values)
         assert np.array_equal(snap.complement, ref.complement)
     for trace, ref in zip(result.front_traces, fronts):
@@ -298,15 +300,16 @@ WINDOW_LEVELS = (0.25, 0.5, 0.75)
 @pytest.mark.parametrize("delta, n_max", [(0.01, 250), (0.001, 160)])
 def test_window_is_bit_identical_to_full_grid_steps(quadrature, delta, n_max):
     # every generation is a band step; snapshot bands reach the grid end and
-    # are padded below.  1 and 151 follow a generation that reached the grid
-    # end too (0 and 150), 77 and 150 follow ordinary bands; 151 is odd and
-    # comes after the lower edge has started moving, and ordinary bands
-    # follow it
+    # are padded below.  1 follows generation 0, which ends a little past
+    # x = 40, not at the grid end; 151 follows a generation that reached the
+    # grid end (150), 77 and 150 follow ordinary bands; 151 is odd and comes
+    # after the lower edge has started moving, and ordinary bands follow it
+    # up to n_max
     config = RecursionConfig(
         delta=delta, x_max=front_clearance_xmax(n_max), n_max=n_max,
         quadrature=quadrature,
     )
-    final = _assert_matches_full_grid(config, {1, 77, 150, 151}, WINDOW_LEVELS)
+    final = _assert_matches_full_grid(config, {1, 77, 150, 151, n_max}, WINDOW_LEVELS)
     g = final.complement
     # both edges of the band moved: exact zeros behind it, exact ones ahead
     assert int(np.argmax(g != 0.0)) > 1
@@ -322,7 +325,7 @@ def test_window_reaching_the_grid_end_is_bit_identical(quadrature, delta):
         delta=delta, x_max=front_clearance_xmax(n_max), n_max=n_max,
         quadrature=quadrature,
     )
-    final = _assert_matches_full_grid(config, {3}, WINDOW_LEVELS)
+    final = _assert_matches_full_grid(config, {3, n_max}, WINDOW_LEVELS)
     assert final.complement[-1] < 1.0
 
 
@@ -341,34 +344,89 @@ def test_window_widens_for_a_low_front_level(monkeypatch):
     assert steps.count(0) > 1  # the first step was redone
 
 
+@pytest.mark.parametrize("delta", [5.0, 2.5])
+@pytest.mark.parametrize("snapshots", [{0}, set()])
+def test_coarse_grid_bands_are_bit_identical(delta, snapshots):
+    # a node every few units of x: generation 0 ends at its first node at
+    # x >= 40 - ln 1e-20, where g is exactly 1 and P below the lower level
+    # (the CLI's recurse --delta 5 --xmax 120 --nmax 4)
+    config = RecursionConfig(delta=delta, x_max=120.0, n_max=4)
+    _assert_matches_full_grid(config, snapshots, (1e-20, 0.5))
+
+
+def test_front_run_steps_no_band_to_the_grid_end(monkeypatch):
+    # no consumer reads the last generation past its band, so it is stepped
+    # like every other: no step of a front run reaches the grid end
+    n_max = 200
+    config = RecursionConfig(delta=0.01, x_max=front_clearance_xmax(n_max), n_max=n_max)
+    lows = [lo for _, lo in bands(config, p_floor=0.5)]
+    stepped = {}
+
+    def counted(prev, cfg, nodes=None, work=None):
+        stepped[prev.generation + 1] = nodes  # a redone step overwrites its first try
+        return iterate_step(prev, cfg, nodes, work)
+
+    monkeypatch.setattr(recursion, "iterate_step", counted)
+    run_recursion(config, front_levels=(0.5,))
+    assert sorted(stepped) == list(range(1, n_max + 1))
+    assert all(lows[n] + nodes < config.grid_size + 1 for n, nodes in stepped.items())
+
+
+def test_bands_memory_follows_the_band_not_the_grid():
+    # the grid grows like n_max / e while the band saturates: draining the
+    # generator must not hold memory that grows with the grid
+    peaks = {}
+    for n_max in (1000, 4000):
+        config = RecursionConfig(delta=0.05, x_max=front_clearance_xmax(n_max), n_max=n_max)
+        tracemalloc.start()
+        try:
+            collections.deque(bands(config, p_floor=0.5), maxlen=0)
+            peaks[n_max] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[4000] <= 1.25 * peaks[1000], peaks
+
+
 @pytest.mark.parametrize("quadrature", list(Quadrature))
 def test_bands_step_in_two_reused_buffers(quadrature):
-    # each step writes its P into one buffer and its g into the buffer its
-    # input is not in: from generation 2 on, a band's P shares storage with
-    # the band before it, from 3 on its g with the band two generations
-    # before it, and a copy taken while it is current matches the full-grid
-    # step.  x_max leaves the g = 1 edge (x ~ n/e + 38) far from the grid
-    # end; in the second pass the generations in `ends` have their band
-    # reach it, and are views into the same buffers all the same
+    # generation 0 ends at its first node at x >= 40 unless reach(0) asks
+    # for more.  Each step writes its P into one buffer and its g into the
+    # buffer its input is not in.  The buffers start as long as generation 0
+    # and are replaced by longer ones when a band outgrows them, at most
+    # once per doubling up to the grid.  From the last growth on, a band's
+    # P shares storage with the band before it, from the step after it its
+    # g with the band two generations before it, and a copy taken while it
+    # is current matches the full-grid step.  x_max leaves the g = 1 edge
+    # (x ~ n/e + 38) far from the grid end; in the later passes the
+    # generations in `ends` have their band reach it, and are views into
+    # the same buffers all the same
     n_max = 60
     config = RecursionConfig(delta=0.01, x_max=150.0, n_max=n_max, quadrature=quadrature)
     n_nodes = config.grid_size + 1
     ref = run_recursion(config, range(n_max + 1))
-    for ends in ((), (1, 10, 11, 30, 60)):
+    for ends in ((), (1, 10, 11, 30, 60), (0, 30)):
         held = []
         for n, (band, lo) in enumerate(bands(config, lambda n: n_nodes if n in ends else 0)):
             assert not band.values.flags.writeable and not band.complement.flags.writeable
-            assert (lo + len(band.values) == n_nodes) == (n == 0 or n in ends)
-            if n >= 2:
-                assert np.shares_memory(band.values, held[n - 1].values)
-            if n >= 3:
-                assert np.shares_memory(band.complement, held[n - 2].complement)
+            assert (lo + len(band.values) == n_nodes) == (n in ends)
             if n >= 1:
                 assert not np.shares_memory(band.complement, held[n - 1].complement)
             full = ref.snapshot(n)
             assert np.array_equal(band.values, full.values[lo : lo + len(band.values)])
             assert np.array_equal(band.complement, full.complement[lo : lo + len(band.values)])
             held.append(band)
+        first = len(held[0].values)
+        if 0 not in ends:
+            assert config.delta * (first - 2) < 40.0 <= config.delta * (first - 1)
+            assert held[0].complement[-1] == 1.0
+        grown = [n for n in range(1, n_max + 1)
+                 if n == 1 or not np.shares_memory(held[n].values, held[n - 1].values)]
+        assert len(grown) <= math.ceil(math.log2(n_nodes / first)) + 1
+        for n in range(grown[-1] + 2, n_max + 1):
+            assert np.shares_memory(held[n].complement, held[n - 2].complement)
+        # the band outgrows generation 0 within the run, unless a band reached
+        # the grid end at generation 0 or 1
+        assert grown == [1] if ends else len(grown) > 1
 
 
 def test_band_step_contract():
@@ -412,19 +470,19 @@ def test_linear_tail_is_bit_identical_to_libm_steps(monkeypatch, quadrature, del
         delta=delta, x_max=front_clearance_xmax(n_max), n_max=n_max,
         quadrature=quadrature,
     )
-    snaps = (1, n_max // 3, n_max - 1)
+    snaps = (1, n_max // 3, n_max - 1, n_max)
     levels = (1e-6, 0.5)
     fast = run_recursion(config, snaps, front_levels=levels)
     monkeypatch.setattr(kernels, "_finish", _libm_finish)
     ref = run_recursion(config, snaps, front_levels=levels)
-    for got, want in zip(fast.snapshots + [fast.final], ref.snapshots + [ref.final]):
+    for got, want in zip(fast.snapshots, ref.snapshots):
         assert got.generation == want.generation
         assert np.array_equal(got.values, want.values)
         assert np.array_equal(got.complement, want.complement)
     for got, want in zip(fast.front_traces, ref.front_traces):
         assert np.array_equal(got.positions, want.positions)
     # the run reached the regime the shortcut serves
-    g = fast.final.complement
+    g = fast.snapshot(n_max).complement
     assert np.count_nonzero((g > 0.0) & (g < kernels.LINEAR_TAIL)) > 1000
 
 
