@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -46,10 +48,14 @@ def _check_graph(n_vertices: int, c: float) -> None:
         raise ConfigurationError(f"edge probability must be in [0,1], got {c}")
     if n_vertices < 1:
         raise ConfigurationError(f"n_vertices must be >= 1, got {n_vertices}")
+    if n_vertices > np.iinfo(np.int64).max:  # vertex gaps are drawn as int64
+        raise ConfigurationError(f"n_vertices must be <= 2^63 - 1, got {n_vertices}")
 
 
-def _longest_paths(n_vertices: int, c: float, trials: int, rng: np.random.Generator) -> np.ndarray:
-    """L for `trials` independent graphs grown together from one generator.
+def _longest_paths(
+    n_vertices: int, c: float, streams: Sequence[tuple[np.random.Generator, int]]
+) -> np.ndarray:
+    """L for the graphs of every stream (rng, k) of a pass, grown together.
 
     A trial keeps N[k], how many of its reached vertices have level (longest
     path from vertex 1) >= k.  A later vertex's edges from them are fresh
@@ -57,7 +63,13 @@ def _longest_paths(n_vertices: int, c: float, trials: int, rng: np.random.Genera
     level >= k with probability hit_k = 1 - (1 - c)^N[k].  The next reached
     vertex is the last one plus Geometric(hit_0), and its level d has
     P(d > k) = hit_k / hit_0: d = 1 + #{k >= 1: N[k] > ln(1 - U hit_0) / ln(1 - c)}.
+    Each step reaches one more vertex in every live trial of the pass; every
+    stream draws the gaps, then the uniforms, of its own live trials from its
+    own generator, so its draws do not depend on the streams beside it.
     """
+    rngs = [rng for rng, _ in streams]
+    sizes = [k for _, k in streams]  # live trials per stream, in stream order
+    trials = sum(sizes)
     if c == 0.0:
         return np.zeros(trials, dtype=np.int64)
     if c == 1.0:  # every vertex is reached, one level above the last
@@ -65,31 +77,64 @@ def _longest_paths(n_vertices: int, c: float, trials: int, rng: np.random.Genera
     log_miss = math.log1p(-c)
     lengths = np.empty(trials, dtype=np.int64)
     trial = np.arange(trials)
-    vertex = np.ones(trials, dtype=np.int64)
-    above = np.zeros((trials, 0), dtype=np.int64)  # N[1], N[2], ...
-    reached = 1  # N[0]: each step reaches one more vertex in every live trial
-    while trial.size:
+    room = np.full(trials, n_vertices - 1, dtype=np.int64)  # vertices after the last reached
+    count = np.min_scalar_type(n_vertices)
+    # Row k holds N[k] of every live trial for k = 1..depth, and the rows
+    # after it are 0 (the buffer always has one).  Row 0 holds n, more than
+    # any cut, so that row k of `ahead` is d > k from k = 0 on.
+    above = np.zeros((3, trials), dtype=count)
+    above[0] = n_vertices
+    depth = 0
+    reached = 1  # N[0], the same in every live trial
+    while True:
         hit = -math.expm1(reached * log_miss)
-        # past n the trial ends; clipped to n first, as hit_0 < ~1e-19 draws int64 max
-        vertex = vertex + np.minimum(rng.geometric(hit, trial.size), n_vertices)
-        live = vertex <= n_vertices
+        gaps = _draw(rngs, sizes, lambda rng, k: rng.geometric(hit, k))
+        # a gap past the last vertex ends the trial; counted down, as hit_0 < ~1e-19
+        # draws int64 max, which added to the vertex index wraps it negative
+        room -= gaps
+        live = room >= 0
         if not live.all():
-            lengths[trial[~live]] = (above[~live] > 0).sum(axis=1)
-            trial, vertex, above = trial[live], vertex[live], above[live]
-        bar = np.log1p(-hit * rng.random(trial.size)) / log_miss
-        level = 1 + (above > bar[:, None]).sum(axis=1)
-        if level.max(initial=0) > above.shape[1]:  # a level above every live trial's
-            above = np.pad(above, ((0, 0), (0, 1)))
-        above += np.arange(above.shape[1]) < level[:, None]
+            dead = ~live
+            lengths[trial[dead]] = np.count_nonzero(above[1 : depth + 1, dead], axis=0)
+            kept = np.flatnonzero(live)
+            if not kept.size:
+                break
+            trial, room, above = trial.take(kept), room.take(kept), above.take(kept, axis=1)
+            if len(sizes) > 1:
+                ends = np.searchsorted(kept, list(accumulate(sizes))).tolist()
+                sizes = [hi - lo for lo, hi in zip([0, *ends], ends)]
+                rngs = [rng for rng, k in zip(rngs, sizes) if k]
+                sizes = [k for k in sizes if k]
+            else:
+                sizes = [trial.size]
+        bar = np.log1p(-hit * _draw(rngs, sizes, lambda rng, k: rng.random(k))) / log_miss
+        # N[k] > bar iff N[k] > floor(bar), and N[k] <= N[1] < n - 1: compared as counts
+        ahead = above[: depth + 1] > np.minimum(bar, n_vertices - 1, out=bar).astype(count)
+        above[1 : depth + 2] += ahead  # the new vertex adds one to N[1..d]
+        if ahead[-1].any():  # a level above every live trial's
+            depth += 1
+            if depth + 1 == above.shape[0]:
+                above = np.concatenate([above, np.zeros_like(above)])
         reached += 1
     return lengths
+
+
+def _draw(
+    rngs: list[np.random.Generator],
+    sizes: list[int],
+    draw: Callable[[np.random.Generator, int], np.ndarray],
+) -> np.ndarray:
+    """draw(rng, k) of every stream, in stream order."""
+    if len(rngs) == 1:
+        return draw(rngs[0], sizes[0])
+    return np.concatenate([draw(rng, k) for rng, k in zip(rngs, sizes)])
 
 
 def sample_longest_paths(n_vertices: int, c: float, trials: int, seed: int = 0) -> np.ndarray:
     """L of trials 0..trials-1 on block-keyed substreams of `seed`."""
     _check_graph(n_vertices, c)
     return sample_blocks(
-        lambda k, rng: _longest_paths(n_vertices, c, k, rng),
+        lambda streams: _longest_paths(n_vertices, c, streams),
         trials, seed, GRAPH_STREAM,
         # a trial's levels: at most its reached vertices, mean <= min(n, (1 + c)^(n - 1))
         math.exp(min(math.log(n_vertices), (n_vertices - 1) * math.log1p(c))),
@@ -183,6 +228,8 @@ def compare_discrete_continuum(
     check_tally(trials)
     if n_vertices < 1:
         raise ConfigurationError(f"n_vertices must be >= 1, got {n_vertices}")
+    if not 0.0 <= x < math.inf:
+        raise ConfigurationError(f"x must be finite and >= 0, got {x}")
     if x > n_vertices:
         raise ConfigurationError(
             f"x={x} with n_vertices={n_vertices} needs edge probability > 1"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
+from continuum_cascade import graphs, simulate
 from continuum_cascade.fronts import alpha_scan, probe_positions, probe_slabs
 from continuum_cascade.martingale import equivalence_check
 from continuum_cascade.recursion import (
@@ -108,3 +109,20 @@ def d01_riemann_n100_slabs():
 @pytest.fixture(scope="session")
 def alpha_scan_results():
     return alpha_scan([0.02, 0.01, 0.005, 0.001], n_max=100)
+
+
+@pytest.fixture
+def recorded_passes(monkeypatch):
+    """Trials of each stream of every pass that sample_blocks hands a sampler."""
+    passes = []
+    sample_blocks = simulate.sample_blocks
+
+    def spy(sample, *args):
+        def recorded(streams):
+            passes.append([k for _, k in streams])
+            return sample(streams)
+        return sample_blocks(recorded, *args)
+
+    monkeypatch.setattr(simulate, "sample_blocks", spy)
+    monkeypatch.setattr(graphs, "sample_blocks", spy)
+    return passes

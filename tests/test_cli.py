@@ -282,6 +282,12 @@ def test_front_rejects_bad_fit_flags_before_computing(tmp_path, capsys, fit_args
     ["alpha-scan", "--deltas", "0.02,0.02", "--nmax", "60"],
     # named by the option given, not by the default x_max derived from it
     ["recurse", "--nmax", "-1"],
+    # named by x, not by the edge probability x / n derived from it
+    ["compare", "--n-vertices", "5", "--x", "-1", "--trials", "10"],
+    ["compare", "--n-vertices", "5", "--x", "nan", "--trials", "10"],
+    ["compare", "--n-vertices", "5", "--x", "inf", "--trials", "10"],
+    # vertex gaps are int64: a larger vertex count is refused, not mis-sampled
+    ["graph", "--n-vertices", str(2**63), "--c", "1e-30", "--trials", "1"],
 ])
 def test_bad_counts_exit_two(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 2
@@ -289,6 +295,8 @@ def test_bad_counts_exit_two(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     if argv == ["recurse", "--nmax", "-1"]:
         assert "n_max" in err and "x_max" not in err
+    if argv[0] == "compare" and argv[4] in ("-1", "nan", "inf"):
+        assert "x must be finite and >= 0" in err and "edge probability" not in err
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -117,18 +117,30 @@ def test_block_engine_output_is_pinned():
     ]
 
 
+def test_passes_that_split_and_merge_blocks_are_pinned(recorded_passes):
+    # 300 levels a trial: block 0 runs as passes of 3495 and 601 trials, and
+    # block 1's 600 trials share the second one, each on its own substream
+    lengths = sample_longest_paths(300, 0.02, BLOCK + 600, seed=2)
+    assert recorded_passes == [[3495], [601, 600]]
+    assert np.bincount(lengths).tolist() == [
+        11, 16, 44, 60, 92, 140, 234, 371, 499, 634, 642,
+        635, 524, 374, 225, 99, 61, 22, 8, 2, 2, 1,
+    ]
+
+
 def test_tiny_edge_probability_reaches_nothing():
     # below c ~ 1e-19 a geometric gap is int64 max; unclipped, it wrapped the
-    # vertex index negative and the trial never ended.  A subprocess with a
-    # timeout fails a hang here instead of stalling the suite.
+    # vertex index negative and the trial never ended, and so did a gap
+    # clipped to n = 2^63 - 1.  A subprocess with a timeout fails a hang here
+    # instead of stalling the suite.
     script = ("from continuum_cascade.graphs import sample_longest_paths\n"
-              "print([sample_longest_paths(n, 1e-300, 3).tolist() for n in (2, 50)])")
+              "print([sample_longest_paths(n, 1e-300, 3).tolist() for n in (2, 50, 2**63 - 1)])")
     src = Path(continuum_cascade.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[[0, 0, 0], [0, 0, 0]]\n"
+    assert proc.stdout == "[[0, 0, 0], [0, 0, 0], [0, 0, 0]]\n"
 
 
 @pytest.mark.parametrize("c", [0.999, 0.5])

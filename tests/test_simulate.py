@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from continuum_cascade import simulate
 from continuum_cascade.errors import ConfigurationError
-from continuum_cascade.graphs import ks_critical_value, ks_two_sample
+from continuum_cascade.graphs import ks_critical_value, ks_two_sample, sample_longest_paths
 from continuum_cascade.recursion import closed_form_p1
 from continuum_cascade.simulate import (
     BLOCK,
@@ -159,6 +160,32 @@ def test_table_cap_only_stops_the_lockstep_early():
     capped = sample_heights(3.0, trials, seed=23, n_cap=6)
     assert (full > 7).any()
     np.testing.assert_array_equal(capped, np.minimum(full, 7))
+
+
+@pytest.mark.parametrize("run, per_trial, last", [
+    (lambda: sample_longest_paths(2000, 0.001, 2 * BLOCK + 17, seed=7),
+     math.exp(1999 * math.log1p(0.001)), 17),
+    (lambda: sample_heights(2.0, 2 * BLOCK + 5, seed=3), 2.0, 5),
+])
+def test_pass_grouping_changes_no_draw(monkeypatch, recorded_passes, run, per_trial, last):
+    # each block draws from its own substream, so one pass per block and one
+    # pass for every block give the same trials
+    monkeypatch.setattr(simulate, "PASS_ELEMENTS", (BLOCK + 2) * per_trial)
+    alone = run()
+    assert recorded_passes == [[BLOCK], [BLOCK], [last]]
+    recorded_passes.clear()
+    monkeypatch.setattr(simulate, "PASS_ELEMENTS", 1 << 40)
+    together = run()
+    assert recorded_passes == [[BLOCK, BLOCK, last]]
+    np.testing.assert_array_equal(alone, together)
+
+
+def test_a_block_run_alone_draws_its_trials_of_the_full_run():
+    # a worker's passes group only its own blocks
+    full = sample_heights(2.0, 2 * BLOCK + 5, seed=3)
+    np.testing.assert_array_equal(
+        sample_heights(2.0, 2 * BLOCK + 5, seed=3, blocks=[1]), full[BLOCK : 2 * BLOCK]
+    )
 
 
 def test_block_engine_agrees_in_law_with_one_trial_substreams():
