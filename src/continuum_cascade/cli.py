@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Collection
 
 from . import fronts, graphs, martingale, recursion, simulate
 from .errors import CascadeError, ConfigurationError
@@ -102,14 +102,22 @@ COMMANDS: dict[str, list[Option]] = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands: Collection[str] = COMMANDS.keys()) -> argparse.ArgumentParser:
+    """The `cascade` parser, with options on the subparsers of `commands` only.
+
+    Every command keeps its subparser, so usage, help and error messages
+    list all seven.  main passes the command in argv[0] alone, so a run
+    builds no other command's options.
+    """
     parser = argparse.ArgumentParser(
         prog="cascade",
         description="continuum cascade model: recursion, fronts, Monte Carlo",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, options in COMMANDS.items():
-        p = sub.add_parser(command)
+        p = sub.add_parser(command, add_help=command in commands)
+        if command not in commands:  # listed, but parses nothing, not even -h
+            continue
         for opt in options + COMMON:
             flag = "--" + opt.name
             if opt.cast is bool:
@@ -318,7 +326,9 @@ HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[:1]).parse_args(argv)
     try:
         params = resolve_params(args.command, args)
         writer = RunWriter(params["out"])

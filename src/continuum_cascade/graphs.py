@@ -67,9 +67,7 @@ def _longest_paths(
     stream draws the gaps, then the uniforms, of its own live trials from its
     own generator, so its draws do not depend on the streams beside it.
     """
-    rngs = [rng for rng, _ in streams]
-    sizes = [k for _, k in streams]  # live trials per stream, in stream order
-    trials = sum(sizes)
+    trials = sum(k for _, k in streams)
     if c == 0.0:
         return np.zeros(trials, dtype=np.int64)
     if c == 1.0:  # every vertex is reached, one level above the last
@@ -88,26 +86,26 @@ def _longest_paths(
     reached = 1  # N[0], the same in every live trial
     while True:
         hit = -math.expm1(reached * log_miss)
-        gaps = _draw(rngs, sizes, lambda rng, k: rng.geometric(hit, k))
         # a gap past the last vertex ends the trial; counted down, as hit_0 < ~1e-19
         # draws int64 max, which added to the vertex index wraps it negative
-        room -= gaps
-        live = room >= 0
-        if not live.all():
-            dead = ~live
-            lengths[trial[dead]] = np.count_nonzero(above[1 : depth + 1, dead], axis=0)
-            kept = np.flatnonzero(live)
+        room -= _draw(streams, lambda rng, k: rng.geometric(hit, k))
+        if room.min() < 0:
+            live = room >= 0
+            ended = (~live).nonzero()[0]
+            levels = above[1 : depth + 1].take(ended, axis=1)
+            lengths[trial.take(ended)] = (levels != 0).sum(axis=0)  # L = #{k >= 1: N[k] > 0}
+            kept = live.nonzero()[0]
             if not kept.size:
                 break
-            trial, room, above = trial.take(kept), room.take(kept), above.take(kept, axis=1)
-            if len(sizes) > 1:
-                ends = np.searchsorted(kept, list(accumulate(sizes))).tolist()
-                sizes = [hi - lo for lo, hi in zip([0, *ends], ends)]
-                rngs = [rng for rng, k in zip(rngs, sizes) if k]
-                sizes = [k for k in sizes if k]
+            trial, room = trial.take(kept), room.take(kept)
+            above = above[: depth + 2].take(kept, axis=1)  # rows 0..depth and a 0 row
+            if len(streams) > 1:  # kept is sorted: each stream ends where its trials do
+                ends = np.searchsorted(kept, list(accumulate(k for _, k in streams))).tolist()
+                streams = [(rng, hi - lo) for (rng, _), lo, hi
+                           in zip(streams, [0, *ends], ends) if hi > lo]
             else:
-                sizes = [trial.size]
-        bar = np.log1p(-hit * _draw(rngs, sizes, lambda rng, k: rng.random(k))) / log_miss
+                streams = [(streams[0][0], kept.size)]
+        bar = np.log1p(-hit * _draw(streams, lambda rng, k: rng.random(k))) / log_miss
         # N[k] > bar iff N[k] > floor(bar), and N[k] <= N[1] < n - 1: compared as counts
         ahead = above[: depth + 1] > np.minimum(bar, n_vertices - 1, out=bar).astype(count)
         above[1 : depth + 2] += ahead  # the new vertex adds one to N[1..d]
@@ -120,14 +118,13 @@ def _longest_paths(
 
 
 def _draw(
-    rngs: list[np.random.Generator],
-    sizes: list[int],
+    streams: Sequence[tuple[np.random.Generator, int]],
     draw: Callable[[np.random.Generator, int], np.ndarray],
 ) -> np.ndarray:
-    """draw(rng, k) of every stream, in stream order."""
-    if len(rngs) == 1:
-        return draw(rngs[0], sizes[0])
-    return np.concatenate([draw(rng, k) for rng, k in zip(rngs, sizes)])
+    """draw(rng, k) of every stream (rng, k), in stream order."""
+    if len(streams) == 1:
+        return draw(*streams[0])
+    return np.concatenate([draw(rng, k) for rng, k in streams])
 
 
 def sample_longest_paths(n_vertices: int, c: float, trials: int, seed: int = 0) -> np.ndarray:

@@ -298,9 +298,9 @@ def _bracketed_crossing(
     the same bits.
     """
     below = values < level
-    if not below.any():
-        raise FrontNotFoundError(f"curve never drops below level {level}")
     idx = int(np.argmax(below))
+    if not below[idx]:  # argmax of all False is 0
+        raise FrontNotFoundError(f"curve never drops below level {level}")
     if idx == 0:
         raise FrontNotFoundError(f"curve starts below level {level}")
     hi, lo = values[idx - 1], values[idx]

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from continuum_cascade import graphs, simulate
-from continuum_cascade.cli import COMMANDS, build_parser, main, resolve_params
+from continuum_cascade.cli import COMMANDS, COMMON, build_parser, main, resolve_params
 from continuum_cascade.output import fmt, sha256_file
 from continuum_cascade.recursion import RecursionConfig, init_p0, run_recursion
 
@@ -231,6 +232,32 @@ def test_unknown_command_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def _help(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_lists_every_command(capsys):
+    usage = _help(capsys, [])
+    assert "{" + ",".join(COMMANDS) + "}" in usage
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_command_help_names_exactly_its_flags(capsys, command):
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", _help(capsys, [command])))
+    assert flags == {"--help"} | {"--" + opt.name for opt in COMMANDS[command] + COMMON}
+
+
+def test_a_flag_of_another_command_exits_two(capsys):
+    # compare's parser knows only compare's flags, though --delta is another command's
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--delta", "0.01"])
+    assert exc.value.code == 2
+    assert "--delta" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fit_args", [

@@ -128,6 +128,16 @@ def test_passes_that_split_and_merge_blocks_are_pinned(recorded_passes):
     ]
 
 
+def test_compare_default_shape_is_pinned(recorded_passes):
+    # the graph side of compare's defaults (n 2000, x 2, 20000 trials): five
+    # streams in one pass, with trials ending at nearly every step
+    lengths = sample_longest_paths(2000, 0.001, 20000, seed=1)
+    assert recorded_passes == [[BLOCK] * 4 + [20000 - 4 * BLOCK]]
+    assert np.bincount(lengths).tolist() == [
+        2740, 3642, 4316, 3917, 2827, 1591, 668, 225, 55, 16, 2, 1,
+    ]
+
+
 def test_tiny_edge_probability_reaches_nothing():
     # below c ~ 1e-19 a geometric gap is int64 max; unclipped, it wrapped the
     # vertex index negative and the trial never ended, and so did a gap
