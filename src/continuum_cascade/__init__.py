@@ -41,7 +41,7 @@ from .fronts import (
     log_correction_fit,
     probe_slabs,
     read_probe,
-    richardson_velocity,
+    scheme_velocity,
     velocity_estimate,
     wave_shape_collapse,
 )

@@ -63,7 +63,7 @@ COMMANDS: dict[str, list[Option]] = {
         Option("mode", str, "trapezoid", "quadrature: trapezoid or riemann"),
         Option("fit-lo", int, None, "fit window lower generation"),
         Option("fit-hi", int, None, "fit window upper generation"),
-        Option("fit", str, "fixed", "log fit flavor: fixed (extrapolated v) or joint"),
+        Option("fit", str, "fixed", "log fit flavor: fixed (the scheme's exact v) or joint"),
     ],
     "simulate": [
         Option("x", float, 1.0, "interval length / barrier"),
@@ -207,6 +207,7 @@ def cmd_front(params: dict, writer: RunWriter) -> None:
     lo, hi = params["fit-lo"], params["fit-hi"]
     if (lo is None) != (hi is None):
         raise ConfigurationError("--fit-lo and --fit-hi must be given together")
+    v_fixed = None
     if lo is not None:
         if params["fit"] not in ("joint", "fixed"):
             raise ConfigurationError(f"unknown fit flavor '{params['fit']}'")
@@ -215,6 +216,8 @@ def cmd_front(params: dict, writer: RunWriter) -> None:
                 f"fit window needs 1 <= fit-lo < fit-hi <= nmax, "
                 f"got fit-lo={lo} fit-hi={hi} nmax={config.n_max}"
             )
+        if params["fit"] == "fixed":
+            v_fixed = fronts.scheme_velocity(config.delta, config.quadrature)[0]
     result = recursion.run_recursion(config, front_levels=(params["level"],))
     trace = result.front_traces[0]
     writer.write_csv(
@@ -222,11 +225,7 @@ def cmd_front(params: dict, writer: RunWriter) -> None:
         zip(trace.generations.tolist(), trace.positions.tolist()),
     )
     if lo is not None:
-        if params["fit"] == "joint":
-            fit = fronts.log_correction_fit(trace, (lo, hi))
-        else:
-            v = fronts.richardson_velocity(trace, (lo, hi))
-            fit = fronts.log_correction_fit(trace, (lo, hi), v_fixed=v)
+        fit = fronts.log_correction_fit(trace, (lo, hi), v_fixed=v_fixed)
         writer.write_csv(
             "front_fit.csv", "v,b,a,residual_rms,n_lo,n_hi",
             [(fit.v, fit.b, fit.a, fit.residual_rms, fit.fit_window[0], fit.fit_window[1])],

@@ -2,11 +2,12 @@
 
 The height-distribution curves form a front advancing at velocity 1/e with
 a logarithmic correction (3/(2e)) ln n.  This module extracts front
-positions (level crossings), fits velocity and log-correction coefficients,
-checks wave-shape collapse, and runs the discretization probe: evaluating
-generation n-1 at alpha*(n/e + (3/(2e)) ln n) and tuning alpha until the
-series stops drifting, which quantifies the first-order grid bias of the
-RIEMANN scheme (alpha -> 1 as delta -> 0).
+positions (level crossings), gives the grid scheme's own front speed,
+fits velocity and log-correction coefficients, checks wave-shape collapse,
+and runs the discretization probe: evaluating generation n-1 at
+alpha*(n/e + (3/(2e)) ln n) and tuning alpha until the series stops
+drifting, which quantifies the first-order grid bias of the RIEMANN scheme
+(alpha -> 1 as delta -> 0).
 """
 
 from __future__ import annotations
@@ -62,28 +63,17 @@ def _window_slice(trace: FrontTrace, n_lo: int, n_hi: int) -> tuple[np.ndarray, 
     return trace.generations[mask].astype(np.float64), trace.positions[mask]
 
 
-def _slope(n: np.ndarray, x: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares slope/intercept/residual rms of x against n."""
-    nc = n - n.mean()
-    v = float(np.dot(nc, x) / np.dot(nc, nc))
-    a = float(x.mean() - v * n.mean())
-    resid = x - (v * n + a)
-    return v, a, float(np.sqrt(np.mean(resid**2)))
-
-
 def velocity_estimate(trace: FrontTrace, window: tuple[int, int]) -> FrontFit:
     """Pure linear fit x_f ~ v*n over the window (log term constrained to 0)."""
     n, x = _window_slice(trace, *window)
     if len(n) < 10:
         raise FitError(f"velocity window {window} holds {len(n)} entries, need >= 10")
-    v, a, rms = _slope(n, x)
+    nc = n - n.mean()
+    v = float(np.dot(nc, x) / np.dot(nc, nc))
+    a = float(x.mean() - v * n.mean())
+    resid = x - (v * n + a)
+    rms = float(np.sqrt(np.mean(resid**2)))
     return FrontFit(v=v, b=0.0, a=a, fit_window=tuple(window), residual_rms=rms)
-
-
-def _check_log_window(window: tuple[int, int]) -> None:
-    """The ln n fits need a window of n >= 1."""
-    if window[0] < 1:
-        raise FitError(f"fit window {tuple(window)} reaches below n = 1")
 
 
 def _lstsq(design: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -102,7 +92,8 @@ def log_correction_fit(
     With v_fixed only {ln n, 1} are regressed; otherwise all three terms are
     fit jointly (poorly conditioned on short windows, hence the choice).
     """
-    _check_log_window(window)
+    if window[0] < 1:
+        raise FitError(f"fit window {tuple(window)} reaches below n = 1")
     n, x = _window_slice(trace, *window)
     if len(n) < 50:
         raise FitError(f"log-fit window {window} holds {len(n)} entries, need >= 50")
@@ -127,32 +118,38 @@ def log_correction_fit(
     )
 
 
-def richardson_velocity(trace: FrontTrace, window: tuple[int, int]) -> float:
-    """Velocity with the ln(n) bias eliminated between two sub-windows.
+def scheme_velocity(delta: float, quadrature: Quadrature) -> tuple[float, float]:
+    """The pulled-front speed v_delta of the grid recursion and its decay rate lambda_delta.
 
-    A plain slope over [n1, n2] picks up b * Cov(n, ln n)/Var(n) from the
-    logarithmic term.  Measuring the slope on two geometric sub-windows and
-    solving the 2x2 system in (v, b) cancels that bias exactly for data
-    following v*n + b*ln(n) + a.
+    One step maps a tail g = e^{-lambda x} to K(lambda) e^{-lambda x}, with
+    the quadrature's symbol K = (delta/2) coth(lambda delta/2) (TRAPEZOID) or
+    delta / (1 - e^{-lambda delta}) (RIEMANN); both tend to 1/lambda as
+    delta -> 0.  Velocity selection for a pulled front (Ebert-van Saarloos,
+    Physica D 146, 2000) gives v_delta = max -ln K(lambda)/lambda, which is
+    1/e at lambda = e in the continuum.  K(inf) is delta/2 or delta, so no
+    positive speed exists for delta >= 2 (TRAPEZOID) or delta >= 1 (RIEMANN).
     """
-    _check_log_window(window)
-    n_lo, n_hi = window
-    n_mid = int(round(math.sqrt(n_lo * n_hi)))
-    if not (n_lo < n_mid < n_hi):
-        raise FitError(f"window {window} too narrow to split for extrapolation")
-    slopes = []
-    coeffs = []
-    for sub in ((n_lo, n_mid), (n_mid + 1, n_hi)):
-        n, x = _window_slice(trace, *sub)
-        if len(n) < 10:
-            raise FitError(f"sub-window {sub} holds {len(n)} entries, need >= 10")
-        v_hat, _, _ = _slope(n, x)
-        nc = n - n.mean()
-        c = float(np.dot(nc, np.log(n)) / np.dot(nc, nc))
-        slopes.append(v_hat)
-        coeffs.append(c)
-    b = (slopes[0] - slopes[1]) / (coeffs[0] - coeffs[1])
-    return slopes[0] - b * coeffs[0]
+    if quadrature is Quadrature.TRAPEZOID:
+        limit, symbol = 2.0, lambda lam: 0.5 * delta / math.tanh(0.5 * lam * delta)
+    else:
+        limit, symbol = 1.0, lambda lam: -delta / math.expm1(-lam * delta)
+    if not 0.0 < delta < limit:
+        raise ConfigurationError(
+            f"the {quadrature.value} scheme has a front speed only for "
+            f"0 < delta < {limit:g}, got delta={delta}"
+        )
+
+    def minus_speed(lam: float) -> float:
+        return math.log(symbol(lam)) / lam
+
+    lo, hi, tol = 1.0, 10.0, 1e-10
+    lam = _golden_section(minus_speed, lo, hi, tol)
+    if not lo + tol < lam < hi - tol:
+        raise ConfigurationError(
+            f"the {quadrature.value} scheme's front at delta={delta} decays at a "
+            f"rate outside ({lo:g}, {hi:g})"
+        )
+    return -minus_speed(lam), lam
 
 
 def wave_shape_collapse(

@@ -148,10 +148,11 @@ class GridFunction:
     def evaluate(self, x):
         """Linear interpolation between adjacent grid values.
 
-        Accepts a scalar or an array; raises DomainError outside [0, x_max].
+        Accepts a scalar or an array; raises DomainError outside [0, x_max]
+        and for NaN.
         """
         x_arr = np.asarray(x, dtype=np.float64)
-        if np.any(x_arr < 0.0) or np.any(x_arr > self.x_max * (1 + 1e-12)):
+        if not np.all((x_arr >= 0.0) & (x_arr <= self.x_max * (1 + 1e-12))):
             raise DomainError(
                 f"evaluation point outside [0, {self.x_max:.6g}]: {x!r}"
             )

@@ -5,9 +5,9 @@
     [0, 5] at delta 0.01 and 0.005, error ratio in [3.5, 4.5].
  3. Velocity: delta 0.001, window [200, 400] within 1% of 1/e; at
     delta 0.01 the fitted v lies in [0.355, 0.372].
- 4. Logarithmic correction: with the extrapolated velocity fixed, the
-    ln(n) coefficient over [500, 2000] at delta 0.01 is within 30% of
-    3/(2e); synthetic round trips recover coefficients to 1e-9.
+ 4. Logarithmic correction: with the scheme's exact velocity v_delta
+    fixed, the ln(n) coefficient over [500, 2000] at delta 0.01 is within
+    30% of 3/(2e); synthetic round trips recover coefficients to 1e-9.
  5. Wave collapse: snapshots {60, 80, 100} at delta 0.01 spread < 0.02
     over u in [-5, 5].
  6. Alpha scan: alpha*(0.01) = 0.9855 +/- 0.005, alpha*(0.001) =
@@ -41,7 +41,7 @@ import numpy as np
 from continuum_cascade.cli import main
 from continuum_cascade.fronts import (
     log_correction_fit,
-    richardson_velocity,
+    scheme_velocity,
     velocity_estimate,
     wave_shape_collapse,
 )
@@ -55,6 +55,7 @@ from continuum_cascade.graphs import (
 from continuum_cascade.martingale import verify_boundary_conditions
 from continuum_cascade.recursion import (
     FrontTrace,
+    Quadrature,
     RecursionConfig,
     closed_form_p1,
     init_p0,
@@ -105,7 +106,7 @@ def test_criterion_03_velocity(d001_riemann_n400_trace, d01_riemann_n400_trace):
 
 def test_criterion_04_log_correction(d01_n2000_run):
     trace = next(t for t in d01_n2000_run.front_traces if t.level == 0.5)
-    v = richardson_velocity(trace, (500, 2000))
+    v, _ = scheme_velocity(0.01, Quadrature.TRAPEZOID)
     fit = log_correction_fit(trace, (500, 2000), v_fixed=v)
     assert abs(fit.b - B_TARGET) <= 0.30 * B_TARGET
 

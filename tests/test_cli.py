@@ -268,6 +268,7 @@ def test_a_flag_of_another_command_exits_two(capsys):
     ["--fit-lo", "10", "--fit-hi", "5000"],
     ["--fit-lo", "40", "--fit-hi", "10"],
     ["--fit-lo", "20", "--fit-hi", "20"],
+    ["--delta", "2", "--fit-lo", "10", "--fit-hi", "40"],  # no front speed to fix
 ])
 def test_front_rejects_bad_fit_flags_before_computing(tmp_path, capsys, fit_args):
     assert main(["front", "--nmax", "50", *fit_args, "--out", str(tmp_path)]) == 2

@@ -1,6 +1,7 @@
 """Front extraction, velocity/log-correction fits, wave collapse, alpha probe."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from continuum_cascade.fronts import (
     probe_positions,
     probe_slabs,
     read_probe,
-    richardson_velocity,
+    scheme_velocity,
     velocity_estimate,
     wave_shape_collapse,
 )
@@ -126,13 +127,6 @@ def test_log_fit_zero_correction_round_trip():
     assert abs(fit.b) < 1e-9
 
 
-def test_richardson_velocity_eliminates_log_bias_exactly():
-    b_true = 3.0 / (2.0 * E)
-    trace = make_trace(100, 900, lambda n: n / E + b_true * np.log(n) - 2.1)
-    v = richardson_velocity(trace, (100, 900))
-    assert abs(v - 1 / E) < 1e-10
-
-
 def test_log_fit_window_preconditions():
     trace = make_trace(100, 1000, lambda n: n / E)
     with pytest.raises(FitError):
@@ -145,8 +139,6 @@ def test_log_fits_reject_a_window_below_n_one():
     trace = make_trace(0, 300, lambda n: n / E)
     for window in ((-100, 300), (0, 300)):
         with pytest.raises(FitError, match="below n = 1"):
-            richardson_velocity(trace, window)
-        with pytest.raises(FitError, match="below n = 1"):
             log_correction_fit(trace, window)
         with pytest.raises(FitError, match="below n = 1"):
             log_correction_fit(trace, window, v_fixed=1 / E)
@@ -154,10 +146,58 @@ def test_log_fits_reject_a_window_below_n_one():
 
 def test_fitted_b_is_level_independent(d01_n2000_run):
     bs = {}
+    v, _ = scheme_velocity(0.01, Quadrature.TRAPEZOID)
     for trace in d01_n2000_run.front_traces:
-        v = richardson_velocity(trace, (500, 2000))
         bs[trace.level] = log_correction_fit(trace, (500, 2000), v_fixed=v).b
     assert abs(bs[0.25] - bs[0.75]) < 0.05
+
+
+def test_scheme_velocity_reproduces_the_closed_forms():
+    deltas = (0.02, 0.01, 0.005, 0.001)
+    riemann = [scheme_velocity(d, Quadrature.RIEMANN)[0] for d in deltas]
+    assert [round(E * v, 5) for v in riemann] == [0.97294, 0.98644, 0.99321, 0.99864]
+    for delta in deltas:  # TRAPEZOID: 1/e - v_delta = e delta^2 / 12 + O(delta^4)
+        v, _ = scheme_velocity(delta, Quadrature.TRAPEZOID)
+        assert abs((1 / E - v) / (E * delta**2 / 12) - 1) < 0.01
+    for quadrature in Quadrature:  # the decay rate tends to the continuum's e
+        gaps = [abs(scheme_velocity(d, quadrature)[1] - E) for d in (0.1, 0.01, 0.001)]
+        assert gaps[0] > gaps[1] > gaps[2] and gaps[2] < 1e-5
+    # just inside either limit the speed is small but positive
+    assert scheme_velocity(1.98, Quadrature.TRAPEZOID)[0] > 0.0
+    assert scheme_velocity(0.99, Quadrature.RIEMANN)[0] > 0.0
+
+
+@pytest.mark.parametrize("delta, quadrature", [
+    (2.0, Quadrature.TRAPEZOID),
+    (5.0, Quadrature.TRAPEZOID),
+    (1.0, Quadrature.RIEMANN),
+    (0.0, Quadrature.RIEMANN),
+    (-0.01, Quadrature.TRAPEZOID),
+    (math.nan, Quadrature.TRAPEZOID),
+    (0.9999, Quadrature.RIEMANN),  # a speed, but its decay rate is past the bracket
+])
+def test_scheme_velocity_rejects_a_grid_without_a_front_speed(delta, quadrature):
+    with pytest.raises(ConfigurationError, match=re.escape(f"delta={delta}")):
+        scheme_velocity(delta, quadrature)
+
+
+@pytest.mark.parametrize("trace, delta", [
+    ("d01_riemann_n400_trace", 0.01),
+    ("d001_riemann_n400_trace", 0.001),
+])
+def test_joint_fit_finds_the_scheme_velocity(request, trace, delta):
+    v_delta, _ = scheme_velocity(delta, Quadrature.RIEMANN)
+    fit = log_correction_fit(request.getfixturevalue(trace), (100, 400))
+    assert abs(fit.v - v_delta) < 0.1 * abs(1 / E - v_delta)
+
+
+def test_alpha_star_sits_just_below_the_scheme_velocity():
+    # the probe reads at alpha (n/e + ...), a point moving at alpha/e, so a
+    # flat probe needs alpha close to e v_delta; its finite-n transient keeps
+    # alpha* a little below
+    for result in alpha_scan([0.02, 0.01, 0.005, 0.001], n_max=200):
+        gap = E * scheme_velocity(result.delta, Quadrature.RIEMANN)[0] - result.alpha_star
+        assert 0.0 < gap < 1e-3
 
 
 def test_wave_collapse_identical_snapshots_is_zero(d01_n2000_run):

@@ -196,6 +196,8 @@ def test_evaluate_interpolates_and_guards_domain():
         p0.evaluate(-0.01)
     with pytest.raises(DomainError):
         p0.evaluate(3.5)
+    with pytest.raises(DomainError):
+        p0.evaluate(float("nan"))
 
 
 def test_front_clearance_enforced_only_for_front_runs():
@@ -445,6 +447,16 @@ def test_band_step_contract():
         iterate_step(p0, config, config.grid_size + 2)
     assert np.array_equal(iterate_step(band(0, 50), config, 40).values,
                           iterate_step(p0, config).values[:40])
+    # without a workspace, a band ending at g = 1 is continued by its exact 1s
+    for quadrature in Quadrature:
+        wide = RecursionConfig(delta=0.1, x_max=45.0, n_max=1, quadrature=quadrature)
+        whole = init_p0(wide)
+        head = GridFunction(delta=0.1, values=whole.values[:401], generation=0,
+                            complement=whole.complement[:401])
+        assert head.complement[-1] == 1.0
+        step, full = iterate_step(head, wide, 450), iterate_step(whole, wide)
+        assert np.array_equal(step.values, full.values[:450])
+        assert np.array_equal(step.complement, full.complement[:450])
 
 
 def _libm_finish(out_p, out_g, tmp):
