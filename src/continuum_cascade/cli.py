@@ -218,6 +218,12 @@ def cmd_front(params: dict, writer: RunWriter) -> None:
             )
         if params["fit"] == "fixed":
             v_fixed = fronts.scheme_velocity(config.delta, config.quadrature)[0]
+        # the trace holds every generation 0..nmax, so the window holds lo..hi
+        shortfall = fronts.log_window_shortfall(range(lo, hi + 1))
+        if shortfall:
+            raise ConfigurationError(
+                f"--fit-lo {lo} --fit-hi {hi}: the log-fit window {shortfall}"
+            )
     result = recursion.run_recursion(config, front_levels=(params["level"],))
     trace = result.front_traces[0]
     writer.write_csv(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -82,6 +83,21 @@ def _lstsq(design: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise FitError("ill-conditioned design (window too narrow)")
     return coef
 
+
+def log_window_shortfall(generations: Sequence[float]) -> str | None:
+    """Why a log fit over `generations` (ascending) cannot be trusted, or None.
+
+    The fit needs at least 50 of them, spanning a factor 3 in n.  The one
+    rule of log_correction_fit, on a trace, and of cli.cmd_front, on the
+    window its flags give before the recursion runs.
+    """
+    if len(generations) < 50:
+        return f"holds {len(generations)} entries, need >= 50"
+    if generations[-1] < 3.0 * generations[0]:
+        return "spans less than a factor 3 in n"
+    return None
+
+
 def log_correction_fit(
     trace: FrontTrace,
     window: tuple[int, int],
@@ -95,10 +111,9 @@ def log_correction_fit(
     if window[0] < 1:
         raise FitError(f"fit window {tuple(window)} reaches below n = 1")
     n, x = _window_slice(trace, *window)
-    if len(n) < 50:
-        raise FitError(f"log-fit window {window} holds {len(n)} entries, need >= 50")
-    if n[-1] < 3.0 * n[0]:
-        raise FitError(f"log-fit window {window} spans less than a factor 3 in n")
+    shortfall = log_window_shortfall(n)
+    if shortfall:
+        raise FitError(f"log-fit window {window} {shortfall}")
     ln = np.log(n)
     if v_fixed is None:
         # centered regressors for conditioning; coefficients are unchanged
@@ -233,12 +248,14 @@ def probe_slabs(config: RecursionConfig, lo: np.ndarray, hi: np.ndarray) -> Prob
     # the grid cut at the last slab end, node stop.max() - 1; x_max half an
     # interval past it, so no rounding of x_max / delta moves grid_size
     cut = replace(config, x_max=(int(stop.max()) - 0.5) * config.delta)
-    steps = bands(cut, lambda m: int(stop[m]))
+    # per-generation bounds as Python ints: numpy scalars cost more to index with
+    starts, ends, at = first.tolist(), stop.tolist(), offsets.tolist()
+    steps = bands(cut, lambda m: ends[m])
     for m, (band, start) in enumerate(itertools.islice(steps, len(lo))):
-        slab = values[offsets[m] : offsets[m + 1]]
-        below = min(max(start - first[m], 0), len(slab))  # slab nodes below the band
+        slab = values[at[m] : at[m + 1]]
+        below = min(max(start - starts[m], 0), len(slab))  # slab nodes below the band
         slab[:below] = 1.0
-        slab[below:] = band.values[first[m] + below - start : stop[m] - start]
+        slab[below:] = band.values[starts[m] + below - start : ends[m] - start]
     values.flags.writeable = False
     return ProbeSlabs(config, lo, hi, first, offsets, values)
 

@@ -59,24 +59,27 @@ def _prefix_sum(x: np.ndarray, out: np.ndarray, err: np.ndarray, tmp: np.ndarray
 
     `err` and `tmp` hold at least len(x) - 1 values each and are overwritten.
     FastTwoSum recovers the exact rounding error of each addition in the
-    float64 cumsum; this relies on np.cumsum adding strictly left to right,
-    and on no term being negative, so that the larger of the two operands
-    is the larger in magnitude.
+    float64 running sum; this relies on np.add.accumulate (the loop behind
+    np.cumsum, without its dispatch) adding strictly left to right, and on
+    no term being negative, so that the larger of the two operands is the
+    larger in magnitude.
     """
     m = len(x)
-    s = np.cumsum(x, out=out[:m])
+    s = np.add.accumulate(x, out=out[:m])
     t, a, b = s[1:], s[:-1], x[1:]
     big = np.maximum(a, b, out=tmp[: m - 1])
     np.subtract(t, big, out=big)
     e = np.minimum(a, b, out=err[: m - 1])
-    e -= big  # e[i] = exact rounding error of t[i] = a[i] + x[i + 1]
-    np.cumsum(e, out=e)
-    t += e
+    np.subtract(e, big, out=e)  # e[i] = exact rounding error of t[i] = a[i] + x[i + 1]
+    np.add(t, np.add.accumulate(e, out=e), out=t)
     return s
 
 
 # |Q| below this: exp(-Q) rounds to 1 and -expm1(-Q) to Q (module docstring)
 LINEAR_TAIL = 2.0**-56
+# the steps' constant operands as 0-d arrays: a ufunc converts a Python float
+# operand on every call, at about a third of a microsecond
+_TAIL, _HALF = np.array(LINEAR_TAIL), np.array(0.5)
 
 
 def _finish(out_p: np.ndarray, out_g: np.ndarray, tmp: np.ndarray) -> float:
@@ -85,21 +88,23 @@ def _finish(out_p: np.ndarray, out_g: np.ndarray, tmp: np.ndarray) -> float:
     `tmp` holds at least len(out_g) values and is overwritten; the bytes of
     `out_p` hold the linear-run mask until P is written over it.
     """
-    q = out_g
-    n = len(q)
-    neg_q = tmp[:n]
-    linear = np.less(np.abs(q, out=neg_q), LINEAR_TAIL, out=out_p.view(np.bool_)[:n])
-    k = int(np.argmin(linear))  # first node outside the linear run
+    n = len(out_g)
+    linear = np.less(np.abs(out_g, out=tmp[:n]), _TAIL, out=out_p.view(np.bool_)[:n])
+    k = int(linear.argmin())  # first node outside the linear run
     if linear[k]:
         k = n
-    out_p[:k] = 1.0  # g = q there already
-    neg_q = np.negative(q[k:], out=neg_q[k:])
-    np.exp(neg_q, out=out_p[k:])
-    np.expm1(neg_q, out=out_g[k:])
-    np.negative(out_g[k:], out=out_g[k:])
+    out_p[:k] = 1.0  # g = Q there already
+    p, g = out_p[k:], out_g[k:]
+    neg_q = np.negative(g, out=tmp[k:n])
+    np.exp(neg_q, out=p)
+    np.negative(np.expm1(neg_q, out=g), out=g)
     out_p[0] = 1.0
     out_g[0] = 0.0
-    excess = max(float(out_p.max()) - 1.0, float(-out_g.min()))
+    # P is exactly 1 on the run, so one of its nodes stands for all of them
+    # in the maximum's scan; argmax and argmin find an extreme (or the first
+    # NaN) with less dispatch than max and min
+    p = out_p[max(k - 1, 0):]
+    excess = max(p.item(p.argmax()) - 1.0, -out_g.item(out_g.argmin()))
     if excess > 0.0:
         np.minimum(out_p, 1.0, out=out_p)
         np.maximum(out_g, 0.0, out=out_g)
@@ -116,7 +121,7 @@ def step_riemann(prev_g: np.ndarray, delta: float,
 def step_trapezoid(prev_g: np.ndarray, delta: float,
                    out_p: np.ndarray, out_g: np.ndarray, work: np.ndarray) -> float:
     s = _prefix_sum(prev_g, work, out_g, out_p)
-    q = np.multiply(prev_g, 0.5, out=out_g)
+    q = np.multiply(prev_g, _HALF, out=out_g)
     np.subtract(s, q, out=q)
     q *= delta
     return _finish(out_p, out_g, work)

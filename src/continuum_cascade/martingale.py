@@ -38,7 +38,7 @@ from numpy.polynomial.laguerre import laggauss
 from . import fronts
 from .errors import ConfigurationError, NumericError
 from .recursion import RecursionConfig
-from .simulate import DEFAULT_PARTICLE_CAP, check_particle_cap, offspring
+from .simulate import DEFAULT_PARTICLE_CAP, check_particle_cap, check_poisson_mean, offspring
 
 INTENSITY = 1.0 / math.e
 SUPPORT_LO = -1.0
@@ -54,6 +54,8 @@ def check_walk(n: int, v_max: float, particle_cap: int, prune_window: float | No
         raise ConfigurationError(f"n must be >= 0, got {n}")
     if not SUPPORT_LO <= v_max < math.inf:
         raise ConfigurationError(f"v_max must be finite and >= -1, got {v_max}")
+    # a particle's children are Poisson, of mean at most (v_max + 1)/e
+    check_poisson_mean(INTENSITY * (v_max - SUPPORT_LO), f"v_max (--vmax) = {v_max:g}")
     check_particle_cap(particle_cap)
     if prune_window is not None and not math.isfinite(prune_window):
         raise ConfigurationError(f"prune_window must be finite, got {prune_window}")

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -97,7 +98,7 @@ class RecursionConfig:
         if not isinstance(self.quadrature, Quadrature):
             raise ConfigurationError(f"unknown quadrature {self.quadrature!r}")
 
-    @property
+    @cached_property
     def grid_size(self) -> int:
         """Number of grid intervals M; values live at x = 0, delta, ..., M*delta."""
         return int(math.floor(self.x_max / self.delta + 1e-9))
@@ -176,6 +177,19 @@ class GridFunction:
             raise NumericError("complement is not non-decreasing in x")
         if np.max(np.abs((1.0 - v) - g)) > 1e-15:
             raise NumericError("values and complement disagree")
+
+
+def _generation(delta: float, values: np.ndarray, generation: int,
+                complement: np.ndarray) -> GridFunction:
+    """A GridFunction of arrays that are already read-only float64, taken as they are.
+
+    Every generation bands steps is built twice, as a step's result and as
+    its live band, and __post_init__'s conversions and flag writes cost
+    about 1.5 us each time, against 0.3 us here.
+    """
+    f = object.__new__(GridFunction)
+    f.delta, f.values, f.generation, f.complement = delta, values, generation, complement
+    return f
 
 
 @dataclass
@@ -275,18 +289,17 @@ def iterate_step(
     g, out_p, out_g, scratch = work
     if not len(g) == len(out_p) == len(out_g) == nodes <= len(scratch):
         raise ContractViolationError(f"step arrays do not fit a band of {nodes} nodes")
+    if not out_p.dtype == out_g.dtype == np.float64:
+        raise ContractViolationError("a step writes its result to float64 arrays")
     excess = _STEPPERS[config.quadrature](g, config.delta, out_p, out_g, scratch)
     if not excess <= CLAMP_TOLERANCE:  # a NaN excess fails too
         raise NumericError(
             f"clamp exceeded tolerance at generation {prev.generation + 1}: "
             f"excess={excess:.3e}"
         )
-    return GridFunction(
-        delta=config.delta,
-        values=out_p,
-        generation=prev.generation + 1,
-        complement=out_g,
-    )
+    out_p.setflags(write=False)
+    out_g.setflags(write=False)
+    return _generation(config.delta, out_p, prev.generation + 1, out_g)
 
 
 def _bracketed_crossing(
@@ -299,12 +312,12 @@ def _bracketed_crossing(
     the same bits.
     """
     below = values < level
-    idx = int(np.argmax(below))
+    idx = int(below.argmax())
     if not below[idx]:  # argmax of all False is 0
         raise FrontNotFoundError(f"curve never drops below level {level}")
     if idx == 0:
         raise FrontNotFoundError(f"curve starts below level {level}")
-    hi, lo = values[idx - 1], values[idx]
+    hi, lo = values.item(idx - 1), values.item(idx)
     return delta * (offset + idx - 1 + (hi - level) / (hi - lo))
 
 
@@ -312,7 +325,7 @@ def _bracketed_crossing(
 EDGE_CHUNK = 128
 
 
-def _first_not(a: np.ndarray, v: float) -> int:
+def _first_not(a: np.ndarray, v: float | np.ndarray) -> int:
     """np.argmax(a != v): the first index where `a` is not `v`, else 0.
 
     Scans chunks that double in length from the start, so it costs the run
@@ -321,12 +334,17 @@ def _first_not(a: np.ndarray, v: float) -> int:
     lo, size = 0, EDGE_CHUNK
     while lo < len(a):
         differs = a[lo:lo + size] != v
-        k = int(np.argmax(differs))
+        k = int(differs.argmax())
         if differs[k]:
             return lo + k
         lo += size
         size *= 2
     return 0
+
+
+# the edge values as 0-d arrays, which a comparison takes with less dispatch
+# than Python floats
+_ZERO, _ONE = np.array(0.0), np.array(1.0)
 
 
 def _live_band(f: GridFunction) -> tuple[GridFunction, int]:
@@ -337,17 +355,11 @@ def _live_band(f: GridFunction) -> tuple[GridFunction, int]:
     and the index in `f` of its first node.
     """
     g = f.complement
-    start = _first_not(g, 0.0) - 1
+    start = _first_not(g, _ZERO) - 1
     if start < 0:  # g[0] is 0, so no nonzero was found: g is 0 throughout
         start = len(g) - 1
-    stop = len(g) + 1 - _first_not(g[::-1], 1.0)
-    band = GridFunction(
-        delta=f.delta,
-        values=f.values[start:stop],
-        generation=f.generation,
-        complement=g[start:stop],
-    )
-    return band, start
+    stop = len(g) + 1 - _first_not(g[::-1], _ONE)
+    return _generation(f.delta, f.values[start:stop], f.generation, g[start:stop]), start
 
 
 def bands(
@@ -403,15 +415,16 @@ def bands(
         room = n_nodes - lo
         while True:
             nodes = min(room, max(len(band.values) + margin, reach(n) - lo))
-            if start + nodes > len(p_buf):  # the first step, or a band outgrew the workspace
-                size = min(n_nodes, max(2 * len(p_buf), start + nodes, filled))
+            end = start + nodes
+            if end > len(p_buf):  # the first step, or a band outgrew the workspace
+                size = min(n_nodes, max(2 * len(p_buf), end, filled))
                 p_buf, scratch, spare = np.empty(size), np.empty(size), np.empty(size)
                 spare[:filled] = held[:filled]
                 held, spare = spare, np.empty(size)
-            if start + nodes > filled:  # continue the band by its exact 1s, in place
-                held[filled : start + nodes] = 1.0
-                filled = start + nodes
-            work = held[start : start + nodes], p_buf[:nodes], spare[:nodes], scratch
+            if end > filled:  # continue the band by its exact 1s, in place
+                held[filled:end] = 1.0
+                filled = end
+            work = held[start:end], p_buf[:nodes], spare[:nodes], scratch
             nxt = iterate_step(band, config, nodes, work)
             if nodes == room or (nxt.complement[-1] == 1.0 and nxt.values[-1] < p_floor):
                 break

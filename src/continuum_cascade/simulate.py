@@ -52,6 +52,13 @@ PASS_ELEMENTS = 1 << 20
 # height of a trial that hit the particle cap before it was resolved
 TRUNCATED = -1
 
+# Largest n_cap whose table numpy can address: outcome_histogram's n_cap + 3
+# int64 slots, whose size in bytes must fit np.intp.
+MAX_N_CAP = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize - 3
+# Largest mean Generator.poisson draws from (numpy's own bound, same formula);
+# it raises ValueError above it.
+POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+
 
 def trial_rng(seed: int, stream: int, index: int) -> np.random.Generator:
     """Independent generator for substream `index` of `stream`.
@@ -106,11 +113,25 @@ def sample_blocks(
 
 
 def check_tally(trials: int, n_cap: int | None = None) -> None:
-    """A CDF table needs a trial to count and, when capped, a row 0."""
+    """A CDF table needs a trial to count and, when capped, a row 0 and an address."""
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
     if n_cap is not None and n_cap < 0:
         raise ConfigurationError(f"n_cap must be >= 0, got {n_cap}")
+    if n_cap is not None and n_cap > MAX_N_CAP:
+        raise ConfigurationError(
+            f"n_cap (--ncap) must be at most {MAX_N_CAP}, so that its table of "
+            f"n_cap + 3 counts fits one array, got {n_cap}"
+        )
+
+
+def check_poisson_mean(mean: float, source: str) -> None:
+    """Raise unless numpy can draw Poisson counts of `mean`, the largest `source` sets."""
+    if mean > POISSON_MEAN_MAX:
+        raise ConfigurationError(
+            f"{source} sets a Poisson mean of {mean:.6g}, above the largest numpy "
+            f"draws from ({POISSON_MEAN_MAX:.6g})"
+        )
 
 
 def check_particle_cap(particle_cap: int) -> None:
@@ -139,6 +160,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.x < math.inf:
             raise ConfigurationError(f"x must be finite and >= 0, got {self.x}")
+        check_poisson_mean(self.x, f"x (--x) = {self.x:g}")  # the root's mean
         check_tally(self.trials, self.n_cap)
         check_particle_cap(self.particle_cap)
 

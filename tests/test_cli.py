@@ -215,12 +215,15 @@ def test_env_var_default_outdir(tmp_path, monkeypatch):
 
 
 def test_exit_codes(tmp_path, capsys):
-    # configuration error: front run with too small a domain
+    # configuration errors, found before the run: a front run with too small
+    # a domain, a fit window with too few points
     assert main(["front", "--delta", "0.01", "--nmax", "200", "--xmax", "10",
                  "--out", str(tmp_path)]) == 2
-    # fit error: window with too few points
     assert main(["front", "--delta", "0.02", "--nmax", "100", "--fit-lo", "96",
-                 "--fit-hi", "99", "--out", str(tmp_path)]) == 3
+                 "--fit-hi", "99", "--out", str(tmp_path)]) == 2
+    # numeric error: the curve never drops below the front level
+    assert main(["front", "--delta", "0.02", "--nmax", "100", "--level", "1e-300",
+                 "--out", str(tmp_path)]) == 3
     # i/o error: output directory path passes through a file
     blocker = tmp_path / "blocker"
     blocker.write_text("")
@@ -316,6 +319,16 @@ def test_front_rejects_bad_fit_flags_before_computing(tmp_path, capsys, fit_args
     ["compare", "--n-vertices", "5", "--x", "inf", "--trials", "10"],
     # vertex gaps are int64: a larger vertex count is refused, not mis-sampled
     ["graph", "--n-vertices", str(2**63), "--c", "1e-30", "--trials", "1"],
+    # a log-fit window too small for the fit (too few entries, less than a
+    # factor 3), refused before the recursion runs
+    ["front", "--delta", "0.01", "--nmax", "50", "--fit-lo", "10", "--fit-hi", "40"],
+    ["front", "--delta", "0.01", "--nmax", "300", "--fit-lo", "100", "--fit-hi", "200"],
+    # a largest Poisson mean above numpy's: x itself, and (v_max + 1)/e
+    ["simulate", "--x", "1e300", "--trials", "10"],
+    ["brw", "--vmax", "1e300", "--trials", "1", "--n", "3"],
+    # a CDF table that no array can hold
+    ["simulate", "--x", "1", "--trials", "10", "--ncap", str(2**63 - 1)],
+    ["graph", "--n-vertices", "50", "--c", "0.02", "--trials", "5", "--ncap", str(2**63 - 1)],
 ])
 def test_bad_counts_exit_two(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 2
@@ -325,6 +338,12 @@ def test_bad_counts_exit_two(tmp_path, capsys, argv):
         assert "n_max" in err and "x_max" not in err
     if argv[0] == "compare" and argv[4] in ("-1", "nan", "inf"):
         assert "x must be finite and >= 0" in err and "edge probability" not in err
+    # the error names the flag it rejects
+    if argv[0] == "front" and "--fit-lo" in argv:
+        assert "--fit-lo" in err and "--fit-hi" in err
+    for flag, value in (("--x", "1e300"), ("--vmax", "1e300"), ("--ncap", str(2**63 - 1))):
+        if flag in argv and argv[argv.index(flag) + 1] == value:
+            assert f"({flag})" in err
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -439,11 +458,15 @@ def test_compare_at_large_x_ends_at_exactly_one(tmp_path):
 
 
 def test_failed_rerun_leaves_no_stale_manifest(tmp_path):
-    args = ["front", "--delta", "0.02", "--nmax", "100", "--out", str(tmp_path)]
-    assert main(args + ["--fit-lo", "20", "--fit-hi", "100"]) == 0
+    args = ["front", "--delta", "0.02", "--nmax", "100", "--fit-lo", "20", "--fit-hi", "100",
+            "--out", str(tmp_path)]
+    assert main(args) == 0
     assert (tmp_path / "manifest.json").exists()
-    # the trace is rewritten, then the fit fails: no manifest may vouch for it
-    assert main(args + ["--fit-lo", "96", "--fit-hi", "99"]) == 3
+    # the trace is rewritten, then the fit's file cannot be: no manifest may vouch
+    # for the files
+    (tmp_path / "front_fit.csv").unlink()
+    (tmp_path / "front_fit.csv").mkdir()
+    assert main(args) == 4
     assert (tmp_path / "front_trace.csv").exists()
     assert not (tmp_path / "manifest.json").exists()
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from continuum_cascade import kernels
+from continuum_cascade.recursion import CLAMP_TOLERANCE
 
 
 def random_complement(m: int, seed: int) -> np.ndarray:
@@ -35,8 +36,9 @@ def prefix_inputs() -> dict[str, np.ndarray]:
 @pytest.mark.parametrize("name", sorted(prefix_inputs()))
 def test_prefix_sum_is_within_one_ulp_of_exact(name):
     x = prefix_inputs()[name]
-    # the TwoSum error terms are exact only for a strictly sequential cumsum
-    assert np.array_equal(np.cumsum(x), list(itertools.accumulate(x.tolist())))
+    # the TwoSum error terms are exact only for a strictly sequential running
+    # sum, which the kernel takes from np.add.accumulate
+    assert np.array_equal(np.add.accumulate(x), list(itertools.accumulate(x.tolist())))
     exact = np.array([float(q) for q in exact_prefix_sums(x)])
     m = len(x)
     got = kernels._prefix_sum(x, np.empty(m), np.empty(m - 1), np.empty(m - 1))
@@ -142,6 +144,97 @@ def test_linear_tail_run_ends_at_the_first_node_outside_it():
             p, g = np.minimum(p, 1.0), np.maximum(g, 0.0)
         assert np.array_equal(out_p, p, equal_nan=True)
         assert np.array_equal(out_g, g, equal_nan=True)
+
+
+def reference_finish(out_p: np.ndarray, out_g: np.ndarray, tmp: np.ndarray) -> float:
+    """The kernel's finish before its scans were narrowed, kept verbatim as the reference.
+
+    It scans the whole band for P's maximum and g's minimum with max and
+    min; the kernel scans P only past the linear run and finds both
+    extremes by argmax and argmin.
+    """
+    q = out_g
+    n = len(q)
+    neg_q = tmp[:n]
+    linear = np.less(np.abs(q, out=neg_q), kernels.LINEAR_TAIL, out=out_p.view(np.bool_)[:n])
+    k = int(np.argmin(linear))  # first node outside the linear run
+    if linear[k]:
+        k = n
+    out_p[:k] = 1.0  # g = q there already
+    neg_q = np.negative(q[k:], out=neg_q[k:])
+    np.exp(neg_q, out=out_p[k:])
+    np.expm1(neg_q, out=out_g[k:])
+    np.negative(out_g[k:], out=out_g[k:])
+    out_p[0] = 1.0
+    out_g[0] = 0.0
+    excess = max(float(out_p.max()) - 1.0, float(-out_g.min()))
+    if excess > 0.0:
+        np.minimum(out_p, 1.0, out=out_p)
+        np.maximum(out_g, 0.0, out=out_g)
+    return max(excess, 0.0)
+
+
+def finish_both(q: np.ndarray):
+    """(excess, P, g) from the kernel's finish and from the reference, on one Q."""
+    results = []
+    for finish in (kernels._finish, reference_finish):
+        out_p, out_g = np.full_like(q, np.nan), q.copy()
+        excess = finish(out_p, out_g, np.full(len(q) + 3, np.nan))
+        results.append((np.float64(excess).tobytes(), out_p.tobytes(), out_g.tobytes()))
+    return results
+
+
+T = kernels.LINEAR_TAIL
+
+
+@pytest.mark.parametrize("q", [
+    # the linear run covers no node, or one
+    [2.0, 0.5, 1e-20, 3.0],
+    [np.nan, 1e-20, 0.5],
+    [0.0, 1.0, T / 2, 700.0, 800.0],
+    # every node, up to the threshold; and negative Q, for which P exceeds 1
+    [0.0, 5e-324, 1e-300, 1e-20, np.nextafter(T, 0.0)],
+    [0.0, -1e-20, 1e-25, -np.nextafter(T, 0.0)],
+    [-1e-20, 1e-20],
+    [0.0],
+    # a NaN ends the run, of either sign, and may follow a negative node
+    [0.0, 1e-20, np.nan, 1e-20, 0.5],
+    [0.0, 1e-20, -np.nan, 2.0, np.nan],
+    [0.0, -1e-13, 1e-20, np.nan],
+    # negatives past the run: the excess the caller rejects
+    [0.0, 1e-20, -0.5, -3.0, 1.0],
+    [0.0, -1e-3, 1e-3, -2e-3],
+], ids=lambda q: ",".join(f"{v:.3g}" for v in q))
+def test_finish_matches_the_reference_bit_for_bit(q):
+    got, want = finish_both(np.array(q, dtype=np.float64))
+    assert got == want
+
+
+@pytest.mark.parametrize("name", ["step_riemann", "step_trapezoid"])
+@pytest.mark.parametrize("delta", [0.001, 0.1, 2.0])
+def test_step_matches_the_reference_finish_bit_for_bit(monkeypatch, name, delta):
+    # a band as a front run steps it: exact zeros, a tail far below an ulp of
+    # 1, the front and the trailing exact 1s; then the same band with one
+    # negative node, which drives P past 1 at every later node
+    g = np.concatenate((
+        np.zeros(5),
+        10.0 ** np.linspace(-320.0, -17.0, 3000),
+        random_complement(2000, 7)[1:],
+        np.ones(100),
+    ))
+    bad = g.copy()
+    bad[2500] = -1e-3
+    step = getattr(kernels, name)
+    for band in (g, bad):
+        results = []
+        for finish in (kernels._finish, reference_finish):
+            monkeypatch.setattr(kernels, "_finish", finish)
+            out_p, out_g = np.empty_like(band), np.empty_like(band)
+            excess = step(band, delta, out_p, out_g, np.empty(len(band) + 5))
+            results.append((np.float64(excess).tobytes(), out_p.tobytes(), out_g.tobytes()))
+        assert results[0] == results[1]
+        # iterate_step raises NumericError on the negative node's excess
+        assert (excess > CLAMP_TOLERANCE) == (band is bad)
 
 
 @pytest.mark.parametrize("name", ["step_riemann", "step_trapezoid"])

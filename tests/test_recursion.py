@@ -459,6 +459,35 @@ def test_band_step_contract():
         assert np.array_equal(step.complement, full.complement[:450])
 
 
+@pytest.mark.parametrize("quadrature", list(Quadrature))
+def test_generations_hold_read_only_float64_arrays(quadrature):
+    # the steps build each generation's GridFunction as is, without the
+    # conversion and flags of GridFunction.__post_init__: the arrays must
+    # already be what it would make them, however the step was called
+    config = RecursionConfig(delta=0.05, x_max=60.0, n_max=40, quadrature=quadrature)
+    n_nodes = config.grid_size + 1
+
+    def check(f, generation):
+        assert f.generation == generation and f.delta == config.delta
+        for a in (f.values, f.complement):
+            assert a.dtype == np.float64 and not a.flags.writeable
+
+    for ends in ((), (3, 40)):
+        steps = bands(config, lambda n: n_nodes if n in ends else 0, p_floor=0.5)
+        for n, (band, lo) in enumerate(steps):
+            check(band, n)
+    p0 = init_p0(config)
+    check(iterate_step(p0, config), 1)
+    head = GridFunction(delta=0.05, values=p0.values[:900], generation=7,
+                        complement=p0.complement[:900])
+    check(iterate_step(head, config, 950), 8)
+    g = np.concatenate((head.complement, np.ones(50)))
+    check(iterate_step(head, config, 950, (g, np.empty(950), np.empty(950), np.empty(950))), 8)
+    # a workspace that would make the result anything but float64 is refused
+    with pytest.raises(ContractViolationError):
+        iterate_step(head, config, 950, (g, np.empty(950, np.float32), np.empty(950), np.empty(950)))
+
+
 def _libm_finish(out_p, out_g, tmp):
     """Reference kernel finish: exp and expm1 at every node, no linear tail."""
     q = out_g.copy()
