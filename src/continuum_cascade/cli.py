@@ -103,22 +103,24 @@ COMMANDS: dict[str, list[Option]] = {
 
 
 def build_parser(commands: Collection[str] = COMMANDS.keys()) -> argparse.ArgumentParser:
-    """The `cascade` parser, with options on the subparsers of `commands` only.
+    """The `cascade` parser, with the subparsers of `commands` only (all by default).
 
-    Every command keeps its subparser, so usage, help and error messages
-    list all seven.  main passes the command in argv[0] alone, so a run
-    builds no other command's options.
+    A parser of fewer commands still lists all seven in its usage line, so
+    it prints the same usage, help and errors as the full one for a run of
+    a command it holds.  main builds the parser of argv[0] alone when that
+    names a command, and the full one for any other argv.
     """
     parser = argparse.ArgumentParser(
         prog="cascade",
         description="continuum cascade model: recursion, fronts, Monte Carlo",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, options in COMMANDS.items():
-        p = sub.add_parser(command, add_help=command in commands)
-        if command not in commands:  # listed, but parses nothing, not even -h
-            continue
-        for opt in options + COMMON:
+    # fewer commands list all seven as the metavar; the full parser keeps
+    # argparse's own, so that its "required" error still names `command`
+    listed = None if len(commands) == len(COMMANDS) else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=listed)
+    for command in commands:
+        p = sub.add_parser(command)
+        for opt in COMMANDS[command] + COMMON:
             flag = "--" + opt.name
             if opt.cast is bool:
                 p.add_argument(flag, action="store_const", const=True, default=None,
@@ -333,7 +335,7 @@ HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv[:1]).parse_args(argv)
+    args = build_parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS).parse_args(argv)
     try:
         params = resolve_params(args.command, args)
         writer = RunWriter(params["out"])

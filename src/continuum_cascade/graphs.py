@@ -33,6 +33,16 @@ from .simulate import (
 # O(delta^2) error, about 1e-7, is far below the 1/sqrt(trials) of the sample.
 CONTINUUM_DELTA = 0.001
 
+# Generator.geometric(p) draws by search at p >= this (numpy's own literal)
+# and below it by inversion: ceil(E / -log1p(-p)) of a standard exponential
+# E, drawn as int64 max from 2^63 on, the first double past int64 max.
+GEOMETRIC_SEARCH_MIN = 0.333333333333333333333333
+_INT64_MAX = np.iinfo(np.int64).max
+# A pass inverts its own exponentials (about 8 ns a draw, against numpy's
+# 20) from this many draws on; below it the inversion's extra numpy calls
+# cost more than they save.
+INVERSION_MIN_DRAWS = 1024
+
 
 @dataclass
 class ComparisonReport:
@@ -65,7 +75,8 @@ def _longest_paths(
     P(d > k) = hit_k / hit_0: d = 1 + #{k >= 1: N[k] > ln(1 - U hit_0) / ln(1 - c)}.
     Each step reaches one more vertex in every live trial of the pass; every
     stream draws the gaps, then the uniforms, of its own live trials from its
-    own generator, so its draws do not depend on the streams beside it.
+    own generator into its own slice of one buffer, so its draws do not
+    depend on the streams beside it.
     """
     trials = sum(k for _, k in streams)
     if c == 0.0:
@@ -76,6 +87,7 @@ def _longest_paths(
     lengths = np.empty(trials, dtype=np.int64)
     trial = np.arange(trials)
     room = np.full(trials, n_vertices - 1, dtype=np.int64)  # vertices after the last reached
+    draws = np.empty(trials)  # a live trial's gap, then its uniform and cut
     count = np.min_scalar_type(n_vertices)
     # Row k holds N[k] of every live trial for k = 1..depth, and the rows
     # after it are 0 (the buffer always has one).  Row 0 holds n, more than
@@ -88,7 +100,7 @@ def _longest_paths(
         hit = -math.expm1(reached * log_miss)
         # a gap past the last vertex ends the trial; counted down, as hit_0 < ~1e-19
         # draws int64 max, which added to the vertex index wraps it negative
-        room -= _draw(streams, lambda rng, k: rng.geometric(hit, k))
+        room -= _geometric_gaps(streams, hit, draws)
         if room.min() < 0:
             live = room >= 0
             ended = (~live).nonzero()[0]
@@ -97,7 +109,7 @@ def _longest_paths(
             kept = live.nonzero()[0]
             if not kept.size:
                 break
-            trial, room = trial.take(kept), room.take(kept)
+            trial, room, draws = trial.take(kept), room.take(kept), draws[: kept.size]
             above = above[: depth + 2].take(kept, axis=1)  # rows 0..depth and a 0 row
             if len(streams) > 1:  # kept is sorted: each stream ends where its trials do
                 ends = np.searchsorted(kept, list(accumulate(k for _, k in streams))).tolist()
@@ -105,7 +117,8 @@ def _longest_paths(
                            in zip(streams, [0, *ends], ends) if hi > lo]
             else:
                 streams = [(streams[0][0], kept.size)]
-        bar = np.log1p(-hit * _draw(streams, lambda rng, k: rng.random(k))) / log_miss
+        bar = _fill(streams, draws, lambda rng, out: rng.random(out=out))
+        np.divide(np.log1p(np.multiply(bar, -hit, out=bar), out=bar), log_miss, out=bar)
         # N[k] > bar iff N[k] > floor(bar), and N[k] <= N[1] < n - 1: compared as counts
         ahead = above[: depth + 1] > np.minimum(bar, n_vertices - 1, out=bar).astype(count)
         above[1 : depth + 2] += ahead  # the new vertex adds one to N[1..d]
@@ -117,14 +130,51 @@ def _longest_paths(
     return lengths
 
 
-def _draw(
+def _fill(
     streams: Sequence[tuple[np.random.Generator, int]],
-    draw: Callable[[np.random.Generator, int], np.ndarray],
+    out: np.ndarray,
+    draw: Callable[[np.random.Generator, np.ndarray], object],
 ) -> np.ndarray:
-    """draw(rng, k) of every stream (rng, k), in stream order."""
+    """`out` after draw(rng, its slice) of every stream (rng, k), in stream order."""
     if len(streams) == 1:
-        return draw(*streams[0])
-    return np.concatenate([draw(rng, k) for rng, k in streams])
+        draw(streams[0][0], out)
+        return out
+    lo = 0
+    for rng, k in streams:
+        draw(rng, out[lo : lo + k])
+        lo += k
+    return out
+
+
+def _geometric_gaps(
+    streams: Sequence[tuple[np.random.Generator, int]], p: float, out: np.ndarray
+) -> np.ndarray:
+    """rng.geometric(p, k) of every stream (rng, k), in stream order, bit for bit.
+
+    Below GEOMETRIC_SEARCH_MIN numpy inverts one exponential per draw and
+    recomputes log1p(-p) each time.  A pass of INVERSION_MIN_DRAWS or more
+    draws its exponentials into `out` (float64, the streams' total long),
+    one slice a stream, and inverts them in one go, into `out` itself: the
+    gaps are then its int64 view.  A smaller pass keeps numpy's own call.
+    """
+    if p >= GEOMETRIC_SEARCH_MIN or out.size < INVERSION_MIN_DRAWS:
+        if len(streams) == 1:
+            return streams[0][0].geometric(p, out.size)
+        return np.concatenate([rng.geometric(p, k) for rng, k in streams])
+    exps = _fill(streams, out, lambda rng, out: rng.standard_exponential(out=out))
+    gaps = out.view(np.int64)  # cast in place over the exponentials
+    scale = -math.log1p(-p)
+    # the largest quotient is max(E) / scale: below 2^63, so is every ceil
+    if float(exps.max()) / scale < 2.0**63:
+        np.copyto(gaps, np.ceil(np.divide(exps, scale, out=exps), out=exps), casting="unsafe")
+        return gaps
+    with np.errstate(over="ignore"):  # E / scale is inf for p near 5e-324
+        np.divide(exps, scale, out=exps)
+    past = np.ceil(exps, out=exps) >= 2.0**63
+    exps[past] = 0.0  # so that the cast meets no value past int64
+    np.copyto(gaps, exps, casting="unsafe")
+    gaps[past] = _INT64_MAX
+    return gaps
 
 
 def sample_longest_paths(n_vertices: int, c: float, trials: int, seed: int = 0) -> np.ndarray:

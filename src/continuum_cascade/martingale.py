@@ -46,12 +46,18 @@ DEFAULT_V_MAX = 20.0
 # Gauss–Laguerre rule sizes: each is exact for the degree <= 2 moment
 # integrands, so the two may differ by rounding only
 MOMENT_RULE_NODES = (10, 20)
+# Largest n whose n + 1 values D_0..D_n (float64) one array can address
+MAX_N = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize - 1
 
 
 def check_walk(n: int, v_max: float, particle_cap: int, prune_window: float | None) -> None:
-    """A walk needs n >= 0, a bounded support [-1, v_max], a cap >= 1 and a finite barrier."""
+    """A walk needs 0 <= n <= MAX_N, a support [-1, v_max], a cap >= 1 and a finite barrier."""
     if n < 0:
         raise ConfigurationError(f"n must be >= 0, got {n}")
+    if n > MAX_N:
+        raise ConfigurationError(
+            f"n (--n) must be at most {MAX_N}, so that its n + 1 values fit one array, got {n}"
+        )
     if not SUPPORT_LO <= v_max < math.inf:
         raise ConfigurationError(f"v_max must be finite and >= -1, got {v_max}")
     # a particle's children are Poisson, of mean at most (v_max + 1)/e

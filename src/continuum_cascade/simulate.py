@@ -49,6 +49,11 @@ BLOCK = 4096
 # another on the block's generator, to bound memory.
 PASS_ELEMENTS = 1 << 20
 
+# Most worker processes empirical_cdf starts.  Each is a fresh interpreter
+# that imports numpy, and the work is CPU-bound, so workers past the cores
+# add memory and no speed; a larger count is refused before any pool starts.
+MAX_WORKERS = 64
+
 # height of a trial that hit the particle cap before it was resolved
 TRUNCATED = -1
 
@@ -319,6 +324,10 @@ def empirical_cdf(config: SimConfig, workers: int = 1) -> EmpiricalCdf:
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    if workers > MAX_WORKERS:
+        raise ConfigurationError(
+            f"workers (--workers) must be at most {MAX_WORKERS}, got {workers}"
+        )
     n_blocks = -(-config.trials // BLOCK)
     jobs = [
         (config.x, config.n_cap, config.particle_cap, config.seed, config.trials, part.tolist())

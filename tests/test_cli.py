@@ -263,6 +263,40 @@ def test_a_flag_of_another_command_exits_two(capsys):
     assert "--delta" in capsys.readouterr().err
 
 
+def _parse_outcome(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+def _parse_cases(command):
+    """Help, a foreign flag, a bad value, a missing value and a stray word."""
+    own = ["--" + opt.name for opt in COMMANDS[command] + COMMON]
+    # argparse takes a prefix of a flag for the flag: --delta is alpha-scan's --deltas
+    foreign = next("--" + opt.name for other in COMMANDS if other != command
+                   for opt in COMMANDS[other]
+                   if not any(flag.startswith("--" + opt.name) for flag in own))
+    typed = next(opt.name for opt in COMMANDS[command] if opt.cast not in (str, bool))
+    return [[command, "--help"], [command, foreign, "1"], [command, "--" + typed, "bogus"],
+            [command, "--out"], [command, "stray"]]
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_a_run_parses_as_the_full_parser_does(capsys, command):
+    # main builds the parser of the command it runs only; every help, usage
+    # and error text, and every exit code, is the full parser's
+    for argv in _parse_cases(command):
+        assert (_parse_outcome(capsys, main, argv)
+                == _parse_outcome(capsys, build_parser().parse_args, argv)), argv
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["frnt"]])
+def test_an_argv_without_a_command_parses_as_the_full_parser_does(capsys, argv):
+    assert (_parse_outcome(capsys, main, argv)
+            == _parse_outcome(capsys, build_parser().parse_args, argv))
+
+
 @pytest.mark.parametrize("fit_args", [
     ["--fit", "bogus", "--fit-lo", "10", "--fit-hi", "40"],
     ["--fit-lo", "10"],
@@ -329,6 +363,10 @@ def test_front_rejects_bad_fit_flags_before_computing(tmp_path, capsys, fit_args
     # a CDF table that no array can hold
     ["simulate", "--x", "1", "--trials", "10", "--ncap", str(2**63 - 1)],
     ["graph", "--n-vertices", "50", "--c", "0.02", "--trials", "5", "--ncap", str(2**63 - 1)],
+    # more walk values (n + 1) than one array can address
+    ["brw", "--trials", "1", "--n", str(2**63 - 1)],
+    # more worker processes than simulate.MAX_WORKERS: refused, none started
+    ["simulate", "--x", "1", "--trials", "10", "--workers", str(10**6)],
 ])
 def test_bad_counts_exit_two(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 2
@@ -341,7 +379,8 @@ def test_bad_counts_exit_two(tmp_path, capsys, argv):
     # the error names the flag it rejects
     if argv[0] == "front" and "--fit-lo" in argv:
         assert "--fit-lo" in err and "--fit-hi" in err
-    for flag, value in (("--x", "1e300"), ("--vmax", "1e300"), ("--ncap", str(2**63 - 1))):
+    for flag, value in (("--x", "1e300"), ("--vmax", "1e300"), ("--ncap", str(2**63 - 1)),
+                        ("--n", str(2**63 - 1)), ("--workers", str(10**6))):
         if flag in argv and argv[argv.index(flag) + 1] == value:
             assert f"({flag})" in err
 

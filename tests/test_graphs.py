@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import continuum_cascade
+from continuum_cascade import graphs, simulate
 from continuum_cascade.errors import ConfigurationError
 from continuum_cascade.graphs import (
+    GEOMETRIC_SEARCH_MIN,
+    INVERSION_MIN_DRAWS,
     compare_discrete_continuum,
     ks_critical_value,
     ks_two_sample,
@@ -23,7 +27,7 @@ from continuum_cascade.graphs import (
     sample_adjacency,
     sample_longest_paths,
 )
-from continuum_cascade.simulate import BLOCK
+from continuum_cascade.simulate import BLOCK, GRAPH_STREAM, PASS_ELEMENTS
 
 
 def test_forced_chain_has_full_length():
@@ -151,6 +155,72 @@ def test_tiny_edge_probability_reaches_nothing():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[[0, 0, 0], [0, 0, 0], [0, 0, 0]]\n"
+
+
+# p log-uniform over numpy's inversion range, its ends (5e-324 draws only
+# int64 max, the clamp), the largest double below 1/3, and the search branch
+GAP_PROBABILITIES = [
+    *np.exp(np.random.default_rng(5).uniform(math.log(5e-324), math.log(1 / 3), 40)).tolist(),
+    5e-324, 1e-300, 1e-19, 1e-17, math.nextafter(1 / 3, 0.0), 1 / 3, 0.5, 0.999, 1.0,
+]
+
+
+@pytest.mark.parametrize("size", [INVERSION_MIN_DRAWS, INVERSION_MIN_DRAWS - 1])
+def test_geometric_gaps_are_numpys_bit_for_bit(size):
+    assert GEOMETRIC_SEARCH_MIN == 1 / 3
+    for i, p in enumerate(GAP_PROBABILITIES):
+        expected = np.random.default_rng(i).geometric(p, size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # not even the overflow of E / -log1p(-p)
+            gaps = graphs._geometric_gaps([(np.random.default_rng(i), size)], p, np.empty(size))
+        assert gaps.dtype == np.int64
+        assert np.array_equal(gaps, expected), p
+    clamped = graphs._geometric_gaps([(np.random.default_rng(0), size)], 5e-324, np.empty(size))
+    assert (clamped == np.iinfo(np.int64).max).all()
+
+
+def test_geometric_gaps_of_a_pass_are_each_streams_own():
+    sizes = [700, INVERSION_MIN_DRAWS, 3, 1500]
+    for p in GAP_PROBABILITIES:
+        streams = [(np.random.default_rng((9, b)), k) for b, k in enumerate(sizes)]
+        gaps = graphs._geometric_gaps(streams, p, np.full(sum(sizes), np.nan))
+        alone = [np.random.default_rng((9, b)).geometric(p, k) for b, k in enumerate(sizes)]
+        assert np.array_equal(gaps, np.concatenate(alone)), p
+
+
+def _gaps_by_block(monkeypatch, trials, blocks, per_trial):
+    """The gaps each block drew, in order, over a run of sample_blocks."""
+    drawn = {}  # keyed by generator: a block's, in block order
+    real = graphs._geometric_gaps
+
+    def spy(streams, p, out):
+        gaps = real(streams, p, out)
+        lo = 0
+        for rng, k in streams:
+            drawn.setdefault(rng, []).extend(gaps[lo : lo + k].tolist())
+            lo += k
+        return gaps
+
+    monkeypatch.setattr(graphs, "_geometric_gaps", spy)
+    n, c = 300, 0.02
+    simulate.sample_blocks(lambda streams: graphs._longest_paths(n, c, streams),
+                           trials, 4, GRAPH_STREAM, per_trial, blocks)
+    return list(drawn.values())
+
+
+def test_a_block_draws_the_same_gaps_whatever_shares_its_pass(monkeypatch, recorded_passes):
+    # passes of at most 2500 trials: blocks 0 and 1 are each cut in two, and
+    # block 1's second part shares its pass with block 2, which alone is a
+    # pass below INVERSION_MIN_DRAWS: its gaps come from numpy's own call
+    # there and from the pass's inversion beside block 1
+    trials, per_trial = 2 * BLOCK + 700, PASS_ELEMENTS / 2500
+    together = _gaps_by_block(monkeypatch, trials, None, per_trial)
+    assert recorded_passes == [[2500], [BLOCK - 2500], [2500], [BLOCK - 2500, 700]]
+    assert BLOCK - 2500 + 700 >= INVERSION_MIN_DRAWS > 700
+    assert len(together) == 3
+    for block in range(3):
+        alone = _gaps_by_block(monkeypatch, trials, [block], per_trial)
+        assert alone == [together[block]]
 
 
 @pytest.mark.parametrize("c", [0.999, 0.5])

@@ -366,3 +366,11 @@ def test_limit_law_probe_is_bit_identical_to_full_snapshots(
         base = n * VELOCITY + LOG_COEFFICIENT * math.log(n)
         expected = run.snapshot(int(n) - 1).evaluate(probe.x_grid + base)
         assert np.array_equal(probe.values[:, j], expected)
+
+
+def test_walk_values_must_fit_one_array():
+    # D_0..D_n are n + 1 float64 values, whose size in bytes must fit np.intp
+    assert (martingale.MAX_N + 1) * 8 <= np.iinfo(np.intp).max < (martingale.MAX_N + 2) * 8
+    martingale.check_walk(martingale.MAX_N, martingale.DEFAULT_V_MAX, 1, None)
+    with pytest.raises(ConfigurationError, match="--n"):
+        martingale.check_walk(martingale.MAX_N + 1, martingale.DEFAULT_V_MAX, 1, None)

@@ -71,6 +71,14 @@ def test_reproducibility_bitwise():
     assert a.beyond_cap_trials == b.beyond_cap_trials
 
 
+def test_worker_count_is_bounded_before_any_pool_starts():
+    # the acceptance suite runs 4 workers on a 2-CPU machine
+    assert simulate.MAX_WORKERS >= 4
+    config = SimConfig(x=1.0, trials=10, seed=0)
+    with pytest.raises(ConfigurationError, match="--workers"):
+        empirical_cdf(config, workers=10**6)
+
+
 def test_worker_count_does_not_change_results():
     config = SimConfig(x=2.0, trials=3000, n_cap=12, seed=16)
     serial = empirical_cdf(config, workers=1)
