@@ -55,7 +55,6 @@ from .simulate import (
 from .graphs import (
     compare_discrete_continuum,
     ks_critical_value,
-    ks_two_sample,
     longest_path_bruteforce,
     longest_path_dp,
     sample_adjacency,

@@ -84,7 +84,6 @@ COMMANDS: dict[str, list[Option]] = {
         Option("trials", int, 0, "martingale trajectories to simulate"),
         Option("n", int, 40, "generations per trajectory"),
         Option("vmax", float, martingale.DEFAULT_V_MAX, "displacement support cutoff"),
-        Option("prune-window", float, None, "moving kill barrier offset (see docs)"),
         Option("pcap", int, simulate.DEFAULT_PARTICLE_CAP, "particle cap per trajectory"),
         Option("seed", int, 0, "base RNG seed"),
     ],
@@ -270,7 +269,7 @@ def cmd_graph(params: dict, writer: RunWriter) -> None:
 def cmd_brw(params: dict, writer: RunWriter) -> None:
     if params["trials"] < 0:
         raise ConfigurationError(f"trials must be >= 0, got {params['trials']}")
-    martingale.check_walk(params["n"], params["vmax"], params["pcap"], params["prune-window"])
+    martingale.check_walk(params["n"], params["vmax"], params["pcap"])
     report = martingale.verify_boundary_conditions()
     writer.write_csv(
         "moments.csv", "m1_residual,m2_residual,m4_value",
@@ -281,8 +280,7 @@ def cmd_brw(params: dict, writer: RunWriter) -> None:
         for i in range(params["trials"]):
             rng = simulate.trial_rng(params["seed"], simulate.BRW_STREAM, i)
             traj = martingale.simulate_Dn(
-                params["n"], rng, v_max=params["vmax"],
-                particle_cap=params["pcap"], prune_window=params["prune-window"],
+                params["n"], rng, v_max=params["vmax"], particle_cap=params["pcap"]
             )
             for gen in range(len(traj.values)):
                 rows.append((i, gen, float(traj.values[gen]),

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, FitError, ScanError
 from .recursion import (
+    MAX_GRID_NODES,
     FrontTrace,
     GridFunction,
     Quadrature,
@@ -331,6 +332,17 @@ def _golden_section(f, lo: float, hi: float, tol: float = 1e-5) -> float:
     return 0.5 * (a + b)
 
 
+def _least_slab_nodes(delta: float, n_max: int, width: float) -> float:
+    """Fewest nodes probe_slabs keeps for alpha_scan's window, in closed form.
+
+    The slab of the probe of n spans width * (n/e + (3/(2e)) ln n) over
+    delta intervals and holds more than that over delta plus one nodes,
+    unless the grid end cuts it; summed over n = 1..n_max.
+    """
+    spans = VELOCITY * n_max * (n_max + 1) / 2 + LOG_COEFFICIENT * math.lgamma(n_max + 1)
+    return width * spans / delta + n_max
+
+
 def alpha_scan(
     deltas: list[float],
     n_max: int = 100,
@@ -349,6 +361,15 @@ def alpha_scan(
     if n_max < 4:
         # the drift needs two successive differences of the probe's last half
         raise ConfigurationError(f"alpha scan needs n_max >= 4, got {n_max}")
+    lo, hi = alpha_range
+    # refused before any array is built; a delta that is not positive is
+    # left to RecursionConfig
+    for delta in deltas:
+        if delta > 0.0 and (nodes := _least_slab_nodes(delta, n_max, hi - lo)) > MAX_GRID_NODES:
+            raise ConfigurationError(
+                f"n_max (--nmax) = {n_max} at delta {delta:g} keeps at least {nodes:.3g} "
+                f"probe nodes, more than one array can hold ({MAX_GRID_NODES})"
+            )
     configs = [
         RecursionConfig(
             delta=delta,
@@ -358,11 +379,14 @@ def alpha_scan(
         )
         for delta in deltas
     ]
-    lo, hi = alpha_range
     ns = np.arange(2, n_max + 1)
     # the probe of n reads generation n - 1; the slabs hold it for n = 1..n_max
     reads = np.arange(1, n_max + 1)
     window = probe_positions(reads, lo), probe_positions(reads, hi)
+    # the highest alpha reads furthest right: off a grid, that scan would
+    # fail after its recursion ran
+    for config in configs:
+        check_probe_targets(config, ns, window[1][1:])
     results = []
     for config in configs:
         slabs = probe_slabs(config, *window)

@@ -224,18 +224,6 @@ def longest_path_bruteforce(adj: np.ndarray) -> int:
     return walk(1)
 
 
-def ks_two_sample(counts_a: np.ndarray, counts_b: np.ndarray) -> float:
-    """Max vertical distance between two integer-support empirical CDFs."""
-    m = max(len(counts_a), len(counts_b))
-    a = np.zeros(m)
-    b = np.zeros(m)
-    a[: len(counts_a)] = counts_a
-    b[: len(counts_b)] = counts_b
-    cdf_a = np.cumsum(a) / a.sum()
-    cdf_b = np.cumsum(b) / b.sum()
-    return float(np.max(np.abs(cdf_a - cdf_b)))
-
-
 def ks_critical_value(size: float, alpha: float = 0.01) -> float:
     """Asymptotic KS quantile c(alpha)/sqrt(size); size is m*n/(m+n) for two samples."""
     return math.sqrt(-math.log(alpha / 2.0) / 2.0) / math.sqrt(size)

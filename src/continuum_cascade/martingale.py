@@ -11,20 +11,13 @@ D_n = sum V exp(-V) over generation-n particles, and probes the limit
 law through the recursion: P_{n-1} evaluated at x + n/e + (3/(2e)) ln n
 should settle, for each x, to a constant strictly inside (0, 1).
 
-The offspring intensity on [-1, v_max] has mean (v_max + 1)/e per particle
-(about 7.7 at v_max = 20), so populations grow like 7.7^k and the particle
-cap truncates every deep run: exact simulation of D_n is feasible only for
-small n (7 generations is ~2e6 particles).  For exploratory horizon scans
-simulate_Dn accepts `prune_window`: at generation k, children above the
-barrier (3/2) ln k + prune_window are never drawn (a thinned Poisson
-process, the same law as drawing them all and dropping those above), and
-the particle cap counts the kept children.  This bounds the population
-while tracking the rising minimum, but the bias is NOT small for D_n
-itself: the martingale draws most of its mass from particles order sqrt(k)
-above the minimum, so a fixed window keeps the front intact but suppresses
-a window-dependent fraction of D and the pruned D_k decays instead of
-converging.  Pruned runs are for qualitative exploration only; quantitative
-martingale checks in the tests use the exact process at small n.
+The walk's leftmost particle is the recursion: a cascade displacement d
+maps to V = e d - 1, so P(min V_n > e x - n) = P_{n-1}(x) for every
+x < (v_max + 1)/e.  The walk is that process exactly, up to the particle
+cap.  The offspring intensity on [-1, v_max] has mean (v_max + 1)/e per
+particle (about 7.7 at v_max = 20), so generation k holds about 7.7^k
+particles: at the default cap of 10^6 a walk is exact for n <= 6, and
+generation 7 (about 1.6e6 expected particles) truncates.
 """
 
 from __future__ import annotations
@@ -50,8 +43,8 @@ MOMENT_RULE_NODES = (10, 20)
 MAX_N = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize - 1
 
 
-def check_walk(n: int, v_max: float, particle_cap: int, prune_window: float | None) -> None:
-    """A walk needs 0 <= n <= MAX_N, a support [-1, v_max], a cap >= 1 and a finite barrier."""
+def check_walk(n: int, v_max: float, particle_cap: int) -> None:
+    """A walk needs 0 <= n <= MAX_N, a support [-1, v_max] and a cap >= 1."""
     if n < 0:
         raise ConfigurationError(f"n must be >= 0, got {n}")
     if n > MAX_N:
@@ -63,8 +56,6 @@ def check_walk(n: int, v_max: float, particle_cap: int, prune_window: float | No
     # a particle's children are Poisson, of mean at most (v_max + 1)/e
     check_poisson_mean(INTENSITY * (v_max - SUPPORT_LO), f"v_max (--vmax) = {v_max:g}")
     check_particle_cap(particle_cap)
-    if prune_window is not None and not math.isfinite(prune_window):
-        raise ConfigurationError(f"prune_window must be finite, got {prune_window}")
 
 
 @dataclass
@@ -122,28 +113,21 @@ def derivative_weight(positions: np.ndarray) -> float:
     return float(np.sum(positions * np.exp(-positions)))
 
 
-def prune_barrier(generation: int, prune_window: float) -> float:
-    """Moving kill line: (3/2) ln k above the typical minimum scale."""
-    return 1.5 * math.log(max(generation, 1)) + prune_window
-
-
 def simulate_Dn(
     n: int,
     rng: np.random.Generator,
     v_max: float = DEFAULT_V_MAX,
     particle_cap: int = DEFAULT_PARTICLE_CAP,
-    prune_window: float | None = None,
     keep_positions: bool = False,
 ) -> MartingaleTrajectory:
     """Grow the walk from a root at 0 and record D_k for k = 0..n.
 
-    Each generation is one simulate.offspring step.  `prune_window`, when
-    given, draws only the children at or below the moving barrier
-    prune_barrier(k, .); see the module docstring for why this keeps runs
-    bounded but systematically suppresses D_k.  Without it the population
-    grows like ((v_max+1)/e)^k and the particle cap truncates any deep run.
+    Each generation is one simulate.offspring step: every particle has
+    Poisson((v_max + 1)/e) children uniform on [p - 1, p + v_max].  The
+    population grows like ((v_max+1)/e)^k and the particle cap truncates
+    any deep run.
     """
-    check_walk(n, v_max, particle_cap, prune_window)
+    check_walk(n, v_max, particle_cap)
     positions = np.zeros(1)
     owner = np.zeros(1, dtype=np.int64)
     values = np.zeros(n + 1)
@@ -152,8 +136,7 @@ def simulate_Dn(
     stored = [positions] if keep_positions else None
     truncated = False
     for k in range(1, n + 1):
-        barrier = math.inf if prune_window is None else prune_barrier(k, prune_window)
-        width = np.maximum(np.minimum(v_max, barrier - positions) - SUPPORT_LO, 0.0)
+        width = np.full(positions.size, v_max - SUPPORT_LO)
         positions, owner, over = offspring(
             rng, positions, owner, 1, INTENSITY, SUPPORT_LO, width, particle_cap
         )

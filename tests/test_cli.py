@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from continuum_cascade import graphs, simulate
+from continuum_cascade import fronts, graphs, simulate
 from continuum_cascade.cli import COMMANDS, COMMON, build_parser, main, resolve_params
 from continuum_cascade.output import fmt, sha256_file
 from continuum_cascade.recursion import RecursionConfig, init_p0, run_recursion
@@ -164,14 +164,25 @@ def test_compare_command_ks_summary(tmp_path):
 
 
 def test_brw_command_outputs(tmp_path):
-    assert main(["brw", "--trials", "2", "--n", "6", "--prune-window", "6",
-                 "--seed", "4", "--out", str(tmp_path)]) == 0
+    assert main(["brw", "--trials", "2", "--n", "4", "--seed", "4",
+                 "--out", str(tmp_path)]) == 0
     moments = read_csv(tmp_path / "moments.csv")[0]
     assert float(moments["m1_residual"]) < 1e-10
     assert abs(float(moments["m4_value"]) - math.e) < 1e-10
     rows = read_csv(tmp_path / "trajectories.csv")
     assert [c for c in rows[0]] == ["trial", "generation", "D", "alive_count", "truncated"]
-    assert len(rows) == 2 * 7
+    assert len(rows) == 2 * 5
+
+
+def test_brw_has_no_prune_window(tmp_path, capsys):
+    # the walk is exact or it is not run: the flag is unknown, and the run
+    # stops in the parser, before its out dir is made
+    out = tmp_path / "brw"
+    with pytest.raises(SystemExit) as exc:
+        main(["brw", "--trials", "1", "--n", "3", "--prune-window", "8", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert "unrecognized arguments: --prune-window 8" in capsys.readouterr().err
 
 
 def test_alpha_scan_command(tmp_path):
@@ -330,8 +341,6 @@ def test_front_rejects_bad_fit_flags_before_computing(tmp_path, capsys, fit_args
     ["simulate", "--x", "nan", "--trials", "10"],
     ["simulate", "--x", "inf", "--trials", "10"],
     ["recurse", "--xmax", "inf", "--nmax", "2"],
-    ["brw", "--trials", "1", "--n", "3", "--prune-window", "nan"],
-    ["brw", "--trials", "1", "--n", "3", "--prune-window", "inf"],
     ["brw", "--trials", "1", "--n", "3", "--pcap", "0"],
     ["brw", "--trials", "1", "--n", "3", "--pcap", "-5"],
     # rejected before any worker process is started
@@ -365,10 +374,17 @@ def test_front_rejects_bad_fit_flags_before_computing(tmp_path, capsys, fit_args
     ["graph", "--n-vertices", "50", "--c", "0.02", "--trials", "5", "--ncap", str(2**63 - 1)],
     # more walk values (n + 1) than one array can address
     ["brw", "--trials", "1", "--n", str(2**63 - 1)],
+    # more probe-slab nodes than one array can address, found in closed form
+    ["alpha-scan", "--nmax", str(2**31)],
+    ["alpha-scan", "--nmax", str(2**63 - 1)],
     # more worker processes than simulate.MAX_WORKERS: refused, none started
     ["simulate", "--x", "1", "--trials", "10", "--workers", str(10**6)],
 ])
-def test_bad_counts_exit_two(tmp_path, capsys, argv):
+def test_bad_counts_exit_two(tmp_path, capsys, monkeypatch, argv):
+    def no_stepping(*args):
+        raise AssertionError("the recursion ran before the flags were checked")
+
+    monkeypatch.setattr(fronts, "probe_slabs", no_stepping)
     assert main([*argv, "--out", str(tmp_path)]) == 2
     assert list(tmp_path.iterdir()) == []  # no manifest, and no artifact either
     err = capsys.readouterr().err
@@ -380,7 +396,8 @@ def test_bad_counts_exit_two(tmp_path, capsys, argv):
     if argv[0] == "front" and "--fit-lo" in argv:
         assert "--fit-lo" in err and "--fit-hi" in err
     for flag, value in (("--x", "1e300"), ("--vmax", "1e300"), ("--ncap", str(2**63 - 1)),
-                        ("--n", str(2**63 - 1)), ("--workers", str(10**6))):
+                        ("--n", str(2**63 - 1)), ("--workers", str(10**6)),
+                        ("--nmax", str(2**31)), ("--nmax", str(2**63 - 1))):
         if flag in argv and argv[argv.index(flag) + 1] == value:
             assert f"({flag})" in err
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from continuum_cascade import recursion
+from continuum_cascade import fronts, recursion
 from continuum_cascade.errors import (
     ConfigurationError,
     DomainError,
@@ -367,6 +367,28 @@ def test_alpha_scan_result_probe_is_flat(alpha_scan_results):
 def test_alpha_scan_error_when_no_interior_minimum():
     with pytest.raises(ScanError):
         alpha_scan([0.01], n_max=60, alpha_range=(0.5, 0.8))
+
+
+@pytest.mark.parametrize("delta, n_max", [(0.05, 60), (0.01, 150)])
+def test_closed_form_slab_count_bounds_the_slabs_kept(delta, n_max):
+    # alpha_scan refuses an n_max by this count before building anything:
+    # it must not exceed what probe_slabs keeps, and stays within 2 nodes
+    # per generation of it
+    config = RecursionConfig(delta, front_clearance_xmax(n_max), n_max, Quadrature.RIEMANN)
+    reads = np.arange(1, n_max + 1)
+    kept = probe_slabs(config, probe_positions(reads, 0.95), probe_positions(reads, 1.01))
+    least = fronts._least_slab_nodes(delta, n_max, 1.01 - 0.95)
+    assert least <= kept.offsets[-1] <= least + 2 * n_max
+
+
+def test_alpha_scan_finds_off_grid_probe_points_before_stepping(monkeypatch):
+    # from n_max about 26,100 on, alpha 1.01 reads past the front-clearance grid
+    def no_stepping(*args):
+        raise AssertionError("the recursion ran")
+
+    monkeypatch.setattr(fronts, "probe_slabs", no_stepping)
+    with pytest.raises(DomainError, match="exits the grid at n=29964 "):
+        alpha_scan([0.5], n_max=30000)
 
 
 def test_front_fit_dataclass_window_is_recorded():

@@ -21,7 +21,6 @@ from continuum_cascade.graphs import (
     INVERSION_MIN_DRAWS,
     compare_discrete_continuum,
     ks_critical_value,
-    ks_two_sample,
     longest_path_bruteforce,
     longest_path_dp,
     sample_adjacency,
@@ -234,20 +233,6 @@ def test_dense_trial_memory_is_its_level_counts(c):
         tracemalloc.stop()
     assert peak < 4 * 2**20
     assert lengths.shape == (2,) and lengths.min() > 0
-
-
-def test_ks_two_sample_hand_case():
-    # CDFs: a -> 0.5, 1.0 ; b -> 0.25, 1.0 ; max gap 0.25
-    a = np.array([2, 2])
-    b = np.array([1, 3])
-    assert math.isclose(ks_two_sample(a, b), 0.25)
-    assert ks_two_sample(a, a) == 0.0
-
-
-def test_ks_handles_unequal_support():
-    a = np.array([4])          # all mass at 0
-    b = np.array([0, 0, 4])    # all mass at 2
-    assert math.isclose(ks_two_sample(a, b), 1.0)
 
 
 def test_ks_critical_value_formula():

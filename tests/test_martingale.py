@@ -8,19 +8,17 @@ import pytest
 from continuum_cascade import fronts, martingale
 from continuum_cascade.errors import ConfigurationError, DomainError, NumericError
 from continuum_cascade.fronts import LOG_COEFFICIENT, VELOCITY
-from continuum_cascade.graphs import ks_critical_value
 from continuum_cascade.martingale import (
     DEFAULT_V_MAX,
     INTENSITY,
     SUPPORT_LO,
     derivative_weight,
     equivalence_check,
-    prune_barrier,
     simulate_Dn,
     verify_boundary_conditions,
 )
 from continuum_cascade.recursion import RecursionConfig, front_clearance_xmax, run_recursion
-from continuum_cascade.simulate import DEFAULT_PARTICLE_CAP
+from continuum_cascade.simulate import BRW_STREAM, DEFAULT_PARTICLE_CAP, trial_rng
 
 
 def test_boundary_moment_residuals():
@@ -55,12 +53,6 @@ def test_second_moment_equals_e_by_antiderivative():
 def test_simulate_Dn_rejects_a_bad_v_max(v_max):
     with pytest.raises(ConfigurationError, match="v_max"):
         simulate_Dn(2, np.random.default_rng(0), v_max=v_max)
-
-
-@pytest.mark.parametrize("window", [math.nan, math.inf, -math.inf])
-def test_simulate_Dn_rejects_a_non_finite_prune_window(window):
-    with pytest.raises(ConfigurationError, match="prune_window"):
-        simulate_Dn(3, np.random.default_rng(0), prune_window=window)
 
 
 @pytest.mark.parametrize("cap", [0, -5])
@@ -176,26 +168,15 @@ def test_truncation_flag_fires_with_small_cap():
     assert traj.values[-1] == 0.0
 
 
-def test_pruned_run_is_bounded_and_positive_on_survival():
-    rng = np.random.default_rng(8)
-    traj = simulate_Dn(40, rng, prune_window=6.0)
-    barrier = prune_barrier(40, 6.0)
-    assert barrier > 6.0
-    assert np.max(traj.generation_sizes) < 50000
-    if traj.survived:
-        assert np.median(traj.values[10:]) > 0.0
-
-
-def _draw_then_filter(n, rng, v_max=DEFAULT_V_MAX, particle_cap=DEFAULT_PARTICLE_CAP,
-                      prune_window=None):
+def _draw_then_filter(n, rng, v_max=DEFAULT_V_MAX, particle_cap=DEFAULT_PARTICLE_CAP):
     """simulate_Dn's generation loop as it was written before it called
-    simulate.offspring: every child is drawn, and with a window those above
-    the barrier are dropped after the draw.  Returns the generations and the
-    truncation flag; the oracle for the unpruned bits and the pruned law."""
+    simulate.offspring: every parent's children are counted, then placed.
+    Returns the generations and the truncation flag; the oracle for the
+    walk's bits."""
     positions = np.zeros(1)
     generations = [positions]
     truncated = False
-    for k in range(1, n + 1):
+    for _ in range(n):
         if positions.size:
             counts = rng.poisson((v_max - SUPPORT_LO) * INTENSITY, size=positions.size)
             total = int(counts.sum())
@@ -207,8 +188,6 @@ def _draw_then_filter(n, rng, v_max=DEFAULT_V_MAX, particle_cap=DEFAULT_PARTICLE
             else:
                 parents = np.repeat(positions, counts)
                 positions = parents + rng.uniform(SUPPORT_LO, v_max, size=total)
-                if prune_window is not None:
-                    positions = positions[positions <= prune_barrier(k, prune_window)]
         generations.append(positions)
     return generations, truncated
 
@@ -230,66 +209,25 @@ def test_unpruned_walk_keeps_its_bits_through_the_shared_step(n, seed, cap):
         assert traj.generation_sizes[k] == want.size
 
 
-def test_thinned_walk_generation_sizes_have_their_poisson_means():
-    # window 2: b_1 = 2 and b_2 = 2 + 1.5 ln 2, both inside v_max = 20.  A
-    # root at 0 keeps Poisson((min(v_max, b_1) + 1)/e) children, uniform on
-    # [-1, b_1]; a child at p keeps (b_2 - p + 1)/e on average, so
-    # E[N_2] = (1/e^2) * integral of (b_2 + 1 - p) over p in [-1, b_1]
-    window, trials = 2.0, 10000
-    b1, b2 = prune_barrier(1, window), prune_barrier(2, window)
-    mean1 = (min(DEFAULT_V_MAX, b1) + 1.0) / math.e
-    mean2 = ((b1 + 1.0) * (b2 + 1.0) - (b1 * b1 - 1.0) / 2.0) / math.e**2
-    assert math.isclose(mean1, 3.0 / math.e) and math.isclose(mean2, 1.4371, abs_tol=1e-4)
-    rng = np.random.default_rng(41)
-    sizes = np.array([simulate_Dn(2, rng, prune_window=window).generation_sizes
-                      for _ in range(trials)])
-    assert abs(sizes[:, 1].mean() - mean1) <= 4.0 * math.sqrt(mean1 / trials)
-    assert abs(sizes[:, 2].mean() - mean2) <= 4.0 * sizes[:, 2].std() / math.sqrt(trials)
-
-
-def _ks_statistic(a, b):
-    """Two-sample KS: both empirical CDFs read at every point of the pooled sample."""
-    pooled = np.concatenate([a, b])
-    cdf_a = np.searchsorted(np.sort(a), pooled, side="right") / a.size
-    cdf_b = np.searchsorted(np.sort(b), pooled, side="right") / b.size
-    return float(np.max(np.abs(cdf_a - cdf_b)))
-
-
-def test_thinned_walk_has_the_law_of_draw_then_filter():
-    # D_k of the walk that draws only the kept children against the walk
-    # that draws every child and drops those above the barrier
-    n, window, trials = 6, 4.0, 1500
-    levels = (2, 4, 6)
-    thinned = np.array([
-        simulate_Dn(n, np.random.default_rng((42, 0, i)), prune_window=window).values
-        for i in range(trials)
-    ])
-    filtered = np.array([
-        [derivative_weight(g) for g in _draw_then_filter(
-            n, np.random.default_rng((42, 1, i)), prune_window=window)[0]]
-        for i in range(trials)
-    ])
-    critical = ks_critical_value(trials / 2.0, alpha=0.001)
-    for k in levels:
-        assert _ks_statistic(thinned[:, k], filtered[:, k]) < critical
-
-
-@pytest.mark.parametrize("window", [4.0, -0.5])
-def test_thinned_walk_children_lie_between_parent_and_barrier(window):
-    # a child of generation k sits at or below the barrier b_k and no more
-    # than 1 below the smallest parent; a parent above b_k + 1 has none
-    rng = np.random.default_rng(43)
-    for _ in range(50):
-        generations = simulate_Dn(8, rng, prune_window=window, keep_positions=True).positions
-        for k in range(1, 9):
-            parents, children = generations[k - 1], generations[k]
-            if children.size:
-                assert children.max() <= prune_barrier(k, window)
-                assert children.min() >= parents.min() - 1.0
+def test_leftmost_particle_has_the_law_of_the_recursion(check_binomial):
+    # the paper's reformulation, exactly: with V = e d - 1 per generation,
+    # P(min V_4 > e x - 4) = P_3(x).  Trials, seed, x set and level were
+    # fixed before the first run
+    walks = 4000
+    minima = np.full(walks, math.inf)  # an extinct walk has no minimum
+    for i in range(walks):
+        last = simulate_Dn(4, trial_rng(11, BRW_STREAM, i), keep_positions=True).positions[4]
+        if last.size:
+            minima[i] = last.min()
+    p3 = run_recursion(RecursionConfig(0.001, 3.5, 3), [3]).snapshot(3)
+    for x in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
+        survivors = int(np.count_nonzero(minima > math.e * x - 4))
+        check_binomial(survivors, walks, float(p3.evaluate(x)), f"x={x}")
 
 
 def test_extinct_trajectory_stays_zero():
-    # prune everything below the root: population dies immediately
+    # a support of width 1e-6 has about 4e-7 children per particle: the
+    # population dies at once
     traj = simulate_Dn(5, np.random.default_rng(9), v_max=-0.999999)
     assert not traj.survived
     assert np.all(traj.values[1:] == 0.0)
@@ -371,6 +309,6 @@ def test_limit_law_probe_is_bit_identical_to_full_snapshots(
 def test_walk_values_must_fit_one_array():
     # D_0..D_n are n + 1 float64 values, whose size in bytes must fit np.intp
     assert (martingale.MAX_N + 1) * 8 <= np.iinfo(np.intp).max < (martingale.MAX_N + 2) * 8
-    martingale.check_walk(martingale.MAX_N, martingale.DEFAULT_V_MAX, 1, None)
+    martingale.check_walk(martingale.MAX_N, martingale.DEFAULT_V_MAX, 1)
     with pytest.raises(ConfigurationError, match="--n"):
-        martingale.check_walk(martingale.MAX_N + 1, martingale.DEFAULT_V_MAX, 1, None)
+        martingale.check_walk(martingale.MAX_N + 1, martingale.DEFAULT_V_MAX, 1)
