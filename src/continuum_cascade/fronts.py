@@ -28,7 +28,6 @@ from .recursion import (
     RecursionConfig,
     _bracketed_crossing,
     bands,
-    front_clearance_xmax,
     grid_position,
 )
 
@@ -370,10 +369,15 @@ def alpha_scan(
                 f"n_max (--nmax) = {n_max} at delta {delta:g} keeps at least {nodes:.3g} "
                 f"probe nodes, more than one array can hold ({MAX_GRID_NODES})"
             )
+    # each grid ends at the window's top, the highest alpha's probe of n_max,
+    # half an interval past the node right of it: no window point is clipped
+    # and no rounding of x_max / delta moves grid_size.  A delta that is not
+    # positive is left to RecursionConfig
+    top = hi * (n_max * VELOCITY + LOG_COEFFICIENT * math.log(n_max))
     configs = [
         RecursionConfig(
             delta=delta,
-            x_max=front_clearance_xmax(n_max),
+            x_max=(math.floor(top / delta) + 1.5) * delta if delta > 0.0 else delta,
             n_max=n_max,
             quadrature=Quadrature.RIEMANN,
         )
@@ -383,10 +387,6 @@ def alpha_scan(
     # the probe of n reads generation n - 1; the slabs hold it for n = 1..n_max
     reads = np.arange(1, n_max + 1)
     window = probe_positions(reads, lo), probe_positions(reads, hi)
-    # the highest alpha reads furthest right: off a grid, that scan would
-    # fail after its recursion ran
-    for config in configs:
-        check_probe_targets(config, ns, window[1][1:])
     results = []
     for config in configs:
         slabs = probe_slabs(config, *window)

@@ -61,12 +61,15 @@ class Quadrature(Enum):
 
 
 def front_clearance_xmax(n_max: int) -> float:
-    """Smallest x_max that keeps the advancing front away from the grid end.
+    """Default grid end of `recurse` and `front`, and the least x_max of a front run.
 
-    The front sits near n/e + O(log n); the margin 10*max(1, ln n) leaves
-    the measured crossing uncontaminated for every generation up to n_max.
-    The recursion itself is exact for any x_max (the integral is one-sided),
-    so this bound is enforced only for runs that measure fronts.
+    The front sits near n/e + O(log n), and the margin 10*max(1, ln n)
+    puts the grid end past it for every generation up to n_max.  It is not
+    an accuracy margin: a node depends only on the nodes left of it (the
+    integral is one-sided), so a grid that ends further out gives the same
+    bits on the nodes both hold, and the same front trace.  A crossing must
+    still lie on the grid: a level far below 1/2 can cross past this end at
+    small n, and then no crossing is found.
     """
     if n_max <= 0:
         return 10.0  # the formula's limit at n = 0
@@ -126,18 +129,16 @@ class GridFunction:
     1 - P_n(x_i) at full relative precision; it is the state the iteration
     actually carries, because behind the front 1 - P drops below 2^-53 and
     would be lost if reconstructed from `values` (see kernels.py).
+
+    Both are float64 arrays, kept as given: this module's builders make
+    theirs read-only where they create them, and a hand-built record leaves
+    its caller's arrays as they are.
     """
 
     delta: float
     values: np.ndarray
     generation: int
     complement: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.values.flags.writeable = False  # snapshots are shared read-only
-        self.complement = np.asarray(self.complement, dtype=np.float64)
-        self.complement.flags.writeable = False
 
     @property
     def x_max(self) -> float:
@@ -179,19 +180,6 @@ class GridFunction:
             raise NumericError("values and complement disagree")
 
 
-def _generation(delta: float, values: np.ndarray, generation: int,
-                complement: np.ndarray) -> GridFunction:
-    """A GridFunction of arrays that are already read-only float64, taken as they are.
-
-    Every generation bands steps is built twice, as a step's result and as
-    its live band, and __post_init__'s conversions and flag writes cost
-    about 1.5 us each time, against 0.3 us here.
-    """
-    f = object.__new__(GridFunction)
-    f.delta, f.values, f.generation, f.complement = delta, values, generation, complement
-    return f
-
-
 @dataclass
 class RecursionResult:
     config: RecursionConfig
@@ -228,6 +216,8 @@ def init_p0(config: RecursionConfig) -> GridFunction:
     values = np.exp(neg_x)
     complement = np.expm1(neg_x, out=neg_x)
     np.negative(complement, out=complement)
+    values.setflags(write=False)
+    complement.setflags(write=False)
     return GridFunction(delta=config.delta, values=values, generation=0, complement=complement)
 
 
@@ -299,7 +289,7 @@ def iterate_step(
         )
     out_p.setflags(write=False)
     out_g.setflags(write=False)
-    return _generation(config.delta, out_p, prev.generation + 1, out_g)
+    return GridFunction(config.delta, out_p, prev.generation + 1, out_g)
 
 
 def _bracketed_crossing(
@@ -359,7 +349,7 @@ def _live_band(f: GridFunction) -> tuple[GridFunction, int]:
     if start < 0:  # g[0] is 0, so no nonzero was found: g is 0 throughout
         start = len(g) - 1
     stop = len(g) + 1 - _first_not(g[::-1], _ONE)
-    return _generation(f.delta, f.values[start:stop], f.generation, g[start:stop]), start
+    return GridFunction(f.delta, f.values[start:stop], f.generation, g[start:stop]), start
 
 
 def bands(
@@ -441,9 +431,10 @@ def run_recursion(
     """Iterate from P_0 to generation n_max, retaining requested snapshots.
 
     Deterministic.  When `front_levels` is given the level crossings are
-    recorded every generation and the config must satisfy the front
-    clearance bound (see front_clearance_xmax) so the measurement never
-    approaches the grid boundary.
+    recorded every generation, and x_max must be at least
+    front_clearance_xmax(n_max), the default grid end.  A larger x_max
+    leaves the crossings' bits as they are; a crossing past the grid end
+    raises FrontNotFoundError.
 
     One consumer of `bands`: crossings are read off each band; snapshot bands
     reach the grid end and are copied whole, with P = 1, g = 0 below them.
@@ -475,6 +466,8 @@ def run_recursion(
         if n in wanted:
             values, complement = np.ones(n_nodes), np.zeros(n_nodes)
             values[lo:], complement[lo:] = band.values, band.complement
+            values.setflags(write=False)
+            complement.setflags(write=False)
             snaps.append(GridFunction(config.delta, values, n, complement))
 
     traces = []

@@ -379,6 +379,9 @@ def test_front_rejects_bad_fit_flags_before_computing(tmp_path, capsys, fit_args
     ["alpha-scan", "--nmax", str(2**63 - 1)],
     # more worker processes than simulate.MAX_WORKERS: refused, none started
     ["simulate", "--x", "1", "--trials", "10", "--workers", str(10**6)],
+    # a spacing that sizes no grid, refused before alpha_scan divides by it
+    ["alpha-scan", "--deltas", "0", "--nmax", "50"],
+    ["alpha-scan", "--deltas", "nan", "--nmax", "50"],
 ])
 def test_bad_counts_exit_two(tmp_path, capsys, monkeypatch, argv):
     def no_stepping(*args):

@@ -381,14 +381,53 @@ def test_closed_form_slab_count_bounds_the_slabs_kept(delta, n_max):
     assert least <= kept.offsets[-1] <= least + 2 * n_max
 
 
-def test_alpha_scan_finds_off_grid_probe_points_before_stepping(monkeypatch):
-    # from n_max about 26,100 on, alpha 1.01 reads past the front-clearance grid
-    def no_stepping(*args):
-        raise AssertionError("the recursion ran")
+class _Handed(Exception):
+    """Carries the arguments alpha_scan handed probe_slabs."""
 
-    monkeypatch.setattr(fronts, "probe_slabs", no_stepping)
-    with pytest.raises(DomainError, match="exits the grid at n=29964 "):
-        alpha_scan([0.5], n_max=30000)
+
+def _scan_grid(monkeypatch, delta, n_max):
+    """(config, lo, hi) that alpha_scan hands probe_slabs for one delta; nothing is stepped."""
+    def record(*args):
+        raise _Handed(*args)
+
+    monkeypatch.setattr(fronts, "probe_slabs", record)
+    with pytest.raises(_Handed) as handed:
+        alpha_scan([delta], n_max=n_max)
+    return handed.value.args
+
+
+README_DELTAS = (0.02, 0.01, 0.005, 0.001)
+
+
+@pytest.mark.parametrize("delta, n_max", [(0.5, 30000)] + [(d, 100) for d in README_DELTAS])
+def test_alpha_scan_grid_holds_its_probe_window(monkeypatch, delta, n_max):
+    # the grid ends at the window's top, sized before any array is built; at
+    # n_max 30000 the top probe lies past the front-clearance grid
+    config, lo, hi = _scan_grid(monkeypatch, delta, n_max)
+    assert (config.delta, config.n_max, config.quadrature) == (delta, n_max, Quadrature.RIEMANN)
+    assert hi[-1] == hi.max()
+    # the probe of hi[-1] interpolates between its node and the next
+    assert math.floor(hi[-1] / delta) + 1 <= config.grid_size <= math.floor(hi[-1] / delta) + 2
+    pos, _ = recursion.grid_position(hi, delta, config.grid_size)
+    assert np.array_equal(pos, hi / delta)  # no window point is clipped
+    if n_max == 30000:
+        assert config.x_max > front_clearance_xmax(n_max)
+
+
+@pytest.mark.parametrize("delta", README_DELTAS)
+def test_window_grid_probes_as_the_front_clearance_grid(monkeypatch, delta):
+    # a node depends only on the nodes left of it, so a grid cut at the
+    # window's top gives the slabs and probe values of a longer one
+    config, lo, hi = _scan_grid(monkeypatch, delta, 100)
+    longer = RecursionConfig(delta, front_clearance_xmax(100), 100, Quadrature.RIEMANN)
+    assert longer.grid_size > config.grid_size
+    got, want = probe_slabs(config, lo, hi), probe_slabs(longer, lo, hi)
+    for name in ("lo", "hi", "first", "offsets", "values"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    for alpha in (0.95, 0.9855, 1.01):
+        got_n, got_values = front_constancy_probe(got, alpha)
+        want_n, want_values = front_constancy_probe(want, alpha)
+        assert np.array_equal(got_n, want_n) and np.array_equal(got_values, want_values)
 
 
 def test_front_fit_dataclass_window_is_recorded():

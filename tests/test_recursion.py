@@ -409,11 +409,13 @@ def test_bands_step_in_two_reused_buffers(quadrature):
     for ends in ((), (1, 10, 11, 30, 60), (0, 30)):
         held = []
         for n, (band, lo) in enumerate(bands(config, lambda n: n_nodes if n in ends else 0)):
-            assert not band.values.flags.writeable and not band.complement.flags.writeable
+            full = ref.snapshot(n)
+            # band 0 is init_p0's, and run_recursion's snapshots are copies
+            for f in (band, full):
+                assert not f.values.flags.writeable and not f.complement.flags.writeable
             assert (lo + len(band.values) == n_nodes) == (n in ends)
             if n >= 1:
                 assert not np.shares_memory(band.complement, held[n - 1].complement)
-            full = ref.snapshot(n)
             assert np.array_equal(band.values, full.values[lo : lo + len(band.values)])
             assert np.array_equal(band.complement, full.complement[lo : lo + len(band.values)])
             held.append(band)
@@ -461,9 +463,9 @@ def test_band_step_contract():
 
 @pytest.mark.parametrize("quadrature", list(Quadrature))
 def test_generations_hold_read_only_float64_arrays(quadrature):
-    # the steps build each generation's GridFunction as is, without the
-    # conversion and flags of GridFunction.__post_init__: the arrays must
-    # already be what it would make them, however the step was called
+    # GridFunction keeps the arrays it is given, so every builder of a
+    # generation makes its arrays read-only float64 itself, however the
+    # step was called
     config = RecursionConfig(delta=0.05, x_max=60.0, n_max=40, quadrature=quadrature)
     n_nodes = config.grid_size + 1
 
@@ -486,6 +488,14 @@ def test_generations_hold_read_only_float64_arrays(quadrature):
     # a workspace that would make the result anything but float64 is refused
     with pytest.raises(ContractViolationError):
         iterate_step(head, config, 950, (g, np.empty(950, np.float32), np.empty(950), np.empty(950)))
+
+
+def test_hand_built_record_keeps_the_callers_arrays():
+    # building a record freezes nobody else's array
+    values, complement = np.ones(5), np.zeros(5)
+    f = GridFunction(delta=0.1, values=values, generation=0, complement=complement)
+    assert f.values is values and f.complement is complement
+    assert values.flags.writeable and complement.flags.writeable
 
 
 def _libm_finish(out_p, out_g, tmp):
