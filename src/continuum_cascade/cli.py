@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric/fit error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -57,7 +58,7 @@ COMMANDS: dict[str, list[Option]] = {
     ],
     "front": [
         Option("delta", float, 0.01, "grid spacing"),
-        Option("xmax", float, None, "domain upper bound (default: front clearance)"),
+        Option("xmax", float, None, "domain upper bound (default: front clearance - ln level)"),
         Option("nmax", int, 400, "number of generations"),
         Option("level", float, 0.5, "front crossing level"),
         Option("mode", str, "trapezoid", "quadrature: trapezoid or riemann"),
@@ -180,10 +181,13 @@ def _quadrature(mode: str) -> recursion.Quadrature:
         raise ConfigurationError(f"unknown quadrature mode '{mode}'") from None
 
 
-def _xmax(params: dict) -> float:
+def _xmax(params: dict, level: float = 1.0) -> float:
+    """--xmax, or the front clearance plus ln(1/level) (see front_clearance_xmax)."""
     if params["xmax"] is not None:
         return params["xmax"]
-    return recursion.front_clearance_xmax(params["nmax"])
+    # a level outside (0, 1) adds nothing; run_recursion refuses it
+    ln_level = math.log(level) if 0.0 < level < 1.0 else 0.0
+    return recursion.front_clearance_xmax(params["nmax"]) - ln_level
 
 
 def cmd_recurse(params: dict, writer: RunWriter) -> None:
@@ -202,7 +206,7 @@ def cmd_recurse(params: dict, writer: RunWriter) -> None:
 
 def cmd_front(params: dict, writer: RunWriter) -> None:
     config = recursion.RecursionConfig(
-        delta=params["delta"], x_max=_xmax(params), n_max=params["nmax"],
+        delta=params["delta"], x_max=_xmax(params, params["level"]), n_max=params["nmax"],
         quadrature=_quadrature(params["mode"]),
     )
     lo, hi = params["fit-lo"], params["fit-hi"]

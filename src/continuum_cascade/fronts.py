@@ -12,9 +12,8 @@ drifting, which quantifies the first-order grid bias of the RIEMANN scheme
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +27,7 @@ from .recursion import (
     RecursionConfig,
     _bracketed_crossing,
     bands,
+    check_delta,
     grid_position,
 )
 
@@ -210,7 +210,8 @@ class ProbeSlabs:
 
     Generation m is read at points in [lo[m], hi[m]]; it keeps the grid
     nodes from first[m] on that those points interpolate between, in
-    values[offsets[m]:offsets[m + 1]].
+    values[offsets[m]:offsets[m + 1]].  `config` is the grid the slabs
+    were stepped on, which holds every window point.
     """
 
     config: RecursionConfig
@@ -221,37 +222,45 @@ class ProbeSlabs:
     values: np.ndarray
 
 
-def probe_slabs(config: RecursionConfig, lo: np.ndarray, hi: np.ndarray) -> ProbeSlabs:
+def probe_slabs(
+    delta: float, lo: np.ndarray, hi: np.ndarray, quadrature: Quadrature = Quadrature.TRAPEZOID
+) -> ProbeSlabs:
     """Run the recursion to generation G = len(lo) - 1, keeping only the probe's slabs.
 
     `lo[m]` and `hi[m]` bound the points where generation m will be read,
-    for m = 0..G; G is at most n_max.  Each generation's band is asked to
-    reach its slab's end, so the slab comes from the band alone: nodes
-    below the band read as exactly 1.  A node depends only on the nodes
-    left of it, so the recursion runs on the grid cut at the last slab
-    end: no node past it is stepped.  Memory is the sum of the slabs,
-    about (hi - lo) over delta nodes per generation, instead of a full grid
-    per generation.  The slabs keep `config`, so reads are checked against
-    the caller's grid.
+    for m = 0..G; a window below 0 starts at 0.  Each generation's band is
+    asked to reach its slab's end, so the slab comes from the band alone:
+    nodes below the band read as exactly 1.  A node depends only on the
+    nodes left of it, so the grid ends at the last slab end, one node past
+    the node left of the highest hi: no node past it is stepped.  Memory is
+    the sum of the slabs, about (hi - lo) over delta nodes per generation,
+    instead of a full grid per generation.  A delta that is not positive
+    and finite, and a window that is not finite, has lo > hi or whose top
+    node no array can hold, is refused before any array is built from it.
     """
+    check_delta(delta)
     lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
-    if (lo.ndim != 1 or not 0 < len(lo) <= config.n_max + 1 or hi.shape != lo.shape
-            or not np.all(lo <= hi)):
+    # x of the last node one array can hold: hi / delta could overflow
+    last = (MAX_GRID_NODES - 2) * delta
+    if (lo.ndim != 1 or len(lo) == 0 or hi.shape != lo.shape
+            or not np.all(np.isfinite(lo) & (lo <= hi) & (hi < last))):
         raise ConfigurationError(
-            f"probe window needs lo <= hi for each generation m = 0..G, G <= {config.n_max}"
+            f"probe window needs finite lo <= hi < {last:.6g} (the last node one array "
+            f"can hold at delta {delta:g}) for each generation m = 0..G"
         )
-    first = grid_position(lo, config.delta, config.grid_size)[1]
-    # the probe reads node i + 1, so a slab ends one node past the last i
-    stop = grid_position(hi, config.delta, config.grid_size)[1] + 2
+    lo, hi = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
+    # the probe reads node i + 1, so the grid ends one node past the top's i;
+    # x_max half an interval past it, so no rounding of x_max / delta moves
+    # grid_size
+    end = math.floor(hi.max() / delta) + 1
+    config = RecursionConfig(delta, (end + 0.5) * delta, len(lo) - 1, quadrature)
+    first = grid_position(lo, delta, end)[1]
+    stop = grid_position(hi, delta, end)[1] + 2  # a slab ends one node past its last i
     offsets = np.concatenate(([0], np.cumsum(stop - first)))
     values = np.empty(int(offsets[-1]))
-    # the grid cut at the last slab end, node stop.max() - 1; x_max half an
-    # interval past it, so no rounding of x_max / delta moves grid_size
-    cut = replace(config, x_max=(int(stop.max()) - 0.5) * config.delta)
     # per-generation bounds as Python ints: numpy scalars cost more to index with
     starts, ends, at = first.tolist(), stop.tolist(), offsets.tolist()
-    steps = bands(cut, lambda m: ends[m])
-    for m, (band, start) in enumerate(itertools.islice(steps, len(lo))):
+    for m, (band, start) in enumerate(bands(config, lambda m: ends[m])):
         slab = values[at[m] : at[m + 1]]
         below = min(max(start - starts[m], 0), len(slab))  # slab nodes below the band
         slab[:below] = 1.0
@@ -260,32 +269,24 @@ def probe_slabs(config: RecursionConfig, lo: np.ndarray, hi: np.ndarray) -> Prob
     return ProbeSlabs(config, lo, hi, first, offsets, values)
 
 
-def check_probe_targets(config: RecursionConfig, ns: np.ndarray, targets: np.ndarray) -> None:
-    """Raise DomainError if a target, read at n = ns[k] for targets[..., k], is off the grid."""
-    x_max = config.delta * config.grid_size
-    outside = (targets < 0.0) | (targets > x_max)
-    if outside.any():
-        k = np.unravel_index(np.argmax(outside), outside.shape)
-        raise DomainError(
-            f"probe point {targets[k]:.4f} exits the grid at n={int(ns[k[-1]])} "
-            f"(x_max={x_max:.4f})"
-        )
-
-
 def read_probe(slabs: ProbeSlabs, generations: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Generation generations[k] at targets[..., k], read off the slabs.
 
     Linear interpolation between grid nodes, bit-identical to
-    GridFunction.evaluate on the full generation.  Raises DomainError for a
-    target off the grid (see check_probe_targets; it names the generation
-    as n) and ConfigurationError for a generation or target outside the
-    window the slabs were kept for.
+    GridFunction.evaluate on the full generation.  Raises
+    ConfigurationError, naming the generation, for a generation or target
+    outside the window the slabs were kept for; the window lies on the
+    slabs' grid, so every read it passes does.
     """
-    check_probe_targets(slabs.config, generations, targets)
     if not np.all((0 <= generations) & (generations < len(slabs.lo))):
         raise ConfigurationError(f"slabs were kept for generations 0..{len(slabs.lo) - 1}")
-    if not np.all((slabs.lo[generations] <= targets) & (targets <= slabs.hi[generations])):
-        raise ConfigurationError("probe point outside the window the slabs were kept for")
+    outside = ~((slabs.lo[generations] <= targets) & (targets <= slabs.hi[generations]))
+    if outside.any():
+        k = np.unravel_index(np.argmax(outside), outside.shape)
+        raise ConfigurationError(
+            f"probe point {targets[k]:.4f} of generation {int(generations[k[-1]])} lies "
+            f"outside the window the slabs were kept for"
+        )
     pos, i = grid_position(targets, slabs.config.delta, slabs.config.grid_size)
     frac = pos - i
     at = slabs.offsets[generations] + (i - slabs.first[generations])
@@ -295,16 +296,13 @@ def read_probe(slabs: ProbeSlabs, generations: np.ndarray, targets: np.ndarray) 
 def front_constancy_probe(
     slabs: ProbeSlabs, alpha: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate generation n-1 at alpha*(n/e + (3/(2e)) ln n) for n = 2..n_max.
+    """Evaluate generation n-1 at alpha*(n/e + (3/(2e)) ln n) for n = 2..len(slabs.lo).
 
     Returns (n, values); see read_probe.  For a 1-D array of alphas, values
-    has one row per alpha, read in one call.  The slabs must hold
-    generations 1..n_max-1, and points off the grid are named by their n.
+    has one row per alpha, read in one call.
     """
-    ns = np.arange(2, slabs.config.n_max + 1)
-    targets = probe_positions(ns, np.expand_dims(alpha, -1))
-    check_probe_targets(slabs.config, ns, targets)
-    return ns, read_probe(slabs, ns - 1, targets)
+    ns = np.arange(2, len(slabs.lo) + 1)
+    return ns, read_probe(slabs, ns - 1, probe_positions(ns, np.expand_dims(alpha, -1)))
 
 
 def probe_drift_rms(values: np.ndarray) -> float:
@@ -361,35 +359,20 @@ def alpha_scan(
         # the drift needs two successive differences of the probe's last half
         raise ConfigurationError(f"alpha scan needs n_max >= 4, got {n_max}")
     lo, hi = alpha_range
-    # refused before any array is built; a delta that is not positive is
-    # left to RecursionConfig
+    # refused before any array is built or any delta is run
     for delta in deltas:
-        if delta > 0.0 and (nodes := _least_slab_nodes(delta, n_max, hi - lo)) > MAX_GRID_NODES:
+        check_delta(delta)
+        if (nodes := _least_slab_nodes(delta, n_max, hi - lo)) > MAX_GRID_NODES:
             raise ConfigurationError(
                 f"n_max (--nmax) = {n_max} at delta {delta:g} keeps at least {nodes:.3g} "
                 f"probe nodes, more than one array can hold ({MAX_GRID_NODES})"
             )
-    # each grid ends at the window's top, the highest alpha's probe of n_max,
-    # half an interval past the node right of it: no window point is clipped
-    # and no rounding of x_max / delta moves grid_size.  A delta that is not
-    # positive is left to RecursionConfig
-    top = hi * (n_max * VELOCITY + LOG_COEFFICIENT * math.log(n_max))
-    configs = [
-        RecursionConfig(
-            delta=delta,
-            x_max=(math.floor(top / delta) + 1.5) * delta if delta > 0.0 else delta,
-            n_max=n_max,
-            quadrature=Quadrature.RIEMANN,
-        )
-        for delta in deltas
-    ]
-    ns = np.arange(2, n_max + 1)
     # the probe of n reads generation n - 1; the slabs hold it for n = 1..n_max
     reads = np.arange(1, n_max + 1)
     window = probe_positions(reads, lo), probe_positions(reads, hi)
     results = []
-    for config in configs:
-        slabs = probe_slabs(config, *window)
+    for delta in deltas:
+        slabs = probe_slabs(delta, *window, Quadrature.RIEMANN)
 
         def drift(alpha: float) -> float:
             _, vals = front_constancy_probe(slabs, alpha)
@@ -400,13 +383,13 @@ def alpha_scan(
         best = int(np.argmin(objective))
         if best in (0, len(grid) - 1):
             raise ScanError(
-                f"drift minimum for delta={config.delta} sits at the alpha range boundary"
+                f"drift minimum for delta={delta} sits at the alpha range boundary"
             )
         alpha_star = _golden_section(drift, grid[best - 1], grid[best + 1])
-        _, vals = front_constancy_probe(slabs, alpha_star)
+        ns, vals = front_constancy_probe(slabs, alpha_star)
         results.append(
             AlphaScanResult(
-                delta=config.delta,
+                delta=delta,
                 alpha_star=float(alpha_star),
                 probe_generations=ns,
                 probe_values=vals,

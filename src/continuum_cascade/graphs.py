@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .fronts import probe_slabs, read_probe
-from .recursion import RecursionConfig
 from .simulate import (
     GRAPH_STREAM,
     EmpiricalCdf,
@@ -244,8 +243,7 @@ def _continuum_cdf(x: float, k_min: int) -> np.ndarray:
         k += 1
     while True:
         at = np.full(k + 1, x)
-        config = RecursionConfig(CONTINUUM_DELTA, x + CONTINUUM_DELTA, k)
-        p = read_probe(probe_slabs(config, at, at), np.arange(k + 1), at)
+        p = read_probe(probe_slabs(CONTINUUM_DELTA, at, at), np.arange(k + 1), at)
         ones = np.flatnonzero(p == 1.0)
         if ones.size:
             return p[: max(k_min, int(ones[0])) + 1]

@@ -29,7 +29,7 @@ import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
 from . import fronts
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, DomainError, NumericError
 from .recursion import RecursionConfig
 from .simulate import DEFAULT_PARTICLE_CAP, check_particle_cap, check_poisson_mean, offspring
 
@@ -168,10 +168,10 @@ def equivalence_check(config: RecursionConfig, z_grid, generations) -> LimitLawP
     A Cauchy-style check of the limit law: for each x the values across n
     should agree to within their spread and sit strictly inside (0, 1).
     Requires a fine grid (delta <= 0.001) and n_max >= 200, checked before
-    the recursion runs, and so is that every point read lies on the grid.
-    The recursion keeps only the probe's slabs (see fronts.probe_slabs),
-    over [base + min x, base + max x] per generation with
-    base = n/e + (3/(2e)) ln n.
+    the recursion runs, and so is that no point read lies below x = 0.
+    The recursion, at config's delta and quadrature, keeps only the probe's
+    slabs (see fronts.probe_slabs), over [base + min x, base + max x] per
+    generation with base = n/e + (3/(2e)) ln n.
     """
     if config.delta > 0.001 + 1e-15:
         raise ConfigurationError(f"probe needs delta <= 0.001, got {config.delta}")
@@ -190,8 +190,12 @@ def equivalence_check(config: RecursionConfig, z_grid, generations) -> LimitLawP
     # base[m] is where the probe of n = m + 1 reads generation m
     base = fronts.probe_positions(np.arange(1, config.n_max + 1), 1.0)
     targets = base[gens - 1] + x_grid[:, None]
-    fronts.check_probe_targets(config, gens, targets)
-    slabs = fronts.probe_slabs(config, base + x_grid.min(), base + x_grid.max())
+    lowest = base[gens[0] - 1] + x_grid.min()  # base grows with n
+    if lowest < 0.0:
+        raise DomainError(f"probe point {lowest:.4f} lies below x = 0 at n={gens[0]}")
+    slabs = fronts.probe_slabs(
+        config.delta, base + x_grid.min(), base + x_grid.max(), config.quadrature
+    )
     values = fronts.read_probe(slabs, gens - 1, targets)
     return LimitLawProbe(
         x_grid=x_grid,

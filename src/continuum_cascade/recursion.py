@@ -61,19 +61,27 @@ class Quadrature(Enum):
 
 
 def front_clearance_xmax(n_max: int) -> float:
-    """Default grid end of `recurse` and `front`, and the least x_max of a front run.
+    """Default grid end of `recurse`, and the least x_max of a front run.
 
     The front sits near n/e + O(log n), and the margin 10*max(1, ln n)
     puts the grid end past it for every generation up to n_max.  It is not
     an accuracy margin: a node depends only on the nodes left of it (the
     integral is one-sided), so a grid that ends further out gives the same
     bits on the nodes both hold, and the same front trace.  A crossing must
-    still lie on the grid: a level far below 1/2 can cross past this end at
-    small n, and then no crossing is found.
+    still lie on the grid.  Past the front the integral of P_{n-1} stops
+    growing and P_n(x) falls like e^-x, so the crossing of a level L lies
+    about ln(1/L) further out: `front`'s default grid end is this one
+    minus ln L, which a level far below 1/2 needs at small n.
     """
     if n_max <= 0:
         return 10.0  # the formula's limit at n = 0
     return n_max / math.e + 10.0 * max(1.0, math.log(n_max))
+
+
+def check_delta(delta: float) -> None:
+    """A grid spacing must be positive and finite."""
+    if not 0.0 < delta < math.inf:
+        raise ConfigurationError(f"delta must be positive, got {delta}")
 
 
 @dataclass(frozen=True)
@@ -84,8 +92,7 @@ class RecursionConfig:
     quadrature: Quadrature = Quadrature.TRAPEZOID
 
     def __post_init__(self) -> None:
-        if not (self.delta > 0.0) or not math.isfinite(self.delta):
-            raise ConfigurationError(f"delta must be positive, got {self.delta}")
+        check_delta(self.delta)
         if not self.delta <= self.x_max < math.inf:
             raise ConfigurationError(
                 f"x_max must be finite and at least delta, "
@@ -374,7 +381,8 @@ def bands(
     later steps.  A node depends only on the nodes left of it in the
     generation before, so a config with a smaller x_max gives the same bits
     on the nodes it keeps: a consumer that reads nothing past node k of any
-    generation can run on a grid that ends there (fronts.probe_slabs does).
+    generation can run on a grid that ends there (fronts.probe_slabs builds
+    its grid so, from the windows it is given).
 
     Steps allocate nothing: the first step allocates two ping-pong g
     buffers, one P buffer (a step reads only g) and the kernels' scratch, a

@@ -95,15 +95,11 @@ def recursion_oracle_x3():
 
 @pytest.fixture(scope="session")
 def d01_riemann_n100_slabs():
-    """Riemann run keeping the alpha probe's slabs of every generation."""
-    config = RecursionConfig(
-        delta=0.01,
-        x_max=front_clearance_xmax(100),
-        n_max=100,
-        quadrature=Quadrature.RIEMANN,
+    """Riemann run keeping the alpha probe's slabs of generations 0..99, for n = 2..100."""
+    ns = np.arange(1, 101)  # the probe of n reads generation n - 1
+    return probe_slabs(
+        0.01, probe_positions(ns, 0.95), probe_positions(ns, 1.01), Quadrature.RIEMANN
     )
-    ns = np.arange(1, config.n_max + 1)  # the probe of n reads generation n - 1
-    return probe_slabs(config, probe_positions(ns, 0.95), probe_positions(ns, 1.01))
 
 
 @pytest.fixture(scope="session")

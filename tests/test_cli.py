@@ -20,7 +20,12 @@ from hypothesis import strategies as st
 from continuum_cascade import fronts, graphs, simulate
 from continuum_cascade.cli import COMMANDS, COMMON, build_parser, main, resolve_params
 from continuum_cascade.output import fmt, sha256_file
-from continuum_cascade.recursion import RecursionConfig, init_p0, run_recursion
+from continuum_cascade.recursion import (
+    RecursionConfig,
+    front_clearance_xmax,
+    init_p0,
+    run_recursion,
+)
 
 
 def read_csv(path: Path) -> list[dict]:
@@ -153,6 +158,20 @@ def test_front_command_trace_and_fit(tmp_path):
     assert fit["n_lo"] == "100" and fit["n_hi"] == "300"
 
 
+@pytest.mark.parametrize("level", ["1e-10", "1e-30", "1e-100"])
+@pytest.mark.parametrize("nmax", [0, 1, 5, 12])
+def test_front_default_grid_holds_a_low_level_crossing(tmp_path, level, nmax):
+    # the default grid end adds ln(1/level), the distance from the front to
+    # the crossing; a grid 4x as long gives the same trace
+    argv = ["front", "--delta", "0.01", "--level", level, "--nmax", str(nmax)]
+    assert main([*argv, "--out", str(tmp_path / "default")]) == 0
+    longer = 4 * (front_clearance_xmax(nmax) - math.log(float(level)))
+    assert main([*argv, "--xmax", repr(longer), "--out", str(tmp_path / "longer")]) == 0
+    trace = (tmp_path / "default" / "front_trace.csv").read_bytes()
+    assert trace == (tmp_path / "longer" / "front_trace.csv").read_bytes()
+    assert len(trace.splitlines()) == nmax + 2
+
+
 def test_compare_command_ks_summary(tmp_path):
     assert main(["compare", "--n-vertices", "200", "--x", "1", "--trials", "800",
                  "--seed", "3", "--out", str(tmp_path)]) == 0
@@ -232,9 +251,10 @@ def test_exit_codes(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 2
     assert main(["front", "--delta", "0.02", "--nmax", "100", "--fit-lo", "96",
                  "--fit-hi", "99", "--out", str(tmp_path)]) == 2
-    # numeric error: the curve never drops below the front level
+    # numeric error: the curve never drops below the front level on a grid
+    # that ends at the front clearance, 82.8, short of ln(1e300) = 690.8
     assert main(["front", "--delta", "0.02", "--nmax", "100", "--level", "1e-300",
-                 "--out", str(tmp_path)]) == 3
+                 "--xmax", "83", "--out", str(tmp_path)]) == 3
     # i/o error: output directory path passes through a file
     blocker = tmp_path / "blocker"
     blocker.write_text("")
@@ -382,6 +402,8 @@ def test_front_rejects_bad_fit_flags_before_computing(tmp_path, capsys, fit_args
     # a spacing that sizes no grid, refused before alpha_scan divides by it
     ["alpha-scan", "--deltas", "0", "--nmax", "50"],
     ["alpha-scan", "--deltas", "nan", "--nmax", "50"],
+    # refused before the first delta is run
+    ["alpha-scan", "--deltas", "0.5,nan", "--nmax", "10"],
 ])
 def test_bad_counts_exit_two(tmp_path, capsys, monkeypatch, argv):
     def no_stepping(*args):

@@ -10,7 +10,6 @@ from scipy.optimize import brentq
 from continuum_cascade import fronts, recursion
 from continuum_cascade.errors import (
     ConfigurationError,
-    DomainError,
     FitError,
     FrontNotFoundError,
     ScanError,
@@ -232,33 +231,47 @@ def test_probe_drifts_monotonically_at_alpha_one(d01_riemann_n100_slabs):
 
 
 def _alpha_slabs(config, alpha_lo, alpha_hi):
+    """Slabs at config's delta and quadrature for the probes of n = 2..n_max."""
     ns = np.arange(1, config.n_max + 1)  # the probe of n reads generation n - 1
-    return probe_slabs(config, probe_positions(ns, alpha_lo), probe_positions(ns, alpha_hi))
+    return probe_slabs(
+        config.delta, probe_positions(ns, alpha_lo), probe_positions(ns, alpha_hi),
+        config.quadrature,
+    )
 
 
-def test_probe_domain_error_names_generation():
-    config = RecursionConfig(delta=0.01, x_max=3.0, n_max=30)
-    slabs = _alpha_slabs(config, 0.95, 1.01)
-    with pytest.raises(DomainError, match=r"n=6"):
+def test_probe_window_error_names_generation():
+    ns = np.arange(1, 31)
+    lo, hi = probe_positions(ns, 0.95), probe_positions(ns, 1.01)
+    hi[5] = lo[5]  # generation 5, which the probe of n = 6 reads, keeps one point
+    slabs = probe_slabs(0.01, lo, hi)
+    with pytest.raises(ConfigurationError, match=r"of generation 5 lies outside the window"):
         front_constancy_probe(slabs, 1.0)
-    negative = _alpha_slabs(config, -1.0, 1.0)
-    with pytest.raises(DomainError, match=r"n=2"):
+    # a window below 0 starts at 0: a point below it is outside the window
+    negative = probe_slabs(0.01, probe_positions(ns, -1.0), probe_positions(ns, 1.0))
+    assert np.all(negative.lo == 0.0) and negative.first[0] == 0
+    with pytest.raises(ConfigurationError, match=r"of generation 1 lies outside"):
         front_constancy_probe(negative, -0.5)
 
 
-def test_probe_slabs_reject_a_bad_window():
-    config = RecursionConfig(delta=0.01, x_max=3.0, n_max=30)
-    ns = np.arange(1, 31)
-    lo = probe_positions(ns, 0.95)
-    # generations 0..31, one past the 0..30 that n_max = 30 allows
-    longer = np.concatenate((lo, lo[-1:], lo[-1:]))
-    for bad_lo, bad_hi in ((lo, lo[:-1]), (lo + 0.1, lo), (lo * np.nan, lo),
-                           (lo[:0], lo[:0]), (longer, longer), (lo[None], lo[None])):
+def test_probe_slabs_reject_a_bad_window(monkeypatch):
+    # every refusal comes before the recursion steps
+    def no_stepping(*args):
+        raise AssertionError("the recursion ran before the window was checked")
+
+    monkeypatch.setattr(recursion, "iterate_step", no_stepping)
+    lo = probe_positions(np.arange(1, 31), 0.95)
+    inf, nan = np.full(30, np.inf), np.full(30, np.nan)
+    for bad_lo, bad_hi in ((lo, lo[:-1]), (lo + 0.1, lo), (lo * np.nan, lo), (lo, nan),
+                           (lo, inf), (-inf, lo), (lo[:0], lo[:0]), (lo[None], lo[None]),
+                           (lo, lo + 1e300)):  # a top node no array can hold
         with pytest.raises(ConfigurationError):
-            probe_slabs(config, bad_lo, bad_hi)
-    # generations 0..n_max are the most a window can ask for
-    widest = longer[:-1]
-    assert len(probe_slabs(config, widest, widest).offsets) == config.n_max + 2
+            probe_slabs(0.01, bad_lo, bad_hi)
+    for delta in (0.0, -0.01, np.inf, np.nan):
+        with pytest.raises(ConfigurationError):
+            probe_slabs(delta, lo, lo)
+    # a window of G + 1 generations runs the recursion to generation G
+    one = probe_slabs(0.01, lo[:1], lo[:1])
+    assert one.config.n_max == 0 and len(one.offsets) == 2
 
 
 def test_probe_rejects_alpha_outside_its_slabs(d01_riemann_n100_slabs):
@@ -293,6 +306,8 @@ def test_probe_on_slabs_is_bit_identical_to_full_snapshots(delta, n_max, alpha_r
         delta=delta, x_max=front_clearance_xmax(n_max), n_max=n_max,
         quadrature=Quadrature.RIEMANN,
     )
+    # the snapshots' grid holds the window's top, the probe of n_max at alpha_range[1]
+    assert probe_positions(np.array([n_max]), alpha_range[1])[0] < config.x_max
     run = run_recursion(config, range(n_max))
     slabs = _alpha_slabs(config, *alpha_range)
     for alpha in alphas:
@@ -345,9 +360,9 @@ def test_probe_slabs_step_no_node_past_the_last_slab_end(monkeypatch):
     assert len(stepped) == config.n_max - 1  # generations 1..n_max-1
     for cfg, nodes in stepped:
         assert cfg.grid_size + 1 == end and cfg.delta == config.delta
-        assert cfg.n_max == config.n_max and cfg.quadrature == config.quadrature
+        assert cfg.n_max == config.n_max - 1 and cfg.quadrature == config.quadrature
         assert nodes <= end
-    assert slabs.config == config
+    assert slabs.config == stepped[0][0]
 
 
 def test_alpha_scan_reproduces_reference_values(alpha_scan_results):
@@ -374,26 +389,28 @@ def test_closed_form_slab_count_bounds_the_slabs_kept(delta, n_max):
     # alpha_scan refuses an n_max by this count before building anything:
     # it must not exceed what probe_slabs keeps, and stays within 2 nodes
     # per generation of it
-    config = RecursionConfig(delta, front_clearance_xmax(n_max), n_max, Quadrature.RIEMANN)
     reads = np.arange(1, n_max + 1)
-    kept = probe_slabs(config, probe_positions(reads, 0.95), probe_positions(reads, 1.01))
+    kept = probe_slabs(
+        delta, probe_positions(reads, 0.95), probe_positions(reads, 1.01), Quadrature.RIEMANN
+    )
     least = fronts._least_slab_nodes(delta, n_max, 1.01 - 0.95)
     assert least <= kept.offsets[-1] <= least + 2 * n_max
 
 
 class _Handed(Exception):
-    """Carries the arguments alpha_scan handed probe_slabs."""
+    """Carries the config alpha_scan's probe_slabs handed bands."""
 
 
 def _scan_grid(monkeypatch, delta, n_max):
-    """(config, lo, hi) that alpha_scan hands probe_slabs for one delta; nothing is stepped."""
-    def record(*args):
-        raise _Handed(*args)
+    """The grid alpha_scan's slabs step on for one delta, and its window; nothing is stepped."""
+    def record(config, reach):
+        raise _Handed(config)
 
-    monkeypatch.setattr(fronts, "probe_slabs", record)
+    monkeypatch.setattr(fronts, "bands", record)
     with pytest.raises(_Handed) as handed:
         alpha_scan([delta], n_max=n_max)
-    return handed.value.args
+    reads = np.arange(1, n_max + 1)
+    return handed.value.args[0], probe_positions(reads, 0.95), probe_positions(reads, 1.01)
 
 
 README_DELTAS = (0.02, 0.01, 0.005, 0.001)
@@ -401,13 +418,13 @@ README_DELTAS = (0.02, 0.01, 0.005, 0.001)
 
 @pytest.mark.parametrize("delta, n_max", [(0.5, 30000)] + [(d, 100) for d in README_DELTAS])
 def test_alpha_scan_grid_holds_its_probe_window(monkeypatch, delta, n_max):
-    # the grid ends at the window's top, sized before any array is built; at
-    # n_max 30000 the top probe lies past the front-clearance grid
+    # probe_slabs ends the grid at the window's top before any array is
+    # built; at n_max 30000 the top probe lies past the front-clearance grid
     config, lo, hi = _scan_grid(monkeypatch, delta, n_max)
-    assert (config.delta, config.n_max, config.quadrature) == (delta, n_max, Quadrature.RIEMANN)
+    assert (config.delta, config.n_max, config.quadrature) == (delta, n_max - 1, Quadrature.RIEMANN)
     assert hi[-1] == hi.max()
-    # the probe of hi[-1] interpolates between its node and the next
-    assert math.floor(hi[-1] / delta) + 1 <= config.grid_size <= math.floor(hi[-1] / delta) + 2
+    # the probe of hi[-1] interpolates between its node and the next, the grid end
+    assert config.grid_size == math.floor(hi[-1] / delta) + 1
     pos, _ = recursion.grid_position(hi, delta, config.grid_size)
     assert np.array_equal(pos, hi / delta)  # no window point is clipped
     if n_max == 30000:
@@ -415,19 +432,23 @@ def test_alpha_scan_grid_holds_its_probe_window(monkeypatch, delta, n_max):
 
 
 @pytest.mark.parametrize("delta", README_DELTAS)
-def test_window_grid_probes_as_the_front_clearance_grid(monkeypatch, delta):
-    # a node depends only on the nodes left of it, so a grid cut at the
-    # window's top gives the slabs and probe values of a longer one
-    config, lo, hi = _scan_grid(monkeypatch, delta, 100)
-    longer = RecursionConfig(delta, front_clearance_xmax(100), 100, Quadrature.RIEMANN)
-    assert longer.grid_size > config.grid_size
-    got, want = probe_slabs(config, lo, hi), probe_slabs(longer, lo, hi)
-    for name in ("lo", "hi", "first", "offsets", "values"):
-        assert np.array_equal(getattr(got, name), getattr(want, name))
-    for alpha in (0.95, 0.9855, 1.01):
-        got_n, got_values = front_constancy_probe(got, alpha)
-        want_n, want_values = front_constancy_probe(want, alpha)
-        assert np.array_equal(got_n, want_n) and np.array_equal(got_values, want_values)
+def test_window_grid_probes_as_the_front_clearance_grid(delta):
+    # a node depends only on the nodes left of it, so the slabs, stepped on
+    # a grid cut at the window's top, hold the nodes of a longer grid
+    reads = np.arange(1, 101)
+    slabs = probe_slabs(
+        delta, probe_positions(reads, 0.95), probe_positions(reads, 1.01), Quadrature.RIEMANN
+    )
+    longer = RecursionConfig(delta, front_clearance_xmax(100), 99, Quadrature.RIEMANN)
+    assert longer.grid_size > slabs.config.grid_size
+    n_nodes = longer.grid_size + 1
+    for m, (band, lo) in enumerate(bands(longer, lambda n: n_nodes)):
+        slab = slabs.values[slabs.offsets[m] : slabs.offsets[m + 1]]
+        first = slabs.first[m] - lo
+        if first < 0:  # nodes below the band hold exactly 1
+            assert np.all(slab[:-first] == 1.0)
+            slab, first = slab[-first:], 0
+        assert np.array_equal(slab, band.values[first : first + len(slab)])
 
 
 def test_front_fit_dataclass_window_is_recorded():

@@ -256,22 +256,25 @@ def test_equivalence_check_preconditions(monkeypatch):
 
 
 def test_equivalence_check_finds_off_grid_points_before_stepping(monkeypatch):
-    # the points read are known before the recursion runs, so one off the
-    # grid fails at once; a slab window that leaves the grid only at
-    # generations that are not read passes the check and reaches the slabs
+    # the points read are known before the recursion runs, so one below
+    # x = 0 fails at once; the slabs' grid is sized to their window, so a
+    # point past the config's x_max is read as on a grid that holds it
+    config = RecursionConfig(0.001, front_clearance_xmax(200), 200)  # x_max 126.56
+    ns = np.array([100, 200])
+    # base + 55 is 131.5 at n = 200
+    past = equivalence_check(config, [55.0], ns)
+    run = run_recursion(RecursionConfig(0.001, 140.0, 200), ns - 1)
+    points = fronts.probe_positions(ns, 1.0) + 55.0
+    want = [run.snapshot(n - 1).evaluate(x) for n, x in zip(ns.tolist(), points)]
+    assert np.array_equal(past.values[0], want) and 0.0 < want[1] < want[0]
+
     def no_stepping(*args):
         raise AssertionError("the recursion ran")
 
     monkeypatch.setattr(fronts, "probe_slabs", no_stepping)
-    config = RecursionConfig(0.001, front_clearance_xmax(200), 200)  # x_max 126.56
-    # base + x is 136.5 at n = 200 and -95.5 at n = 100
-    for z_grid, generations, where in (([0.0, 60.0], [100, 200], "n=200"),
-                                       ([-130.0, 0.0], [100, 200], "n=100")):
-        with pytest.raises(DomainError, match=f"exits the grid at {where} "):
-            equivalence_check(config, z_grid, generations)
-    # x = 60 reads 117.9 at n = 150; the window's 136.5 at n = 200 is not read
-    with pytest.raises(AssertionError, match="the recursion ran"):
-        equivalence_check(config, [0.0, 60.0], [100, 150])
+    # base + x is -95.5 at n = 100
+    with pytest.raises(DomainError, match="lies below x = 0 at n=100"):
+        equivalence_check(config, [-130.0, 0.0], [100, 200])
 
 
 def test_limit_law_probe_values(d001_n200_limit_law_probe):
