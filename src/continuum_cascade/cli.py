@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 configuration error, 3 numeric/fit error,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -33,6 +32,13 @@ def parse_floats(text: str) -> list[float]:
 
 def parse_ints(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
+
+
+def parse_bool(text: str) -> bool:
+    """A config-file switch: 1/0, true/false or yes/no, in any case (a flag takes none)."""
+    if text.lower() not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected 1/0, true/false or yes/no, got '{text}'")
+    return text.lower() in ("1", "true", "yes")
 
 
 @dataclass(frozen=True)
@@ -58,7 +64,6 @@ COMMANDS: dict[str, list[Option]] = {
     ],
     "front": [
         Option("delta", float, 0.01, "grid spacing"),
-        Option("xmax", float, None, "domain upper bound (default: front clearance - ln level)"),
         Option("nmax", int, 400, "number of generations"),
         Option("level", float, 0.5, "front crossing level"),
         Option("mode", str, "trapezoid", "quadrature: trapezoid or riemann"),
@@ -97,7 +102,7 @@ COMMANDS: dict[str, list[Option]] = {
     "alpha-scan": [
         Option("deltas", parse_floats, [0.01], "comma-separated grid spacings"),
         Option("nmax", int, 100, "generations per recursion run"),
-        Option("emit-probe", bool, False, "also write the probe series per delta"),
+        Option("emit-probe", parse_bool, False, "also write the probe series per delta"),
     ],
 }
 
@@ -122,7 +127,7 @@ def build_parser(commands: Collection[str] = COMMANDS.keys()) -> argparse.Argume
         p = sub.add_parser(command)
         for opt in COMMANDS[command] + COMMON:
             flag = "--" + opt.name
-            if opt.cast is bool:
+            if opt.cast is parse_bool:
                 p.add_argument(flag, action="store_const", const=True, default=None,
                                help=opt.help)
             else:
@@ -152,10 +157,8 @@ def resolve_params(command: str, args: argparse.Namespace) -> dict:
             key = key.strip().replace("_", "-")
             if key not in options or key == "config":
                 raise ConfigurationError(f"{config_path}:{lineno}: unknown key '{key}'")
-            cast = options[key].cast
             try:
-                params[key] = (value.strip().lower() in ("1", "true", "yes")
-                               if cast is bool else cast(value.strip()))
+                params[key] = options[key].cast(value.strip())
             except ValueError as exc:
                 raise ConfigurationError(f"{config_path}:{lineno}: {exc}") from exc
 
@@ -181,18 +184,12 @@ def _quadrature(mode: str) -> recursion.Quadrature:
         raise ConfigurationError(f"unknown quadrature mode '{mode}'") from None
 
 
-def _xmax(params: dict, level: float = 1.0) -> float:
-    """--xmax, or the front clearance plus ln(1/level) (see front_clearance_xmax)."""
-    if params["xmax"] is not None:
-        return params["xmax"]
-    # a level outside (0, 1) adds nothing; run_recursion refuses it
-    ln_level = math.log(level) if 0.0 < level < 1.0 else 0.0
-    return recursion.front_clearance_xmax(params["nmax"]) - ln_level
-
-
 def cmd_recurse(params: dict, writer: RunWriter) -> None:
+    x_max = params["xmax"]
+    if x_max is None:
+        x_max = recursion.front_clearance_xmax(params["nmax"])
     config = recursion.RecursionConfig(
-        delta=params["delta"], x_max=_xmax(params), n_max=params["nmax"],
+        delta=params["delta"], x_max=x_max, n_max=params["nmax"],
         quadrature=_quadrature(params["mode"]),
     )
     snaps = params["snapshots"] or [params["nmax"]]
@@ -206,16 +203,16 @@ def cmd_recurse(params: dict, writer: RunWriter) -> None:
 
 def cmd_front(params: dict, writer: RunWriter) -> None:
     config = recursion.RecursionConfig(
-        delta=params["delta"], x_max=_xmax(params, params["level"]), n_max=params["nmax"],
-        quadrature=_quadrature(params["mode"]),
+        delta=params["delta"], n_max=params["nmax"], quadrature=_quadrature(params["mode"]),
+        x_max=recursion.front_clearance_xmax(params["nmax"], params["level"]),
     )
+    if params["fit"] not in ("joint", "fixed"):
+        raise ConfigurationError(f"unknown fit flavor '{params['fit']}'")
     lo, hi = params["fit-lo"], params["fit-hi"]
     if (lo is None) != (hi is None):
         raise ConfigurationError("--fit-lo and --fit-hi must be given together")
     v_fixed = None
     if lo is not None:
-        if params["fit"] not in ("joint", "fixed"):
-            raise ConfigurationError(f"unknown fit flavor '{params['fit']}'")
         if not 1 <= lo < hi <= config.n_max:
             raise ConfigurationError(
                 f"fit window needs 1 <= fit-lo < fit-hi <= nmax, "

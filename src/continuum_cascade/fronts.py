@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, FitError, ScanError
 from .recursion import (
-    MAX_GRID_NODES,
+    MAX_ARRAY_ITEMS,
     FrontTrace,
     GridFunction,
     Quadrature,
@@ -56,7 +56,7 @@ def front_position(f: GridFunction, level: float = 0.5) -> float:
     """Interpolated x where the (non-increasing) curve crosses `level`."""
     if not 0.0 < level < 1.0:
         raise ConfigurationError(f"level must be in (0,1), got {level}")
-    return _bracketed_crossing(f.values, f.delta, level)
+    return _bracketed_crossing(f, level)
 
 
 def _window_slice(trace: FrontTrace, n_lo: int, n_hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -241,7 +241,7 @@ def probe_slabs(
     check_delta(delta)
     lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
     # x of the last node one array can hold: hi / delta could overflow
-    last = (MAX_GRID_NODES - 2) * delta
+    last = (MAX_ARRAY_ITEMS - 2) * delta
     if (lo.ndim != 1 or len(lo) == 0 or hi.shape != lo.shape
             or not np.all(np.isfinite(lo) & (lo <= hi) & (hi < last))):
         raise ConfigurationError(
@@ -362,10 +362,10 @@ def alpha_scan(
     # refused before any array is built or any delta is run
     for delta in deltas:
         check_delta(delta)
-        if (nodes := _least_slab_nodes(delta, n_max, hi - lo)) > MAX_GRID_NODES:
+        if (nodes := _least_slab_nodes(delta, n_max, hi - lo)) > MAX_ARRAY_ITEMS:
             raise ConfigurationError(
                 f"n_max (--nmax) = {n_max} at delta {delta:g} keeps at least {nodes:.3g} "
-                f"probe nodes, more than one array can hold ({MAX_GRID_NODES})"
+                f"probe nodes, more than one array can hold ({MAX_ARRAY_ITEMS})"
             )
     # the probe of n reads generation n - 1; the slabs hold it for n = 1..n_max
     reads = np.arange(1, n_max + 1)

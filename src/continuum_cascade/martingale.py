@@ -30,7 +30,7 @@ from numpy.polynomial.laguerre import laggauss
 
 from . import fronts
 from .errors import ConfigurationError, DomainError, NumericError
-from .recursion import RecursionConfig
+from .recursion import MAX_ARRAY_ITEMS, Quadrature
 from .simulate import DEFAULT_PARTICLE_CAP, check_particle_cap, check_poisson_mean, offspring
 
 INTENSITY = 1.0 / math.e
@@ -39,17 +39,16 @@ DEFAULT_V_MAX = 20.0
 # Gauss–Laguerre rule sizes: each is exact for the degree <= 2 moment
 # integrands, so the two may differ by rounding only
 MOMENT_RULE_NODES = (10, 20)
-# Largest n whose n + 1 values D_0..D_n (float64) one array can address
-MAX_N = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize - 1
 
 
 def check_walk(n: int, v_max: float, particle_cap: int) -> None:
-    """A walk needs 0 <= n <= MAX_N, a support [-1, v_max] and a cap >= 1."""
+    """A walk needs 0 <= n < MAX_ARRAY_ITEMS, a support [-1, v_max] and a cap >= 1."""
     if n < 0:
         raise ConfigurationError(f"n must be >= 0, got {n}")
-    if n > MAX_N:
+    if n > MAX_ARRAY_ITEMS - 1:
         raise ConfigurationError(
-            f"n (--n) must be at most {MAX_N}, so that its n + 1 values fit one array, got {n}"
+            f"n (--n) must be at most {MAX_ARRAY_ITEMS - 1}, so that its n + 1 values "
+            f"fit one array, got {n}"
         )
     if not SUPPORT_LO <= v_max < math.inf:
         raise ConfigurationError(f"v_max must be finite and >= -1, got {v_max}")
@@ -162,40 +161,40 @@ class LimitLawProbe:
     spread: np.ndarray                 # per-x max minus min across generations
 
 
-def equivalence_check(config: RecursionConfig, z_grid, generations) -> LimitLawProbe:
+def equivalence_check(
+    delta: float, z_grid, generations, quadrature: Quadrature = Quadrature.TRAPEZOID
+) -> LimitLawProbe:
     """Tabulate P_{n-1}(x + n/e + (3/(2e)) ln n) for x in z_grid and n in generations.
 
     A Cauchy-style check of the limit law: for each x the values across n
     should agree to within their spread and sit strictly inside (0, 1).
-    Requires a fine grid (delta <= 0.001) and n_max >= 200, checked before
-    the recursion runs, and so is that no point read lies below x = 0.
-    The recursion, at config's delta and quadrature, keeps only the probe's
-    slabs (see fronts.probe_slabs), over [base + min x, base + max x] per
-    generation with base = n/e + (3/(2e)) ln n.
+    Requires a fine grid (delta <= 0.001) and at least two generations,
+    the first >= 2 and the last >= 200, checked before the recursion runs,
+    and so is that no point read lies below x = 0.  The recursion, at
+    `delta` and `quadrature`, runs to the last generation read and keeps
+    only the probe's slabs (see fronts.probe_slabs), over
+    [base + min x, base + max x] per generation with
+    base = n/e + (3/(2e)) ln n.
     """
-    if config.delta > 0.001 + 1e-15:
-        raise ConfigurationError(f"probe needs delta <= 0.001, got {config.delta}")
-    if config.n_max < 200:
-        raise ConfigurationError(f"probe needs n_max >= 200, got {config.n_max}")
+    if not 0.0 < delta <= 0.001 + 1e-15:
+        raise ConfigurationError(f"probe needs 0 < delta <= 0.001, got {delta}")
     x_grid = np.atleast_1d(np.asarray(z_grid, dtype=np.float64))
     if x_grid.size == 0:
         raise ConfigurationError("probe needs at least one offset x")
     gens = np.unique(np.asarray(generations, dtype=np.int64))
     if len(gens) < 2:
         raise ConfigurationError("probe needs at least two generations")
-    if gens[0] < 2 or gens[-1] > config.n_max:
+    if gens[0] < 2 or gens[-1] < 200:
         raise ConfigurationError(
-            f"probe generations {gens.tolist()} outside [2, {config.n_max}]"
+            f"probe generations {gens.tolist()} need the first >= 2 and the last >= 200"
         )
     # base[m] is where the probe of n = m + 1 reads generation m
-    base = fronts.probe_positions(np.arange(1, config.n_max + 1), 1.0)
+    base = fronts.probe_positions(np.arange(1, gens[-1] + 1), 1.0)
     targets = base[gens - 1] + x_grid[:, None]
     lowest = base[gens[0] - 1] + x_grid.min()  # base grows with n
     if lowest < 0.0:
         raise DomainError(f"probe point {lowest:.4f} lies below x = 0 at n={gens[0]}")
-    slabs = fronts.probe_slabs(
-        config.delta, base + x_grid.min(), base + x_grid.max(), config.quadrature
-    )
+    slabs = fronts.probe_slabs(delta, base + x_grid.min(), base + x_grid.max(), quadrature)
     values = fronts.read_probe(slabs, gens - 1, targets)
     return LimitLawProbe(
         x_grid=x_grid,

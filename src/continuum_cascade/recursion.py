@@ -51,8 +51,9 @@ from .errors import (
 # not floating-point jitter.
 CLAMP_TOLERANCE = 1e-12
 
-# Most nodes one float64 array can hold: its size in bytes must fit np.intp.
-MAX_GRID_NODES = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+# Most 8-byte items (float64 nodes and values, int64 counts) one array can
+# hold: its size in bytes must fit np.intp.  The one bound on array sizes.
+MAX_ARRAY_ITEMS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 
 class Quadrature(Enum):
@@ -60,22 +61,24 @@ class Quadrature(Enum):
     TRAPEZOID = "trapezoid"
 
 
-def front_clearance_xmax(n_max: int) -> float:
-    """Default grid end of `recurse`, and the least x_max of a front run.
+def front_clearance_xmax(n_max: int, level: float = 1.0) -> float:
+    """Grid end of a `front` run to n_max at `level`, and `recurse`'s default.
 
     The front sits near n/e + O(log n), and the margin 10*max(1, ln n)
-    puts the grid end past it for every generation up to n_max.  It is not
-    an accuracy margin: a node depends only on the nodes left of it (the
-    integral is one-sided), so a grid that ends further out gives the same
-    bits on the nodes both hold, and the same front trace.  A crossing must
-    still lie on the grid.  Past the front the integral of P_{n-1} stops
-    growing and P_n(x) falls like e^-x, so the crossing of a level L lies
-    about ln(1/L) further out: `front`'s default grid end is this one
-    minus ln L, which a level far below 1/2 needs at small n.
+    puts the grid end past it for every generation up to n_max.  Past the
+    front the integral of P_{n-1} stops growing and P_n(x) falls like e^-x,
+    so the crossing of a level L lies about ln(1/L) further out: a level in
+    (0, 1) adds -ln L, which a level far below 1/2 needs at small n; any
+    other level adds nothing (run_recursion refuses it).  It is not an
+    accuracy margin: a node depends only on the nodes left of it (the
+    integral is one-sided), so every grid that holds the crossings gives
+    the same bits on the nodes it keeps, and the same front trace, and
+    run_recursion raises FrontNotFoundError on one that does not.
     """
+    ln_level = math.log(level) if 0.0 < level < 1.0 else 0.0
     if n_max <= 0:
-        return 10.0  # the formula's limit at n = 0
-    return n_max / math.e + 10.0 * max(1.0, math.log(n_max))
+        return 10.0 - ln_level  # the formula's limit at n = 0
+    return n_max / math.e + 10.0 * max(1.0, math.log(n_max)) - ln_level
 
 
 def check_delta(delta: float) -> None:
@@ -98,10 +101,10 @@ class RecursionConfig:
                 f"x_max must be finite and at least delta, "
                 f"got x_max={self.x_max} delta={self.delta}"
             )
-        if not self.x_max / self.delta < MAX_GRID_NODES or self.grid_size >= MAX_GRID_NODES:
+        if not self.x_max / self.delta < MAX_ARRAY_ITEMS or self.grid_size >= MAX_ARRAY_ITEMS:
             raise ConfigurationError(
                 f"a grid of x_max/delta = {self.x_max / self.delta:.3g} intervals has more "
-                f"nodes than one array can hold ({MAX_GRID_NODES})"
+                f"nodes than one array can hold ({MAX_ARRAY_ITEMS})"
             )
         if self.n_max < 0:
             raise ConfigurationError(f"n_max must be >= 0, got {self.n_max}")
@@ -299,19 +302,21 @@ def iterate_step(
     return GridFunction(config.delta, out_p, prev.generation + 1, out_g)
 
 
-def _bracketed_crossing(
-    values: np.ndarray, delta: float, level: float, offset: int = 0
-) -> float:
+def _bracketed_crossing(f: GridFunction, level: float, offset: int = 0) -> float:
     """Interpolated x where a non-increasing curve crosses `level`.
 
-    `values` starts at grid node `offset`.  The node index is formed as an
+    `f` starts at grid node `offset`.  The node index is formed as an
     integer before the fraction is added, so a band and the full grid give
     the same bits.
     """
+    values, delta = f.values, f.delta
     below = values < level
     idx = int(below.argmax())
     if not below[idx]:  # argmax of all False is 0
-        raise FrontNotFoundError(f"curve never drops below level {level}")
+        raise FrontNotFoundError(
+            f"generation {f.generation} does not drop below level {level} by the grid end "
+            f"x = {delta * (offset + len(values) - 1):.6g}"
+        )
     if idx == 0:
         raise FrontNotFoundError(f"curve starts below level {level}")
     hi, lo = values.item(idx - 1), values.item(idx)
@@ -439,10 +444,10 @@ def run_recursion(
     """Iterate from P_0 to generation n_max, retaining requested snapshots.
 
     Deterministic.  When `front_levels` is given the level crossings are
-    recorded every generation, and x_max must be at least
-    front_clearance_xmax(n_max), the default grid end.  A larger x_max
-    leaves the crossings' bits as they are; a crossing past the grid end
-    raises FrontNotFoundError.
+    recorded every generation.  Every grid that holds them gives the same
+    bits (front_clearance_xmax(n_max, level) is one); a crossing past the
+    grid end raises FrontNotFoundError naming the level, the generation
+    and the grid end.
 
     One consumer of `bands`: crossings are read off each band; snapshot bands
     reach the grid end and are copied whole, with P = 1, g = 0 below them.
@@ -452,17 +457,11 @@ def run_recursion(
         raise ConfigurationError(
             f"snapshot generations {sorted(wanted)} outside [0, {config.n_max}]"
         )
-    if front_levels is not None:
-        need = front_clearance_xmax(config.n_max)
-        if config.x_max < need:
-            raise ConfigurationError(
-                f"front measurement needs x_max >= {need:.3f}, got {config.x_max}"
-            )
-        for lev in front_levels:
-            if not 0.0 < lev < 1.0:
-                raise ConfigurationError(f"front level must be in (0,1), got {lev}")
-
     levels = tuple(front_levels or ())
+    for lev in levels:
+        if not 0.0 < lev < 1.0:
+            raise ConfigurationError(f"front level must be in (0,1), got {lev}")
+
     n_nodes = config.grid_size + 1
     # a band must reach past every crossing recorded on it
     steps = bands(config, lambda n: n_nodes if n in wanted else 0, min(levels, default=1.0))
@@ -470,7 +469,8 @@ def run_recursion(
     fronts: list[list[float]] = [[] for _ in levels]
     for n, (band, lo) in enumerate(steps):
         for trace, lev in zip(fronts, levels):
-            trace.append(_bracketed_crossing(band.values, config.delta, lev, lo))
+            # a band that holds no crossing reaches the grid end (see bands)
+            trace.append(_bracketed_crossing(band, lev, lo))
         if n in wanted:
             values, complement = np.ones(n_nodes), np.zeros(n_nodes)
             values[lo:], complement[lo:] = band.values, band.complement

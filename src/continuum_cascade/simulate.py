@@ -31,6 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
+from .recursion import MAX_ARRAY_ITEMS
 
 DEFAULT_PARTICLE_CAP = 1_000_000
 
@@ -57,9 +58,6 @@ MAX_WORKERS = 64
 # height of a trial that hit the particle cap before it was resolved
 TRUNCATED = -1
 
-# Largest n_cap whose table numpy can address: outcome_histogram's n_cap + 3
-# int64 slots, whose size in bytes must fit np.intp.
-MAX_N_CAP = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize - 3
 # Largest mean Generator.poisson draws from (numpy's own bound, same formula);
 # it raises ValueError above it.
 POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
@@ -123,9 +121,10 @@ def check_tally(trials: int, n_cap: int | None = None) -> None:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
     if n_cap is not None and n_cap < 0:
         raise ConfigurationError(f"n_cap must be >= 0, got {n_cap}")
-    if n_cap is not None and n_cap > MAX_N_CAP:
+    # outcome_histogram's table holds n_cap + 3 int64 counts
+    if n_cap is not None and n_cap > MAX_ARRAY_ITEMS - 3:
         raise ConfigurationError(
-            f"n_cap (--ncap) must be at most {MAX_N_CAP}, so that its table of "
+            f"n_cap (--ncap) must be at most {MAX_ARRAY_ITEMS - 3}, so that its table of "
             f"n_cap + 3 counts fits one array, got {n_cap}"
         )
 

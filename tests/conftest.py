@@ -76,14 +76,9 @@ def d01_riemann_n400_trace():
 
 
 @pytest.fixture(scope="session")
-def d001_n200_limit_law_config():
-    return RecursionConfig(delta=0.001, x_max=front_clearance_xmax(200), n_max=200)
-
-
-@pytest.fixture(scope="session")
-def d001_n200_limit_law_probe(d001_n200_limit_law_config):
+def d001_n200_limit_law_probe():
     """The limit-law probe on the fine grid at x = -1, 0, 1, 3 and n = 100, 150, 200."""
-    return equivalence_check(d001_n200_limit_law_config, [-1.0, 0.0, 1.0, 3.0], (100, 150, 200))
+    return equivalence_check(0.001, [-1.0, 0.0, 1.0, 3.0], (100, 150, 200))
 
 
 @pytest.fixture(scope="session")

@@ -14,11 +14,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from continuum_cascade import fronts, graphs, simulate
-from continuum_cascade.cli import COMMANDS, COMMON, build_parser, main, resolve_params
+from continuum_cascade import fronts, graphs, recursion, simulate
+from continuum_cascade.cli import (
+    COMMANDS,
+    COMMON,
+    build_parser,
+    main,
+    parse_bool,
+    resolve_params,
+)
 from continuum_cascade.output import fmt, sha256_file
 from continuum_cascade.recursion import (
     RecursionConfig,
@@ -161,15 +168,33 @@ def test_front_command_trace_and_fit(tmp_path):
 @pytest.mark.parametrize("level", ["1e-10", "1e-30", "1e-100"])
 @pytest.mark.parametrize("nmax", [0, 1, 5, 12])
 def test_front_default_grid_holds_a_low_level_crossing(tmp_path, level, nmax):
-    # the default grid end adds ln(1/level), the distance from the front to
-    # the crossing; a grid 4x as long gives the same trace
-    argv = ["front", "--delta", "0.01", "--level", level, "--nmax", str(nmax)]
-    assert main([*argv, "--out", str(tmp_path / "default")]) == 0
-    longer = 4 * (front_clearance_xmax(nmax) - math.log(float(level)))
-    assert main([*argv, "--xmax", repr(longer), "--out", str(tmp_path / "longer")]) == 0
-    trace = (tmp_path / "default" / "front_trace.csv").read_bytes()
-    assert trace == (tmp_path / "longer" / "front_trace.csv").read_bytes()
-    assert len(trace.splitlines()) == nmax + 2
+    # front's grid end, front_clearance_xmax(nmax, level), adds ln(1/level),
+    # the distance from the front to the crossing; a grid 4x as long gives
+    # the same trace
+    assert main(["front", "--delta", "0.01", "--level", level, "--nmax", str(nmax),
+                 "--out", str(tmp_path)]) == 0
+    longer = RecursionConfig(0.01, 4 * front_clearance_xmax(nmax, float(level)), nmax)
+    want = run_recursion(longer, front_levels=(float(level),)).front_traces[0]
+    rows = read_csv(tmp_path / "front_trace.csv")
+    assert [int(r["n"]) for r in rows] == want.generations.tolist() == list(range(nmax + 1))
+    assert [float(r["x_front"]) for r in rows] == want.positions.tolist()
+
+
+def test_front_has_no_xmax(tmp_path, capsys):
+    # front sizes its own grid: the flag is unknown, and the run stops in
+    # the parser, before its out dir is made
+    out = tmp_path / "front"
+    with pytest.raises(SystemExit) as exc:
+        main(["front", "--delta", "0.05", "--nmax", "10", "--xmax", "100", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert "unrecognized arguments: --xmax 100" in capsys.readouterr().err
+    # nor is it a key of front's config file
+    cfg = tmp_path / "front.cfg"
+    cfg.write_text("xmax = 100\n")
+    assert main(["front", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "unknown key 'xmax'" in capsys.readouterr().err
 
 
 def test_compare_command_ks_summary(tmp_path):
@@ -244,17 +269,17 @@ def test_env_var_default_outdir(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "pn_1.csv").exists()
 
 
-def test_exit_codes(tmp_path, capsys):
-    # configuration errors, found before the run: a front run with too small
-    # a domain, a fit window with too few points
-    assert main(["front", "--delta", "0.01", "--nmax", "200", "--xmax", "10",
-                 "--out", str(tmp_path)]) == 2
+def test_exit_codes(tmp_path, capsys, monkeypatch):
+    # configuration error, found before the run: a fit window with too few points
     assert main(["front", "--delta", "0.02", "--nmax", "100", "--fit-lo", "96",
                  "--fit-hi", "99", "--out", str(tmp_path)]) == 2
     # numeric error: the curve never drops below the front level on a grid
-    # that ends at the front clearance, 82.8, short of ln(1e300) = 690.8
+    # that ends at the front clearance of n = 100, 82.8, short of
+    # ln(1e300) = 690.8; front's own grid end adds that, so it is cut here
+    monkeypatch.setattr(recursion, "front_clearance_xmax", lambda n_max, level: 83.0)
     assert main(["front", "--delta", "0.02", "--nmax", "100", "--level", "1e-300",
-                 "--xmax", "83", "--out", str(tmp_path)]) == 3
+                 "--out", str(tmp_path)]) == 3
+    assert "generation 0 does not drop below level 1e-300" in capsys.readouterr().err
     # i/o error: output directory path passes through a file
     blocker = tmp_path / "blocker"
     blocker.write_text("")
@@ -308,7 +333,7 @@ def _parse_cases(command):
     foreign = next("--" + opt.name for other in COMMANDS if other != command
                    for opt in COMMANDS[other]
                    if not any(flag.startswith("--" + opt.name) for flag in own))
-    typed = next(opt.name for opt in COMMANDS[command] if opt.cast not in (str, bool))
+    typed = next(opt.name for opt in COMMANDS[command] if opt.cast not in (str, parse_bool))
     return [[command, "--help"], [command, foreign, "1"], [command, "--" + typed, "bogus"],
             [command, "--out"], [command, "stray"]]
 
@@ -337,6 +362,7 @@ def test_an_argv_without_a_command_parses_as_the_full_parser_does(capsys, argv):
     ["--fit-lo", "40", "--fit-hi", "10"],
     ["--fit-lo", "20", "--fit-hi", "20"],
     ["--delta", "2", "--fit-lo", "10", "--fit-hi", "40"],  # no front speed to fix
+    ["--fit", "bogus"],  # checked on every run, not only a fitted one
 ])
 def test_front_rejects_bad_fit_flags_before_computing(tmp_path, capsys, fit_args):
     assert main(["front", "--nmax", "50", *fit_args, "--out", str(tmp_path)]) == 2
@@ -620,14 +646,20 @@ def test_config_file_unknown_key_exits_two(key, value):
     assert _exit_code("graph", f"{name}={value}\n") == 2
 
 
+BAD_VALUE_KEYS = [*(("graph", key) for key in ("n-vertices", "c", "trials", "seed", "ncap")),
+                  ("alpha-scan", "emit-probe")]
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["n-vertices", "c", "trials", "seed", "ncap"]), LINE_TEXT)
-def test_config_file_bad_value_exits_two(key, value):
-    cast = next(opt.cast for opt in COMMANDS["graph"] if opt.name == key)
+@given(st.sampled_from(BAD_VALUE_KEYS), LINE_TEXT)
+@example(("alpha-scan", "emit-probe"), "ture")
+def test_config_file_bad_value_exits_two(command_key, value):
+    command, key = command_key
+    cast = next(opt.cast for opt in COMMANDS[command] if opt.name == key)
     if not _rejects(cast, value):
-        value = value + "x"  # still one line, and no int or float parses it
+        value = value + "x"  # still one line, and no int, float or switch parses it
     assert _rejects(cast, value)
-    assert _exit_code("graph", f"{key} = {value}\n") == 2
+    assert _exit_code(command, f"{key} = {value}\n") == 2
 
 
 def test_config_file_not_text_exits_two(tmp_path, capsys):

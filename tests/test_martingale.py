@@ -17,7 +17,13 @@ from continuum_cascade.martingale import (
     simulate_Dn,
     verify_boundary_conditions,
 )
-from continuum_cascade.recursion import RecursionConfig, front_clearance_xmax, run_recursion
+from continuum_cascade.recursion import (
+    MAX_ARRAY_ITEMS,
+    Quadrature,
+    RecursionConfig,
+    front_clearance_xmax,
+    run_recursion,
+)
 from continuum_cascade.simulate import BRW_STREAM, DEFAULT_PARTICLE_CAP, trial_rng
 
 
@@ -240,29 +246,48 @@ def test_equivalence_check_preconditions(monkeypatch):
         raise AssertionError("the recursion ran before the preconditions were checked")
 
     monkeypatch.setattr(fronts, "probe_slabs", no_stepping)
-    fine = RecursionConfig(delta=0.001, x_max=80.0, n_max=200)
     cases = [
-        (RecursionConfig(delta=0.01, x_max=80.0, n_max=200), [0.0], (100, 200)),
-        (RecursionConfig(delta=0.001, x_max=80.0, n_max=199), [0.0], (100, 150)),
-        (fine, [0.0], (100,)),
-        (fine, [0.0], (100, 100)),
-        (fine, [0.0], (1, 100)),
-        (fine, [0.0], (100, 201)),
-        (fine, [], (100, 200)),
+        (0.01, [0.0], (100, 200)),
+        (0.0, [0.0], (100, 200)),
+        (-0.001, [0.0], (100, 200)),
+        (float("nan"), [0.0], (100, 200)),
+        (0.001, [0.0], (100, 199)),
+        (0.001, [0.0], (100,)),
+        (0.001, [0.0], (200, 200)),
+        (0.001, [0.0], (1, 200)),
+        (0.001, [], (100, 200)),
     ]
-    for config, z_grid, generations in cases:
+    for delta, z_grid, generations in cases:
         with pytest.raises(ConfigurationError):
-            equivalence_check(config, z_grid, generations)
+            equivalence_check(delta, z_grid, generations)
+
+
+def test_equivalence_check_slabs_run_to_the_last_generation_read(monkeypatch):
+    # the probe of n reads generation n - 1: windows for n = 1..201 keep
+    # generations 0..200, at the delta and quadrature given
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        raise AssertionError("recorded")
+
+    monkeypatch.setattr(fronts, "probe_slabs", record)
+    with pytest.raises(AssertionError, match="recorded"):
+        equivalence_check(0.0005, [-1.0, 2.0], [201, 100], Quadrature.RIEMANN)
+    (delta, lo, hi, quadrature), = calls
+    assert delta == 0.0005 and quadrature is Quadrature.RIEMANN
+    base = fronts.probe_positions(np.arange(1, 202), 1.0)
+    assert np.array_equal(lo, base - 1.0) and np.array_equal(hi, base + 2.0)
 
 
 def test_equivalence_check_finds_off_grid_points_before_stepping(monkeypatch):
     # the points read are known before the recursion runs, so one below
     # x = 0 fails at once; the slabs' grid is sized to their window, so a
-    # point past the config's x_max is read as on a grid that holds it
-    config = RecursionConfig(0.001, front_clearance_xmax(200), 200)  # x_max 126.56
+    # point past the front clearance (126.56 at n = 200) is read as on a
+    # grid that holds it
     ns = np.array([100, 200])
     # base + 55 is 131.5 at n = 200
-    past = equivalence_check(config, [55.0], ns)
+    past = equivalence_check(0.001, [55.0], ns)
     run = run_recursion(RecursionConfig(0.001, 140.0, 200), ns - 1)
     points = fronts.probe_positions(ns, 1.0) + 55.0
     want = [run.snapshot(n - 1).evaluate(x) for n, x in zip(ns.tolist(), points)]
@@ -274,7 +299,7 @@ def test_equivalence_check_finds_off_grid_points_before_stepping(monkeypatch):
     monkeypatch.setattr(fronts, "probe_slabs", no_stepping)
     # base + x is -95.5 at n = 100
     with pytest.raises(DomainError, match="lies below x = 0 at n=100"):
-        equivalence_check(config, [-130.0, 0.0], [100, 200])
+        equivalence_check(0.001, [-130.0, 0.0], [100, 200])
 
 
 def test_limit_law_probe_values(d001_n200_limit_law_probe):
@@ -292,14 +317,12 @@ def test_limit_law_probe_values(d001_n200_limit_law_probe):
     assert 0.0 < probe.values[i0].min() and probe.values[i0].max() < 1.0
 
 
-def test_limit_law_probe_is_bit_identical_to_full_snapshots(
-    d001_n200_limit_law_config, d001_n200_limit_law_probe
-):
+def test_limit_law_probe_is_bit_identical_to_full_snapshots(d001_n200_limit_law_probe):
     # the oracle is the snapshot path: retain generation n - 1 on the whole
-    # grid and interpolate it at x + n/e + (3/(2e)) ln n
+    # front-clearance grid and interpolate it at x + n/e + (3/(2e)) ln n
     probe = d001_n200_limit_law_probe
     run = run_recursion(
-        d001_n200_limit_law_config,
+        RecursionConfig(delta=0.001, x_max=front_clearance_xmax(200), n_max=200),
         snapshot_generations=[int(n) - 1 for n in probe.generations],
     )
     assert list(probe.generations) == [100, 150, 200]
@@ -311,7 +334,8 @@ def test_limit_law_probe_is_bit_identical_to_full_snapshots(
 
 def test_walk_values_must_fit_one_array():
     # D_0..D_n are n + 1 float64 values, whose size in bytes must fit np.intp
-    assert (martingale.MAX_N + 1) * 8 <= np.iinfo(np.intp).max < (martingale.MAX_N + 2) * 8
-    martingale.check_walk(martingale.MAX_N, martingale.DEFAULT_V_MAX, 1)
-    with pytest.raises(ConfigurationError, match="--n"):
-        martingale.check_walk(martingale.MAX_N + 1, martingale.DEFAULT_V_MAX, 1)
+    top = MAX_ARRAY_ITEMS - 1
+    assert (top + 1) * 8 <= np.iinfo(np.intp).max < (top + 2) * 8
+    martingale.check_walk(top, martingale.DEFAULT_V_MAX, 1)
+    with pytest.raises(ConfigurationError, match=f"--n\\) must be at most {top},"):
+        martingale.check_walk(top + 1, martingale.DEFAULT_V_MAX, 1)

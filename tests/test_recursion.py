@@ -16,6 +16,7 @@ from continuum_cascade.errors import (
     ConfigurationError,
     ContractViolationError,
     DomainError,
+    FrontNotFoundError,
     NumericError,
 )
 from continuum_cascade.fronts import front_position
@@ -147,7 +148,7 @@ def test_config_validation():
         RecursionConfig(delta=0.01, x_max=1.0, n_max=-1)
     # one float64 array must be able to hold the grid's nodes (a config
     # allocates nothing, so the bound itself is checked here)
-    for x_max in (float(recursion.MAX_GRID_NODES), 1e300):
+    for x_max in (float(recursion.MAX_ARRAY_ITEMS), 1e300):
         with pytest.raises(ConfigurationError):
             RecursionConfig(delta=1.0, x_max=x_max, n_max=1)
     with pytest.raises(ConfigurationError):  # x_max / delta overflows to inf
@@ -200,15 +201,46 @@ def test_evaluate_interpolates_and_guards_domain():
         p0.evaluate(float("nan"))
 
 
-def test_front_clearance_enforced_only_for_front_runs():
-    # x_max = 5 is fine without front recording, and too small with it
+def _first_past(trace, x_end: float) -> int:
+    """The first generation whose crossing lies past x_end."""
+    return int(np.argmax(trace.positions > x_end))
+
+
+def test_front_grid_end_is_checked_by_the_crossing_read():
+    # x_max = 5 is fine without front recording; with it, the run fails at
+    # the first generation whose crossing lies past the grid end
     config = RecursionConfig(delta=0.01, x_max=5.0, n_max=1)
     result = run_recursion(config, snapshot_generations=[1])
     assert math.isclose(result.snapshot(1).evaluate(1.0), 0.6922, abs_tol=1e-3)
-    small = RecursionConfig(delta=0.01, x_max=5.0, n_max=100)
-    with pytest.raises(ConfigurationError):
-        run_recursion(small, front_levels=(0.5,))
-    assert front_clearance_xmax(100) > 5.0
+    long = run_recursion(RecursionConfig(0.01, front_clearance_xmax(200), 200), front_levels=(0.5,))
+    for x_max, n_max in ((5.0, 100), (10.0, 200)):
+        k = _first_past(long.front_traces[0], x_max)
+        assert 0 < k <= n_max
+        with pytest.raises(FrontNotFoundError, match=(
+            f"generation {k} does not drop below level 0.5 by the grid end x = {x_max:g}$"
+        )):
+            run_recursion(RecursionConfig(0.01, x_max, n_max), front_levels=(0.5,))
+    # the crossing of 1e-300 lies near ln(1e300) = 690.8 at generation 0,
+    # past a grid that ends at the front clearance of n = 100, 82.8
+    with pytest.raises(FrontNotFoundError, match="generation 0 does not drop below level 1e-300"):
+        run_recursion(RecursionConfig(0.02, 83.0, 100), front_levels=(1e-300,))
+
+
+def test_every_grid_that_holds_the_crossings_gives_the_same_trace():
+    # a node depends only on the nodes left of it: a grid ending at 42 holds
+    # every crossing of level 0.5 to n = 100 (the last at 40.26), and gives
+    # the front-clearance grid's (82.8) trace bit for bit
+    clearance = run_recursion(RecursionConfig(0.01, front_clearance_xmax(100), 100),
+                              front_levels=(0.5,)).front_traces[0]
+    short = run_recursion(RecursionConfig(0.01, 42.0, 100), front_levels=(0.5,)).front_traces[0]
+    assert clearance.positions.max() < 42.0
+    assert np.array_equal(short.positions, clearance.positions)
+    assert np.array_equal(short.generations, clearance.generations)
+    # one ending at 30 fails at the first generation whose crossing is past 30
+    k = _first_past(clearance, 30.0)
+    assert 0 < k < 100
+    with pytest.raises(FrontNotFoundError, match=f"generation {k} does not"):
+        run_recursion(RecursionConfig(0.01, 30.0, 100), front_levels=(0.5,))
 
 
 def test_clamp_diagnostic_fires_on_bad_input():
