@@ -169,19 +169,24 @@ def equivalence_check(
     A Cauchy-style check of the limit law: for each x the values across n
     should agree to within their spread and sit strictly inside (0, 1).
     Requires a fine grid (delta <= 0.001) and at least two generations,
-    the first >= 2 and the last >= 200, checked before the recursion runs,
-    and so is that no point read lies below x = 0.  The recursion, at
-    `delta` and `quadrature`, runs to the last generation read and keeps
-    only the probe's slabs (see fronts.probe_slabs), over
-    [base + min x, base + max x] per generation with
-    base = n/e + (3/(2e)) ln n.
+    the first >= 2 and the last >= 200 and at most MAX_ARRAY_ITEMS, checked
+    before the recursion runs, and so is that no point read lies below
+    x = 0.  The recursion, at `delta` and `quadrature`, runs to the last
+    generation read and keeps only the probe's slabs (see
+    fronts.probe_slabs), over [base + min x, base + max x] per generation
+    with base = n/e + (3/(2e)) ln n.
     """
     if not 0.0 < delta <= 0.001 + 1e-15:
         raise ConfigurationError(f"probe needs 0 < delta <= 0.001, got {delta}")
     x_grid = np.atleast_1d(np.asarray(z_grid, dtype=np.float64))
     if x_grid.size == 0:
         raise ConfigurationError("probe needs at least one offset x")
-    gens = np.unique(np.asarray(generations, dtype=np.int64))
+    raw = np.asarray(generations)
+    if raw.size and raw.max() > MAX_ARRAY_ITEMS:
+        raise ConfigurationError(
+            f"probe generation {raw.max()} exceeds {MAX_ARRAY_ITEMS}, the items one array can hold"
+        )
+    gens = np.unique(raw.astype(np.int64))
     if len(gens) < 2:
         raise ConfigurationError("probe needs at least two generations")
     if gens[0] < 2 or gens[-1] < 200:

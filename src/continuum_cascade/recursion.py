@@ -31,7 +31,7 @@ band and the copies a consumer keeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
@@ -115,9 +115,6 @@ class RecursionConfig:
     def grid_size(self) -> int:
         """Number of grid intervals M; values live at x = 0, delta, ..., M*delta."""
         return int(math.floor(self.x_max / self.delta + 1e-9))
-
-    def grid_x(self) -> np.ndarray:
-        return self.delta * np.arange(self.grid_size + 1)
 
 
 def grid_position(x: np.ndarray, delta: float, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -219,16 +216,23 @@ def closed_form_p1(x):
     return float(out) if out.ndim == 0 else out
 
 
-def init_p0(config: RecursionConfig) -> GridFunction:
-    """Generation 0: exp(-x) sampled at the grid nodes, built in two arrays."""
-    neg_x = np.arange(config.grid_size + 1, dtype=np.float64)
-    neg_x *= -config.delta
+def init_p0(delta: float, nodes: int) -> GridFunction:
+    """Generation 0: exp(-x) at the first `nodes` grid nodes, built in two arrays.
+
+    Node i is at x = i * delta, so fewer nodes give the same bits as the
+    head of more.
+    """
+    check_delta(delta)
+    if not 1 <= nodes <= MAX_ARRAY_ITEMS:
+        raise ConfigurationError(f"generation 0 needs 1 to {MAX_ARRAY_ITEMS} nodes, got {nodes}")
+    neg_x = np.arange(nodes, dtype=np.float64)
+    neg_x *= -delta
     values = np.exp(neg_x)
     complement = np.expm1(neg_x, out=neg_x)
     np.negative(complement, out=complement)
     values.setflags(write=False)
     complement.setflags(write=False)
-    return GridFunction(delta=config.delta, values=values, generation=0, complement=complement)
+    return GridFunction(delta=delta, values=values, generation=0, complement=complement)
 
 
 _STEPPERS = {
@@ -239,7 +243,7 @@ _STEPPERS = {
 
 def iterate_step(
     prev: GridFunction,
-    config: RecursionConfig,
+    quadrature: Quadrature,
     nodes: int | None = None,
     work: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> GridFunction:
@@ -247,11 +251,11 @@ def iterate_step(
 
     `prev`'s g = 1 - P must be exactly 0 at its first node, as in every
     generation init_p0 and the steps build (the kernels rely on it, see
-    kernels.py).  By default `prev` spans the whole grid and so does the
-    result.  With `nodes`, `prev` is a band of the grid instead, with g
-    exactly 1 at every node past its end, and the result is the next
-    generation on its first `nodes` nodes, bit-identical to those nodes
-    of a full-grid step.
+    kernels.py).  The result is the next generation on the first `nodes`
+    nodes, by default as many as `prev` has.  More nodes than `prev` has
+    continue it by exact 1s of g, so `prev` must end where g is exactly 1.
+    A node depends only on the nodes left of it, so the result's nodes are
+    bit-identical to those of a step over any longer stretch of the grid.
 
     Without `work` the step allocates its result and temporaries.  With
     `work` = (g, p_out, g_out, scratch) it allocates nothing: g is prev's
@@ -260,28 +264,18 @@ def iterate_step(
     returned as read-only views of them, and scratch (at least `nodes`
     long) is overwritten.
     """
-    if prev.delta != config.delta:
-        raise ContractViolationError(
-            f"grid mismatch: prev.delta={prev.delta} config.delta={config.delta}"
-        )
+    if not isinstance(quadrature, Quadrature):
+        raise ConfigurationError(f"unknown quadrature {quadrature!r}")
     prev_g = prev.complement
-    if nodes is None:
-        if len(prev_g) != config.grid_size + 1:
-            raise ContractViolationError(
-                f"grid mismatch: prev has {len(prev_g)} nodes, "
-                f"config wants {config.grid_size + 1}"
-            )
-        nodes = len(prev_g)
-    elif not 1 <= nodes <= config.grid_size + 1:
-        raise ContractViolationError(
-            f"band of {nodes} nodes does not fit a grid of {config.grid_size + 1}"
-        )
-    elif nodes > len(prev_g) and prev_g[-1] != 1.0:
+    nodes = len(prev_g) if nodes is None else nodes
+    if nodes < 1:
+        raise ContractViolationError(f"a step needs at least one node, got {nodes}")
+    if not len(prev_g) or prev_g[0] != 0.0:
+        raise ContractViolationError("a step must start where g = 1 - P is exactly 0")
+    if nodes > len(prev_g) and prev_g[-1] != 1.0:
         raise ContractViolationError(
             "band can only be extended past a node where g = 1 - P is exactly 1"
         )
-    if prev_g[0] != 0.0:
-        raise ContractViolationError("a step must start where g = 1 - P is exactly 0")
     if work is None:
         if nodes > len(prev_g):
             prev_g = np.concatenate((prev_g, np.ones(nodes - len(prev_g))))
@@ -291,7 +285,7 @@ def iterate_step(
         raise ContractViolationError(f"step arrays do not fit a band of {nodes} nodes")
     if not out_p.dtype == out_g.dtype == np.float64:
         raise ContractViolationError("a step writes its result to float64 arrays")
-    excess = _STEPPERS[config.quadrature](g, config.delta, out_p, out_g, scratch)
+    excess = _STEPPERS[quadrature](g, prev.delta, out_p, out_g, scratch)
     if not excess <= CLAMP_TOLERANCE:  # a NaN excess fails too
         raise NumericError(
             f"clamp exceeded tolerance at generation {prev.generation + 1}: "
@@ -299,7 +293,7 @@ def iterate_step(
         )
     out_p.setflags(write=False)
     out_g.setflags(write=False)
-    return GridFunction(config.delta, out_p, prev.generation + 1, out_g)
+    return GridFunction(prev.delta, out_p, prev.generation + 1, out_g)
 
 
 def _bracketed_crossing(f: GridFunction, level: float, offset: int = 0) -> float:
@@ -371,18 +365,18 @@ def bands(
 ) -> Iterator[tuple[GridFunction, int]]:
     """Yield (band, lo) for generations 0..n_max: generation n from grid node lo on.
 
-    Generation 0 ends at node reach(0) - 1 or, if later, at its first node at
-    x >= 40 - ln p_floor, where g is exactly 1 (past 54 ln 2) and P is below
-    `p_floor`; it stops at the grid end.  Each later band is the live band of
-    the one before (see _live_band) stepped over at least max(len + margin,
-    reach(n) - lo) nodes, capped at the grid end: the margin, at least one
-    unit of x, is more than the g = 1 edge moves in a generation, and
-    reach(n) (an end node, exclusive) makes band n cover nodes a consumer
-    needs; reach(n) = grid_size + 1 gives the whole grid.  When a step ends
-    short of the grid end and either short of g = 1 or not below `p_floor`,
-    the margin doubles and the step is redone.  Below lo, P is exactly 1 and
-    g exactly 0; the band's nodes are bit-identical to a full-grid step.
-    The generator steps lazily, so a consumer that stops early saves the
+    Generation 0 is init_p0's on the nodes up to node reach(0) - 1 or, if
+    later, up to its first node at x >= 40 - ln p_floor, where g is exactly 1
+    (past 54 ln 2) and P is below `p_floor`; it stops at the grid end.  Each
+    later band is the live band of the one before (see _live_band) stepped
+    over at least max(len + margin, reach(n) - lo) nodes, capped at the grid
+    end: the margin, at least one unit of x, is more than the g = 1 edge
+    moves in a generation, and reach(n) (an end node, exclusive) makes band n
+    cover nodes a consumer needs; reach(n) = grid_size + 1 gives the whole
+    grid.  When a step ends short of the grid end and either short of g = 1
+    or not below `p_floor`, the margin doubles and the step is redone.  Below
+    lo, P is exactly 1 and g exactly 0; the band's nodes are bit-identical to
+    a step of the whole grid.  The generator steps lazily, so a consumer that stops early saves the
     later steps.  A node depends only on the nodes left of it in the
     generation before, so a config with a smaller x_max gives the same bits
     on the nodes it keeps: a consumer that reads nothing past node k of any
@@ -400,7 +394,7 @@ def bands(
     n_nodes = config.grid_size + 1
     margin = math.ceil(1.0 / config.delta)
     nodes = min(n_nodes, max(reach(0), math.ceil((40.0 - math.log(p_floor)) / config.delta) + 1))
-    band, lo = init_p0(replace(config, x_max=(nodes - 0.5) * config.delta)), 0
+    band, lo = init_p0(config.delta, nodes), 0
     # the storage of the band's g from grid node lo on, and how much of it
     # the band's generation filled
     held, filled = band.complement, nodes
@@ -428,7 +422,7 @@ def bands(
                 held[filled:end] = 1.0
                 filled = end
             work = held[start:end], p_buf[:nodes], spare[:nodes], scratch
-            nxt = iterate_step(band, config, nodes, work)
+            nxt = iterate_step(band, config.quadrature, nodes, work)
             if nodes == room or (nxt.complement[-1] == 1.0 and nxt.values[-1] < p_floor):
                 break
             margin *= 2

@@ -56,7 +56,6 @@ from continuum_cascade.martingale import verify_boundary_conditions
 from continuum_cascade.recursion import (
     FrontTrace,
     Quadrature,
-    RecursionConfig,
     closed_form_p1,
     init_p0,
     iterate_step,
@@ -72,9 +71,8 @@ def report(num: int, name: str, detail: str) -> None:
 
 
 def test_criterion_01_initial_condition():
-    config = RecursionConfig(delta=0.01, x_max=50.0, n_max=0)
-    p0 = init_p0(config)
-    reference = np.exp(-config.grid_x())
+    p0 = init_p0(0.01, 5001)
+    reference = np.exp(-p0.grid_x())
     err = np.max(np.abs(p0.values - reference))
     assert np.allclose(p0.values, reference, rtol=4e-16, atol=0.0)
     report(1, "initial condition", f"max |P_0 - exp(-x)| = {err:.2e}")
@@ -83,8 +81,7 @@ def test_criterion_01_initial_condition():
 def test_criterion_02_one_step_oracle():
     errs = {}
     for delta in (0.01, 0.005):
-        config = RecursionConfig(delta=delta, x_max=12.0, n_max=1)
-        p1 = iterate_step(init_p0(config), config)
+        p1 = iterate_step(init_p0(delta, round(12.0 / delta) + 1), Quadrature.TRAPEZOID)
         xs = np.arange(0.0, 5.0 + delta / 2, delta)
         errs[delta] = float(np.max(np.abs(p1.evaluate(xs) - closed_form_p1(xs))))
         assert errs[delta] <= 5.0 * delta**2

@@ -72,7 +72,7 @@ def test_recurse_nmax_zero_writes_p0(tmp_path):
     assert main(["recurse", "--nmax", "0", "--out", str(tmp_path)]) == 0
     assert {p.name for p in tmp_path.iterdir()} == {"pn_0.csv", "manifest.json"}
     rows = read_csv(tmp_path / "pn_0.csv")
-    p0 = init_p0(RecursionConfig(delta=0.01, x_max=10.0, n_max=0))
+    p0 = init_p0(0.01, 1001)
     assert np.array_equal([float(r["x"]) for r in rows], p0.grid_x())
     assert np.array_equal([float(r["p"]) for r in rows], p0.values)
 

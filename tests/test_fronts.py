@@ -53,16 +53,14 @@ def make_trace(n_lo, n_hi, fn):
 
 
 def test_front_of_p0_is_log_two():
-    config = RecursionConfig(delta=0.01, x_max=5.0, n_max=0)
-    front = front_position(init_p0(config), 0.5)
-    assert abs(front - math.log(2.0)) < config.delta
+    front = front_position(init_p0(0.01, 501), 0.5)
+    assert abs(front - math.log(2.0)) < 0.01
 
 
 def test_front_of_p1_matches_root_of_closed_form():
     # independent oracle: solve 1 - x - exp(-x) = -log 2 by bracketing
     root = brentq(lambda x: 1.0 - x - math.exp(-x) + math.log(2.0), 0.5, 3.0, xtol=1e-12)
-    config = RecursionConfig(delta=0.005, x_max=6.0, n_max=1)
-    p1 = iterate_step(init_p0(config), config)
+    p1 = iterate_step(init_p0(0.005, 1201), Quadrature.TRAPEZOID)
     assert abs(front_position(p1, 0.5) - root) < 1e-4
     assert abs(root - 1.4611862) < 1e-6
 
@@ -74,8 +72,7 @@ def test_front_not_found_on_flat_curve():
 
 
 def test_front_level_ordering():
-    config = RecursionConfig(delta=0.01, x_max=8.0, n_max=0)
-    p0 = init_p0(config)
+    p0 = init_p0(0.01, 801)
     assert front_position(p0, 0.25) > front_position(p0, 0.75)
 
 
@@ -349,20 +346,20 @@ def test_probe_slabs_step_no_node_past_the_last_slab_end(monkeypatch):
     )
     stepped = []
 
-    def counted(prev, cfg, nodes=None, work=None):
-        stepped.append((cfg, nodes))
-        return iterate_step(prev, cfg, nodes, work)
+    def counted(prev, quadrature, nodes=None, work=None):
+        stepped.append((prev.delta, quadrature, nodes))
+        return iterate_step(prev, quadrature, nodes, work)
 
     monkeypatch.setattr(recursion, "iterate_step", counted)
     slabs = _alpha_slabs(config, 0.95, 1.01)
     end = int(np.max(slabs.first + np.diff(slabs.offsets)))  # exclusive
     assert end < (config.grid_size + 1) * 0.7  # x 77.3 of the grid's 126.6
     assert len(stepped) == config.n_max - 1  # generations 1..n_max-1
-    for cfg, nodes in stepped:
-        assert cfg.grid_size + 1 == end and cfg.delta == config.delta
-        assert cfg.n_max == config.n_max - 1 and cfg.quadrature == config.quadrature
-        assert nodes <= end
-    assert slabs.config == stepped[0][0]
+    run = slabs.config
+    assert run.grid_size + 1 == end and run.delta == config.delta
+    assert run.n_max == config.n_max - 1 and run.quadrature == config.quadrature
+    for delta, quadrature, nodes in stepped:
+        assert delta == config.delta and quadrature == config.quadrature and nodes <= end
 
 
 def test_alpha_scan_reproduces_reference_values(alpha_scan_results):

@@ -207,7 +207,11 @@ T = kernels.LINEAR_TAIL
 ], ids=lambda q: ",".join(f"{v:.3g}" for v in q))
 def test_finish_matches_the_reference_bit_for_bit(q):
     got, want = finish_both(np.array(q, dtype=np.float64))
-    assert got == want
+    assert got[1:] == want[1:]  # P and g
+    # a NaN excess may differ in sign: the reference's max returns a NaN of
+    # its own at some SIMD dispatch levels, and iterate_step rejects any NaN
+    excess = [np.frombuffer(r[0], np.float64)[0] for r in (got, want)]
+    assert got[0] == want[0] or np.isnan(excess).all()
 
 
 @pytest.mark.parametrize("name", ["step_riemann", "step_trapezoid"])

@@ -256,10 +256,16 @@ def test_equivalence_check_preconditions(monkeypatch):
         (0.001, [0.0], (200, 200)),
         (0.001, [0.0], (1, 200)),
         (0.001, [], (100, 200)),
+        # a last generation too big for one array, refused before any is built
+        (0.001, [0.0], [2, 2**62]),
+        (0.001, [0.0], [2, 2**64]),
     ]
     for delta, z_grid, generations in cases:
         with pytest.raises(ConfigurationError):
             equivalence_check(delta, z_grid, generations)
+    for huge in (2**62, 2**64):
+        with pytest.raises(ConfigurationError, match=f"probe generation {huge} exceeds "):
+            equivalence_check(0.001, [0.0], [2, huge])
 
 
 def test_equivalence_check_slabs_run_to_the_last_generation_read(monkeypatch):

@@ -34,9 +34,8 @@ from continuum_cascade.recursion import (
 
 
 def test_p0_matches_exponential_exactly():
-    config = RecursionConfig(delta=0.01, x_max=50.0, n_max=0)
-    p0 = init_p0(config)
-    xs = config.grid_x()
+    p0 = init_p0(0.01, 5001)
+    xs = p0.grid_x()
     assert p0.values[0] == 1.0
     np.testing.assert_allclose(p0.values, np.exp(-xs), rtol=4e-16, atol=0.0)
     assert math.isclose(p0.evaluate(1.0), math.exp(-1.0), rel_tol=1e-12)
@@ -62,22 +61,18 @@ def test_closed_form_p1_flat_at_origin():
 
 
 def test_one_step_trapezoid_matches_closed_form():
-    config = RecursionConfig(delta=0.01, x_max=5.0, n_max=1)
-    p1 = iterate_step(init_p0(config), config)
+    p1 = iterate_step(init_p0(0.01, 501), Quadrature.TRAPEZOID)
     assert math.isclose(p1.evaluate(1.0), 0.6922006, abs_tol=1e-4)
     assert math.isclose(p1.evaluate(2.0), 0.3212995, abs_tol=1e-4)
-    xs = config.grid_x()
-    err = np.max(np.abs(p1.values - closed_form_p1(xs)))
-    assert err <= 5 * config.delta**2
+    err = np.max(np.abs(p1.values - closed_form_p1(p1.grid_x())))
+    assert err <= 5 * 0.01**2
 
 
 def test_trapezoid_error_is_second_order():
     errs = {}
     for delta in (0.01, 0.005):
-        config = RecursionConfig(delta=delta, x_max=5.0, n_max=1)
-        p1 = iterate_step(init_p0(config), config)
-        xs = config.grid_x()
-        errs[delta] = np.max(np.abs(p1.values - closed_form_p1(xs)))
+        p1 = iterate_step(init_p0(delta, round(5.0 / delta) + 1), Quadrature.TRAPEZOID)
+        errs[delta] = np.max(np.abs(p1.values - closed_form_p1(p1.grid_x())))
         assert errs[delta] <= 5 * delta**2
     ratio = errs[0.01] / errs[0.005]
     assert 3.5 <= ratio <= 4.5
@@ -86,26 +81,16 @@ def test_trapezoid_error_is_second_order():
 def test_one_step_riemann_is_first_order():
     errs = {}
     for delta in (0.02, 0.01):
-        config = RecursionConfig(
-            delta=delta, x_max=5.0, n_max=1, quadrature=Quadrature.RIEMANN
-        )
-        p1 = iterate_step(init_p0(config), config)
-        xs = config.grid_x()
-        errs[delta] = np.max(np.abs(p1.values - closed_form_p1(xs)))
+        p1 = iterate_step(init_p0(delta, round(5.0 / delta) + 1), Quadrature.RIEMANN)
+        errs[delta] = np.max(np.abs(p1.values - closed_form_p1(p1.grid_x())))
     assert errs[0.02] < 0.02  # O(delta), much looser than trapezoid
     assert 1.5 <= errs[0.02] / errs[0.01] <= 2.5
 
 
 @pytest.mark.parametrize("quadrature", list(Quadrature))
 def test_constant_one_is_a_fixed_point(quadrature):
-    config = RecursionConfig(delta=0.01, x_max=3.0, n_max=1, quadrature=quadrature)
-    ones = GridFunction(
-        delta=config.delta,
-        values=np.ones(config.grid_size + 1),
-        generation=0,
-        complement=np.zeros(config.grid_size + 1),
-    )
-    out = iterate_step(ones, config)
+    ones = GridFunction(delta=0.01, values=np.ones(301), generation=0, complement=np.zeros(301))
+    out = iterate_step(ones, quadrature)
     assert np.all(out.values == 1.0)
     assert np.all(out.complement == 0.0)
 
@@ -162,34 +147,49 @@ def test_snapshot_out_of_range_rejected():
         run_recursion(config, snapshot_generations=[6])
 
 
-def test_grid_mismatch_rejected():
-    config_a = RecursionConfig(delta=0.01, x_max=2.0, n_max=1)
-    config_b = RecursionConfig(delta=0.02, x_max=2.0, n_max=1)
-    with pytest.raises(ContractViolationError):
-        iterate_step(init_p0(config_a), config_b)
-    short = GridFunction(delta=0.01, values=np.ones(7), generation=0, complement=np.zeros(7))
-    with pytest.raises(ContractViolationError):
-        iterate_step(short, config_a)
+@pytest.mark.parametrize("call", [
+    lambda: init_p0(0.0, 10),
+    lambda: init_p0(-0.01, 10),
+    lambda: init_p0(math.nan, 10),
+    lambda: init_p0(math.inf, 10),
+    lambda: init_p0(0.01, 0),
+    lambda: init_p0(0.01, recursion.MAX_ARRAY_ITEMS + 1),
+    lambda: iterate_step(init_p0(0.01, 10), "trapezoid"),
+], ids=["delta_0", "delta_negative", "delta_nan", "delta_inf", "nodes_0", "nodes_past_bound",
+        "quadrature_by_name"])
+def test_step_inputs_are_refused(call):
+    # a step and generation 0 take raw inputs, and refuse bad ones with exit 2
+    with pytest.raises(ConfigurationError) as err:
+        call()
+    assert err.value.exit_code == 2
+
+
+@pytest.mark.parametrize("delta", [0.01, 5.0])
+def test_p0_on_fewer_nodes_is_the_head_of_p0(delta):
+    # bands builds generation 0 only as far as it needs it
+    whole = init_p0(delta, 1000)
+    for k in (1, 2, 37, 999):
+        head = init_p0(delta, k)
+        assert head.values.tobytes() == whole.values[:k].tobytes()
+        assert head.complement.tobytes() == whole.complement[:k].tobytes()
 
 
 def test_full_grid_step_starts_where_g_is_zero():
-    # the full-grid step makes the same g(0) = 0 check as a band step
-    config = RecursionConfig(delta=0.01, x_max=2.0, n_max=1)
-    g = np.full(config.grid_size + 1, -0.5)
+    # a step over all of prev makes the same g(0) = 0 check as a shorter one
+    g = np.full(201, -0.5)
     bad = GridFunction(delta=0.01, values=1.0 - g, generation=0, complement=g)
     with pytest.raises(ContractViolationError):
-        iterate_step(bad, config)
+        iterate_step(bad, Quadrature.TRAPEZOID)
 
 
 def test_nmax_zero_returns_p0():
     config = RecursionConfig(delta=0.01, x_max=2.0, n_max=0)
     result = run_recursion(config, [0])
-    np.testing.assert_array_equal(result.snapshot(0).values, init_p0(config).values)
+    np.testing.assert_array_equal(result.snapshot(0).values, init_p0(0.01, 201).values)
 
 
 def test_evaluate_interpolates_and_guards_domain():
-    config = RecursionConfig(delta=0.01, x_max=3.0, n_max=0)
-    p0 = init_p0(config)
+    p0 = init_p0(0.01, 301)
     assert p0.evaluate(0.0) == 1.0
     mid = 0.5 * (math.exp(-1.00) + math.exp(-1.01))
     assert math.isclose(p0.evaluate(1.005), mid, rel_tol=1e-12)
@@ -246,24 +246,21 @@ def test_every_grid_that_holds_the_crossings_gives_the_same_trace():
 def test_clamp_diagnostic_fires_on_bad_input():
     # negative complement (P > 1) past x = 0 drives the exponent negative,
     # pushing the output probability past 1 by more than the clamp tolerance
-    config = RecursionConfig(delta=0.01, x_max=2.0, n_max=1)
-    g = np.full(config.grid_size + 1, -0.5)
+    g = np.full(201, -0.5)
     g[0] = 0.0
     bad = GridFunction(delta=0.01, values=1.0 - g, generation=0, complement=g)
     with pytest.raises(NumericError):
-        iterate_step(bad, config)
+        iterate_step(bad, Quadrature.TRAPEZOID)
 
 
 def test_clamp_diagnostic_fires_on_a_nan():
     # one NaN in a band's complement gives a NaN excess, which must not pass
     # the tolerance check and spread to every later node
-    config = RecursionConfig(delta=0.01, x_max=2.0, n_max=1)
-    p0 = init_p0(config)
-    g = p0.complement[:50].copy()
+    g = init_p0(0.01, 50).complement.copy()
     g[10] = math.nan
     band = GridFunction(delta=0.01, values=1.0 - g, generation=0, complement=g)
     with pytest.raises(NumericError):
-        iterate_step(band, config, 50)
+        iterate_step(band, Quadrature.TRAPEZOID, 50)
 
 
 def _as_curve(raw: np.ndarray) -> np.ndarray:
@@ -287,12 +284,13 @@ def test_step_is_a_monotone_map_on_probability_curves(raw, rnd):
     lower = _as_curve(raw)
     bumps = np.array([rnd.random() for _ in range(len(lower))])
     upper = np.maximum(lower, _as_curve(bumps))
-    config = RecursionConfig(delta=0.05, x_max=0.05 * (len(lower) - 1), n_max=1)
     out_lo = iterate_step(
-        GridFunction(delta=0.05, values=lower, generation=0, complement=1.0 - lower), config
+        GridFunction(delta=0.05, values=lower, generation=0, complement=1.0 - lower),
+        Quadrature.TRAPEZOID,
     )
     out_hi = iterate_step(
-        GridFunction(delta=0.05, values=upper, generation=0, complement=1.0 - upper), config
+        GridFunction(delta=0.05, values=upper, generation=0, complement=1.0 - upper),
+        Quadrature.TRAPEZOID,
     )
     out_lo.check_invariants()
     out_hi.check_invariants()
@@ -300,13 +298,13 @@ def test_step_is_a_monotone_map_on_probability_curves(raw, rnd):
 
 
 def _full_grid_loop(config, snapshot_generations, levels):
-    """Reference run: a plain loop of full-grid iterate_step calls."""
-    cur = init_p0(config)
+    """Reference run: a plain loop of iterate_step calls over the whole grid."""
+    cur = init_p0(config.delta, config.grid_size + 1)
     snaps = {}
     fronts = [[] for _ in levels]
     for n in range(config.n_max + 1):
         if n:
-            cur = iterate_step(cur, config)
+            cur = iterate_step(cur, config.quadrature)
         if n in snapshot_generations:
             snaps[n] = cur
         for trace, lev in zip(fronts, levels):
@@ -369,9 +367,9 @@ def test_window_widens_for_a_low_front_level(monkeypatch):
     config = RecursionConfig(delta=0.01, x_max=250.0, n_max=200)
     steps = []
 
-    def counted(prev, cfg, nodes=None, work=None):
+    def counted(prev, quadrature, nodes=None, work=None):
         steps.append(prev.generation)
-        return iterate_step(prev, cfg, nodes, work)
+        return iterate_step(prev, quadrature, nodes, work)
 
     monkeypatch.setattr(recursion, "iterate_step", counted)
     _assert_matches_full_grid(config, {120}, (1e-30, 0.5))
@@ -396,9 +394,9 @@ def test_front_run_steps_no_band_to_the_grid_end(monkeypatch):
     lows = [lo for _, lo in bands(config, p_floor=0.5)]
     stepped = {}
 
-    def counted(prev, cfg, nodes=None, work=None):
+    def counted(prev, quadrature, nodes=None, work=None):
         stepped[prev.generation + 1] = nodes  # a redone step overwrites its first try
-        return iterate_step(prev, cfg, nodes, work)
+        return iterate_step(prev, quadrature, nodes, work)
 
     monkeypatch.setattr(recursion, "iterate_step", counted)
     run_recursion(config, front_levels=(0.5,))
@@ -466,29 +464,32 @@ def test_bands_step_in_two_reused_buffers(quadrature):
 
 
 def test_band_step_contract():
-    config = RecursionConfig(delta=0.01, x_max=2.0, n_max=1)
-    p0 = init_p0(config)
+    p0 = init_p0(0.01, 201)
+    trapezoid = Quadrature.TRAPEZOID
 
     def band(lo, hi):
         return GridFunction(delta=0.01, values=p0.values[lo:hi], generation=0,
                             complement=p0.complement[lo:hi])
 
     with pytest.raises(ContractViolationError):  # g is not 0 at the first node
-        iterate_step(band(1, 50), config, 10)
+        iterate_step(band(1, 50), trapezoid, 10)
+    with pytest.raises(ContractViolationError):  # there is no first node
+        iterate_step(band(0, 0), trapezoid, 10)
     with pytest.raises(ContractViolationError):  # g is not 1 at the last node
-        iterate_step(band(0, 50), config, 60)
-    with pytest.raises(ContractViolationError):  # longer than the grid
-        iterate_step(p0, config, config.grid_size + 2)
-    assert np.array_equal(iterate_step(band(0, 50), config, 40).values,
-                          iterate_step(p0, config).values[:40])
+        iterate_step(band(0, 50), trapezoid, 60)
+    with pytest.raises(ContractViolationError):  # longer than p0, whose g ends below 1
+        iterate_step(p0, trapezoid, 202)
+    with pytest.raises(ContractViolationError):
+        iterate_step(p0, trapezoid, 0)
+    assert np.array_equal(iterate_step(band(0, 50), trapezoid, 40).values,
+                          iterate_step(p0, trapezoid).values[:40])
     # without a workspace, a band ending at g = 1 is continued by its exact 1s
     for quadrature in Quadrature:
-        wide = RecursionConfig(delta=0.1, x_max=45.0, n_max=1, quadrature=quadrature)
-        whole = init_p0(wide)
+        whole = init_p0(0.1, 451)
         head = GridFunction(delta=0.1, values=whole.values[:401], generation=0,
                             complement=whole.complement[:401])
         assert head.complement[-1] == 1.0
-        step, full = iterate_step(head, wide, 450), iterate_step(whole, wide)
+        step, full = iterate_step(head, quadrature, 450), iterate_step(whole, quadrature)
         assert np.array_equal(step.values, full.values[:450])
         assert np.array_equal(step.complement, full.complement[:450])
 
@@ -510,16 +511,17 @@ def test_generations_hold_read_only_float64_arrays(quadrature):
         steps = bands(config, lambda n: n_nodes if n in ends else 0, p_floor=0.5)
         for n, (band, lo) in enumerate(steps):
             check(band, n)
-    p0 = init_p0(config)
-    check(iterate_step(p0, config), 1)
+    p0 = init_p0(config.delta, n_nodes)
+    check(iterate_step(p0, quadrature), 1)
     head = GridFunction(delta=0.05, values=p0.values[:900], generation=7,
                         complement=p0.complement[:900])
-    check(iterate_step(head, config, 950), 8)
+    check(iterate_step(head, quadrature, 950), 8)
     g = np.concatenate((head.complement, np.ones(50)))
-    check(iterate_step(head, config, 950, (g, np.empty(950), np.empty(950), np.empty(950))), 8)
+    check(iterate_step(head, quadrature, 950, (g, np.empty(950), np.empty(950), np.empty(950))), 8)
     # a workspace that would make the result anything but float64 is refused
     with pytest.raises(ContractViolationError):
-        iterate_step(head, config, 950, (g, np.empty(950, np.float32), np.empty(950), np.empty(950)))
+        iterate_step(head, quadrature, 950,
+                     (g, np.empty(950, np.float32), np.empty(950), np.empty(950)))
 
 
 def test_hand_built_record_keeps_the_callers_arrays():
