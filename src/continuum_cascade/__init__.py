@@ -6,6 +6,7 @@ Monte Carlo simulation of the branching Poisson point process and of the
 discrete cascade random graph, and the boundary-case derivative martingale.
 """
 
+from . import kernels
 from .errors import (
     CascadeError,
     ConfigurationError,
@@ -71,5 +72,7 @@ from .martingale import (
 
 __version__ = "0.1.0"
 
-# the recursion has one kernel, the numpy one in kernels.py; run records name it
-KERNEL_BACKEND = "python"
+# which compensated prefix sum the recursion kernel runs, the same bits either
+# way (kernels.py): "c" when the build compiled _compensated.c, else the numpy
+# "python" one; run records name it
+KERNEL_BACKEND = "python" if kernels._compiled_prefix_sum is None else "c"

@@ -1,13 +1,26 @@
 """The recursion kernel against exact rational arithmetic."""
 
+import importlib.util
 import itertools
+import shutil
+import subprocess
+import sys
+import sysconfig
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from continuum_cascade import kernels
-from continuum_cascade.recursion import CLAMP_TOLERANCE
+from continuum_cascade.recursion import (
+    CLAMP_TOLERANCE,
+    Quadrature,
+    RecursionConfig,
+    bands,
+    front_clearance_xmax,
+    run_recursion,
+)
 
 
 def random_complement(m: int, seed: int) -> np.ndarray:
@@ -55,11 +68,8 @@ def two_sum_prefix(x: np.ndarray) -> np.ndarray:
     return s
 
 
-@pytest.mark.parametrize("name", sorted(prefix_inputs()) + ["zeros", "subnormal_tail"])
-def test_prefix_sum_matches_two_sum_bit_for_bit(name):
-    # FastTwoSum's error term is exact for terms >= 0, so it must equal TwoSum's
-    inputs = {
-        **prefix_inputs(),
+def edge_inputs() -> dict[str, np.ndarray]:
+    return {
         # g behind the front: a run of exact zeros, then the profile
         "zeros": np.concatenate((np.zeros(3000), -np.expm1(-0.01 * np.arange(2000)))),
         # subnormal terms, under any ulp of the running sum, then normal ones
@@ -67,8 +77,16 @@ def test_prefix_sum_matches_two_sum_bit_for_bit(name):
             [0.0], np.sort(10.0 ** np.random.default_rng(5).uniform(-323.0, -308.0, 3000)),
             np.linspace(1e-300, 1.0, 3000),
         )),
+        # the shortest sums: no addition, and one
+        "one": np.array([0.3]),
+        "two": np.array([0.1, 0.2]),
     }
-    x = inputs[name]
+
+
+@pytest.mark.parametrize("name", sorted(prefix_inputs()) + sorted(edge_inputs()))
+def test_prefix_sum_matches_two_sum_bit_for_bit(name):
+    # FastTwoSum's error term is exact for terms >= 0, so it must equal TwoSum's
+    x = {**prefix_inputs(), **edge_inputs()}[name]
     m = len(x)
     got = kernels._prefix_sum(x, np.empty(m), np.empty(m - 1), np.empty(m - 1))
     assert np.array_equal(got, two_sum_prefix(x))
@@ -214,12 +232,13 @@ def test_finish_matches_the_reference_bit_for_bit(q):
     assert got[0] == want[0] or np.isnan(excess).all()
 
 
-@pytest.mark.parametrize("name", ["step_riemann", "step_trapezoid"])
-@pytest.mark.parametrize("delta", [0.001, 0.1, 2.0])
-def test_step_matches_the_reference_finish_bit_for_bit(monkeypatch, name, delta):
-    # a band as a front run steps it: exact zeros, a tail far below an ulp of
-    # 1, the front and the trailing exact 1s; then the same band with one
-    # negative node, which drives P past 1 at every later node
+def front_bands() -> tuple[np.ndarray, np.ndarray]:
+    """A band as a front run steps it, and the same band with one negative node.
+
+    The band holds exact zeros, a tail far below an ulp of 1, the front and
+    the trailing exact 1s; the negative node drives P past 1 at every later
+    node.
+    """
     g = np.concatenate((
         np.zeros(5),
         10.0 ** np.linspace(-320.0, -17.0, 3000),
@@ -228,6 +247,13 @@ def test_step_matches_the_reference_finish_bit_for_bit(monkeypatch, name, delta)
     ))
     bad = g.copy()
     bad[2500] = -1e-3
+    return g, bad
+
+
+@pytest.mark.parametrize("name", ["step_riemann", "step_trapezoid"])
+@pytest.mark.parametrize("delta", [0.001, 0.1, 2.0])
+def test_step_matches_the_reference_finish_bit_for_bit(monkeypatch, name, delta):
+    g, bad = front_bands()
     step = getattr(kernels, name)
     for band in (g, bad):
         results = []
@@ -266,8 +292,6 @@ def test_step_ignores_what_its_buffers_held(name):
 def test_complement_resolves_saturated_tail():
     # the point of iterating g: behind the front, 1 - P underflows in the
     # exposed probabilities but stays resolved in the complement
-    from continuum_cascade.recursion import RecursionConfig, run_recursion
-
     config = RecursionConfig(delta=0.01, x_max=60.0, n_max=120)
     final = run_recursion(config, [120]).snapshot(120)
     g = final.complement
@@ -275,3 +299,124 @@ def test_complement_resolves_saturated_tail():
     assert saturated.any()
     assert np.all(g[saturated][1:] > 0.0)  # still positive, just < 2^-53
     assert g[saturated][1:].min() < 1e-17
+
+
+# The compiled prefix sum.  Tier-1 imports the package from src/, where the
+# extension is not built, so it is built here once, from setup.py; the tests
+# call its prefix_sum directly or hand it to the kernels in place of the
+# import.
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    cc = sysconfig.get_config_var("CC") or "cc"
+    if shutil.which(cc.split()[0]) is None:
+        pytest.skip(f"no C compiler ({cc}) to build the extension with")
+    out = tmp_path_factory.mktemp("compensated")
+    build = subprocess.run(
+        [sys.executable, "setup.py", "-q", "build_ext",
+         "--build-lib", str(out / "lib"), "--build-temp", str(out / "temp")],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    # setup.py marks the extension optional, so a failed compile exits 0
+    built = list((out / "lib" / "continuum_cascade").glob("_compensated.*"))
+    assert build.returncode == 0 and len(built) == 1, build.stdout + build.stderr
+    spec = importlib.util.spec_from_file_location("continuum_cascade._compensated", built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def both_sums(compiled, x: np.ndarray) -> tuple[bytes, bytes]:
+    """The bytes of the compiled and of the numpy compensated prefix sums of `x`."""
+    m = len(x)
+    out = np.full(m + 3, np.nan)
+    assert compiled.prefix_sum(x, out) is None
+    assert np.isnan(out[m:]).all()  # nothing past len(x) is written
+    want = kernels._prefix_sum(x, np.empty(m), np.empty(m - 1), np.empty(m - 1))
+    return out[:m].tobytes(), want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(prefix_inputs()) + sorted(edge_inputs()))
+def test_compiled_prefix_sum_matches_numpy_bit_for_bit(compiled, name):
+    x = {**prefix_inputs(), **edge_inputs()}[name]
+    got, want = both_sums(compiled, x)
+    assert got == want
+
+
+@pytest.mark.parametrize("delta,n_max,quadrature", [
+    (0.01, 2000, Quadrature.TRAPEZOID),
+    (0.001, 200, Quadrature.RIEMANN),
+])
+def test_compiled_prefix_sum_matches_numpy_on_front_bands(compiled, delta, n_max, quadrature):
+    # every 50th band a front run steps, as the next step reads it
+    config = RecursionConfig(delta, front_clearance_xmax(n_max, 0.5), n_max, quadrature)
+    checked = 0
+    for n, (band, _) in enumerate(bands(config, p_floor=0.5)):
+        if n % 50 == 0:
+            got, want = both_sums(compiled, band.complement)
+            assert got == want, f"generation {n}"
+            checked += 1
+    assert checked == n_max // 50 + 1
+
+
+@pytest.mark.parametrize("kind", ["float32", "strided", "big_endian"])
+def test_compiled_prefix_sum_never_misreads_a_buffer(monkeypatch, compiled, kind):
+    # such a buffer gives the bytes of its contiguous float64 copy or a clean
+    # exception, never its bytes read as doubles
+    x = np.sort(np.random.default_rng(3).random(2001))
+    given = {"float32": x.astype(np.float32), "strided": x[::2], "big_endian": x.astype(">f8")}[kind]
+    copy = np.ascontiguousarray(given, dtype=np.float64)
+    m = len(copy)
+    want = kernels._prefix_sum(copy, np.empty(m), np.empty(m - 1), np.empty(m - 1)).tobytes()
+    out = np.full(m, np.nan)
+    try:
+        compiled.prefix_sum(given, out)
+    except (TypeError, ValueError, BufferError):
+        assert np.isnan(out).all()  # refused before writing
+    else:
+        assert out.tobytes() == want
+    # the steps hand the compiled sum the contiguous float64 copy
+    monkeypatch.setattr(kernels, "_compiled_prefix_sum", compiled.prefix_sum)
+    assert kernels._step_sums(given, np.empty(m), np.empty(m), np.empty(m)).tobytes() == want
+
+
+def test_compiled_prefix_sum_refuses_an_out_it_cannot_fill(compiled):
+    memory = np.linspace(0.0, 1.0, 300)
+    x = memory[:100]
+    read_only = np.empty(100)
+    read_only.setflags(write=False)
+    for out in (np.empty(99), np.empty(100, np.float32), np.empty(200)[::2], read_only,
+                memory[50:150], x):
+        before = memory.copy()
+        with pytest.raises((TypeError, ValueError, BufferError)):
+            compiled.prefix_sum(x, out)
+        assert np.array_equal(memory, before)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_compiled_prefix_sum_gives_nan_where_numpy_does(compiled, bad):
+    x = np.linspace(0.0, 1.0, 50)
+    x[20] = bad
+    out = np.empty(50)
+    compiled.prefix_sum(x, out)
+    with np.errstate(invalid="ignore"):  # inf - inf in the error term
+        want = kernels._prefix_sum(x, np.empty(50), np.empty(49), np.empty(49))
+    assert np.array_equal(np.isnan(out), np.isnan(want))
+    assert np.isnan(out[20:]).all() and not np.isnan(out[:20]).any()
+
+
+@pytest.mark.parametrize("name", ["step_riemann", "step_trapezoid"])
+@pytest.mark.parametrize("delta", [0.001, 0.1, 2.0])
+def test_compiled_step_matches_the_numpy_step_bit_for_bit(monkeypatch, compiled, name, delta):
+    step = getattr(kernels, name)
+    for band in front_bands():
+        results = []
+        for prefix_sum in (compiled.prefix_sum, None):
+            monkeypatch.setattr(kernels, "_compiled_prefix_sum", prefix_sum)
+            out_p, out_g = np.empty_like(band), np.empty_like(band)
+            excess = step(band, delta, out_p, out_g, np.empty(len(band) + 5))
+            results.append((np.float64(excess).tobytes(), out_p.tobytes(), out_g.tobytes()))
+        assert results[0] == results[1]
