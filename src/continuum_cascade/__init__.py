@@ -72,7 +72,7 @@ from .martingale import (
 
 __version__ = "0.1.0"
 
-# which compensated prefix sum the recursion kernel runs, the same bits either
-# way (kernels.py): "c" when the build compiled _compensated.c, else the numpy
-# "python" one; run records name it
-KERNEL_BACKEND = "python" if kernels._compiled_prefix_sum is None else "c"
+# which step head (compensated prefix sum, Q and linear run) the recursion
+# kernel runs, the same bits either way (kernels.py): "c" when the build
+# compiled _compensated.c, else the numpy "python" one; run records name it
+KERNEL_BACKEND = "python" if kernels._compiled_head is None else "c"

@@ -14,7 +14,7 @@ Brunet-Derrida cutoff effect; the magnitude matches pi^2/(2e)/ln^2(eps)).
 In g form the tail stays resolved down to exp(-708) and the continuum
 asymptotics survive to n ~ 10^4 and beyond.
 
-Every state a step reads has g(0) exactly 0: init_p0 builds it, _finish
+Every state a step reads has g(0) exactly 0: init_p0 builds it, _tail
 writes it, and recursion.iterate_step checks it of every band that
 recursion.bands steps.  So Riemann mode, which sums g at indices 1..i (the
 y = 0 endpoint omitted), is the plain prefix sum, and trapezoid mode
@@ -33,16 +33,35 @@ spanning the kernel's range, so P and g can differ in the last ulps
 between dispatch levels.  The bits are fixed for one numpy build at one
 dispatch level only.
 
-The sum has two implementations that give the same bits.  The compiled
-one, _compensated.prefix_sum (built from _compensated.c by `pip install`
-when a C compiler is there), makes one pass with both running sums in
-registers, about 2 ns per cell on a 2-vCPU Xeon VM.  The numpy one,
-_prefix_sum, makes seven passes, about 8 ns per cell there; it runs when
-the module was not built (a source tree on PYTHONPATH, or an install
-without a compiler), and the tests compare the compiled one with it.
-Both do the same float64 additions and subtractions in the same order
-and no multiplication, so no fused multiply-add can enter.
+The head of a step, everything before its exp and expm1 (the sum, Q and
+the linear-run scan below), has two implementations that give the same
+bits.  The compiled one, _compensated.step_head (built from
+_compensated.c by `pip install` when a C compiler is there), is one pass
+with both running sums in registers.  The numpy one, _prefix_sum and then
+Q and the run's mask, makes about a dozen passes; it runs when the module
+was not built (a source tree on PYTHONPATH, or an install without a
+compiler), and the tests compare the compiled head with it.  Both do the
+same float64 operations in the same order; the C file is built with
+floating-point contraction off, so no fused multiply-add enters.
 KERNEL_BACKEND in __init__ names the one that runs.
+
+The band's left edge is its subnormal head: thousands of nodes where g,
+or the sum's FastTwoSum errors, are subnormal, and an addition that meets
+a subnormal takes a microcode assist on x86.  While g and the running sum
+are below 2^-900 the compiled loop sums in a domain scaled by 2^128,
+which changes no bit: a sum of two doubles is rounded at the same
+relative place whether both are scaled by a power of two or not, or is
+exact either way when it is subnormal, and compares are unchanged.  A
+subnormal input is scaled, and a subnormal sum unscaled, through its
+integer mantissa, so no subnormal passes through the FPU; every other
+scaling is an exact multiplication.  The loop writes the subnormal
+head's sums to the scratch, and Q there is formed with numpy: a product
+is not unchanged by scaling where it is subnormal, and numpy's vector
+loops pay one assist per vector rather than one per node.  Past the head
+the loop forms Q itself, writes the linear run and -Q past it, and says
+where the run ends.  What stays numpy on either path is what must keep
+numpy's bits: exp and expm1 past the run, P[0] and g[0], the excess and
+the clamp (_tail).
 
 Both steps fill the exposed probability array and the complement array
 from the same exponent Q.  Behind the front the step is linear to the
@@ -60,19 +79,21 @@ invariant violation.
 
 The steps allocate no array: the caller passes the outputs, as long as
 the band, and a scratch array at least that long (recursion.bands keeps
-one set for a whole run).  Every ufunc writes into them with out=.  The
-outputs double as the numpy sum's FastTwoSum temporaries and then as the
-linear-run mask; Q is formed in place in the g output, and the scratch
-holds the prefix sums and then -Q.  Nothing is read before it is
-written, so a step gives the same bits whatever its buffers held.
+one set for a whole run).  Every ufunc writes into them with out=.  On
+the numpy path the outputs double as the sum's FastTwoSum temporaries and
+then as the linear-run mask; Q is formed in place in the g output, and
+the scratch holds the prefix sums and then -Q.  The compiled head writes
+P = 1 and Q on the run, the head's sums and -Q past the run to the same
+places.  Nothing is read before it is written, so a step gives the same
+bits whatever its buffers held.
 """
 
 import numpy as np
 
 try:
-    from ._compensated import prefix_sum as _compiled_prefix_sum
-except ImportError:  # not built: the numpy _prefix_sum runs
-    _compiled_prefix_sum = None
+    from ._compensated import step_head as _compiled_head
+except ImportError:  # not built: the numpy step runs
+    _compiled_head = None
 
 
 def _prefix_sum(x: np.ndarray, out: np.ndarray, err: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -96,19 +117,6 @@ def _prefix_sum(x: np.ndarray, out: np.ndarray, err: np.ndarray, tmp: np.ndarray
     return s
 
 
-def _step_sums(x: np.ndarray, work: np.ndarray, out_p: np.ndarray, out_g: np.ndarray) -> np.ndarray:
-    """The compensated prefix sums of `x` in work[:len(x)], compiled when built.
-
-    The numpy sum overwrites `out_p` and `out_g` as its temporaries; the
-    compiled one reads `x` as a contiguous float64 copy if it is not one.
-    """
-    if _compiled_prefix_sum is None:
-        return _prefix_sum(x, work, out_g, out_p)
-    s = work[: len(x)]
-    _compiled_prefix_sum(np.ascontiguousarray(x, dtype=np.float64), s)
-    return s
-
-
 # |Q| below this: exp(-Q) rounds to 1 and -expm1(-Q) to Q (module docstring)
 LINEAR_TAIL = 2.0**-56
 # the steps' constant operands as 0-d arrays: a ufunc converts a Python float
@@ -116,21 +124,42 @@ LINEAR_TAIL = 2.0**-56
 _TAIL, _HALF = np.array(LINEAR_TAIL), np.array(0.5)
 
 
-def _finish(out_p: np.ndarray, out_g: np.ndarray, tmp: np.ndarray) -> float:
-    """P = exp(-Q) and g = -expm1(-Q) from the Q that `out_g` holds on entry.
+def _quadrature(s: np.ndarray, x: np.ndarray, delta: float, out: np.ndarray, trapezoid: bool) -> None:
+    """Q into `out` from the prefix sums `s` of `x`."""
+    if trapezoid:
+        q = np.multiply(x, _HALF, out=out)
+        np.subtract(s, q, out=q)
+        q *= delta
+    else:
+        np.multiply(s, delta, out=out)
 
-    `tmp` holds at least len(out_g) values and is overwritten; the bytes of
-    `out_p` hold the linear-run mask until P is written over it.
+
+def _linear_run(out_p: np.ndarray, out_g: np.ndarray, tmp: np.ndarray) -> int:
+    """The end of the leading run of |Q| < LINEAR_TAIL in the Q that `out_g` holds.
+
+    P = 1 is written on the run, where g = Q already, and -Q to `tmp` past
+    it; `tmp` holds at least len(out_g) values, and the bytes of `out_p`
+    hold the run's mask until P is written over it.
     """
     n = len(out_g)
     linear = np.less(np.abs(out_g, out=tmp[:n]), _TAIL, out=out_p.view(np.bool_)[:n])
     k = int(linear.argmin())  # first node outside the linear run
     if linear[k]:
         k = n
-    out_p[:k] = 1.0  # g = Q there already
-    p, g = out_p[k:], out_g[k:]
-    neg_q = np.negative(g, out=tmp[k:n])
-    np.exp(neg_q, out=p)
+    out_p[:k] = 1.0
+    np.negative(out_g[k:], out=tmp[k:n])
+    return k
+
+
+def _tail(out_p: np.ndarray, out_g: np.ndarray, neg_q: np.ndarray, k: int) -> float:
+    """P = exp(-Q) and g = -expm1(-Q) past the linear run, which ends at k.
+
+    neg_q[k:len(out_g)] holds -Q; P and g are written on the run already.
+    """
+    n = len(out_g)
+    neg_q = neg_q[k:n]
+    np.exp(neg_q, out=out_p[k:])
+    g = out_g[k:]
     np.negative(np.expm1(neg_q, out=g), out=g)
     out_p[0] = 1.0
     out_g[0] = 0.0
@@ -145,17 +174,36 @@ def _finish(out_p: np.ndarray, out_g: np.ndarray, tmp: np.ndarray) -> float:
     return max(excess, 0.0)
 
 
+def _finish(out_p: np.ndarray, out_g: np.ndarray, tmp: np.ndarray) -> float:
+    """P = exp(-Q) and g = -expm1(-Q) from the Q that `out_g` holds on entry.
+
+    `tmp` holds at least len(out_g) values and is overwritten.
+    """
+    return _tail(out_p, out_g, tmp, _linear_run(out_p, out_g, tmp))
+
+
+def _step(x: np.ndarray, delta: float, out_p: np.ndarray, out_g: np.ndarray,
+          work: np.ndarray, trapezoid: bool) -> float:
+    if _compiled_head is None:
+        s = _prefix_sum(x, work, out_g, out_p)
+        _quadrature(s, x, delta, out_g, trapezoid)
+        return _finish(out_p, out_g, work)
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    j, k = _compiled_head(x, delta, trapezoid, out_p, out_g, work)
+    if j:  # the subnormal head's sums are in work[:j]
+        _quadrature(work[:j], x[:j], delta, out_g[:j], trapezoid)
+        run = _linear_run(out_p[:j], out_g[:j], work)
+        if run < j:  # the run ends in the head: -Q past it, where C wrote Q
+            np.negative(out_g[j:k], out=work[j:k])
+            k = run
+    return _tail(out_p, out_g, work, k)
+
+
 def step_riemann(prev_g: np.ndarray, delta: float,
                  out_p: np.ndarray, out_g: np.ndarray, work: np.ndarray) -> float:
-    s = _step_sums(prev_g, work, out_p, out_g)
-    np.multiply(s, delta, out=out_g)
-    return _finish(out_p, out_g, work)
+    return _step(prev_g, delta, out_p, out_g, work, False)
 
 
 def step_trapezoid(prev_g: np.ndarray, delta: float,
                    out_p: np.ndarray, out_g: np.ndarray, work: np.ndarray) -> float:
-    s = _step_sums(prev_g, work, out_p, out_g)
-    q = np.multiply(prev_g, _HALF, out=out_g)
-    np.subtract(s, q, out=q)
-    q *= delta
-    return _finish(out_p, out_g, work)
+    return _step(prev_g, delta, out_p, out_g, work, True)

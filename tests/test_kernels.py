@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from continuum_cascade import kernels
 from continuum_cascade.recursion import (
@@ -255,6 +257,7 @@ def front_bands() -> tuple[np.ndarray, np.ndarray]:
 def test_step_matches_the_reference_finish_bit_for_bit(monkeypatch, name, delta):
     g, bad = front_bands()
     step = getattr(kernels, name)
+    monkeypatch.setattr(kernels, "_compiled_head", None)  # the numpy step calls _finish
     for band in (g, bad):
         results = []
         for finish in (kernels._finish, reference_finish):
@@ -301,10 +304,10 @@ def test_complement_resolves_saturated_tail():
     assert g[saturated][1:].min() < 1e-17
 
 
-# The compiled prefix sum.  Tier-1 imports the package from src/, where the
+# The compiled step head.  Tier-1 imports the package from src/, where the
 # extension is not built, so it is built here once, from setup.py; the tests
-# call its prefix_sum directly or hand it to the kernels in place of the
-# import.
+# call its step_head directly or hand it to the kernels in place of the
+# import, and compare it with the numpy step, which runs without it.
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -329,14 +332,27 @@ def compiled(tmp_path_factory):
     return module
 
 
+def compiled_sums(compiled, x: np.ndarray) -> np.ndarray:
+    """The compensated prefix sums the compiled head forms of `x`.
+
+    At delta 1 a Riemann Q is the sum itself, so the sums are work[:j] in
+    the head, Q on the linear run after it and minus the -Q past the run.
+    """
+    m = len(x)
+    out_p, out_g, work = (np.full(m + 3, np.nan) for _ in range(3))
+    j, k = compiled.step_head(x, 1.0, False, out_p, out_g, work)
+    assert 0 <= j <= k <= m
+    for out in (out_p, out_g, work):
+        assert np.isnan(out[m:]).all()  # nothing past len(x) is written
+    assert np.all(out_p[j:k] == 1.0)
+    return np.concatenate((work[:j], out_g[j:k], -work[k:m]))
+
+
 def both_sums(compiled, x: np.ndarray) -> tuple[bytes, bytes]:
     """The bytes of the compiled and of the numpy compensated prefix sums of `x`."""
     m = len(x)
-    out = np.full(m + 3, np.nan)
-    assert compiled.prefix_sum(x, out) is None
-    assert np.isnan(out[m:]).all()  # nothing past len(x) is written
     want = kernels._prefix_sum(x, np.empty(m), np.empty(m - 1), np.empty(m - 1))
-    return out[:m].tobytes(), want.tobytes()
+    return compiled_sums(compiled, x).tobytes(), want.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(prefix_inputs()) + sorted(edge_inputs()))
@@ -362,25 +378,60 @@ def test_compiled_prefix_sum_matches_numpy_on_front_bands(compiled, delta, n_max
     assert checked == n_max // 50 + 1
 
 
+def step_bytes(head, name: str, band: np.ndarray, delta: float, fill: float) -> list[np.ndarray]:
+    """[excess, P, g] of one step, run by the compiled `head` or by numpy (None).
+
+    The outputs and the scratch start filled with `fill`.
+    """
+    saved = kernels._compiled_head
+    kernels._compiled_head = head
+    try:
+        out_p, out_g = np.full(len(band), fill), np.full(len(band), fill)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, exp(inf)
+            excess = getattr(kernels, name)(band, delta, out_p, out_g, np.full(len(band) + 5, fill))
+    finally:
+        kernels._compiled_head = saved
+    return [np.array([excess]), out_p, out_g]
+
+
+def assert_same_step(compiled, name: str, band: np.ndarray, delta: float) -> None:
+    """The compiled and the numpy step give the same bytes, or NaN at the same nodes.
+
+    The compiled step starts from NaN-filled buffers and the numpy one from
+    zeros, so a node the compiled step leaves unwritten shows.
+    """
+    band = np.asarray(band, dtype=np.float64)
+    got = step_bytes(compiled.step_head, name, band, delta, np.nan)
+    want = step_bytes(None, name, band, delta, 0.0)
+    for label, a, b in zip(("excess", "P", "g"), got, want):
+        same = (a.view(np.uint64) == b.view(np.uint64)) | (np.isnan(a) & np.isnan(b))
+        assert same.all(), f"{label} differs at nodes {np.flatnonzero(~same)[:10]}"
+
+
+DELTAS = [0.001, 0.1, 2.0, 1e300]
+
+
 @pytest.mark.parametrize("kind", ["float32", "strided", "big_endian"])
-def test_compiled_prefix_sum_never_misreads_a_buffer(monkeypatch, compiled, kind):
+def test_compiled_prefix_sum_never_misreads_a_buffer(compiled, kind):
     # such a buffer gives the bytes of its contiguous float64 copy or a clean
     # exception, never its bytes read as doubles
     x = np.sort(np.random.default_rng(3).random(2001))
     given = {"float32": x.astype(np.float32), "strided": x[::2], "big_endian": x.astype(">f8")}[kind]
     copy = np.ascontiguousarray(given, dtype=np.float64)
     m = len(copy)
-    want = kernels._prefix_sum(copy, np.empty(m), np.empty(m - 1), np.empty(m - 1)).tobytes()
-    out = np.full(m, np.nan)
+    outs = [np.full(m, np.nan) for _ in range(3)]
     try:
-        compiled.prefix_sum(given, out)
+        compiled.step_head(given, 1.0, False, *outs)
     except (TypeError, ValueError, BufferError):
-        assert np.isnan(out).all()  # refused before writing
+        assert all(np.isnan(out).all() for out in outs)  # refused before writing
     else:
-        assert out.tobytes() == want
-    # the steps hand the compiled sum the contiguous float64 copy
-    monkeypatch.setattr(kernels, "_compiled_prefix_sum", compiled.prefix_sum)
-    assert kernels._step_sums(given, np.empty(m), np.empty(m), np.empty(m)).tobytes() == want
+        assert compiled_sums(compiled, given).tobytes() == compiled_sums(compiled, copy).tobytes()
+    # the steps hand the compiled head the contiguous float64 copy
+    for name in ("step_riemann", "step_trapezoid"):
+        got = step_bytes(compiled.step_head, name, given, 0.01, np.nan)
+        want = step_bytes(compiled.step_head, name, copy, 0.01, np.nan)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+        assert_same_step(compiled, name, copy, 0.01)
 
 
 def test_compiled_prefix_sum_refuses_an_out_it_cannot_fill(compiled):
@@ -388,20 +439,27 @@ def test_compiled_prefix_sum_refuses_an_out_it_cannot_fill(compiled):
     x = memory[:100]
     read_only = np.empty(100)
     read_only.setflags(write=False)
-    for out in (np.empty(99), np.empty(100, np.float32), np.empty(200)[::2], read_only,
+    for bad in (np.empty(99), np.empty(100, np.float32), np.empty(200)[::2], read_only,
                 memory[50:150], x):
-        before = memory.copy()
-        with pytest.raises((TypeError, ValueError, BufferError)):
-            compiled.prefix_sum(x, out)
-        assert np.array_equal(memory, before)
+        for position in range(3):
+            outs = [np.empty(100) for _ in range(3)]
+            outs[position] = bad
+            before = memory.copy()
+            with pytest.raises((TypeError, ValueError, BufferError)):
+                compiled.step_head(x, 0.01, True, *outs)
+            assert np.array_equal(memory, before)
+    shared = np.empty(100)  # two outputs in one buffer
+    with pytest.raises(ValueError):
+        compiled.step_head(x, 0.01, True, shared, np.empty(100), shared)
+    with pytest.raises(TypeError):
+        compiled.step_head(x, 0.01, True, np.empty(100), np.empty(100))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_compiled_prefix_sum_gives_nan_where_numpy_does(compiled, bad):
     x = np.linspace(0.0, 1.0, 50)
     x[20] = bad
-    out = np.empty(50)
-    compiled.prefix_sum(x, out)
+    out = compiled_sums(compiled, x)
     with np.errstate(invalid="ignore"):  # inf - inf in the error term
         want = kernels._prefix_sum(x, np.empty(50), np.empty(49), np.empty(49))
     assert np.array_equal(np.isnan(out), np.isnan(want))
@@ -409,14 +467,113 @@ def test_compiled_prefix_sum_gives_nan_where_numpy_does(compiled, bad):
 
 
 @pytest.mark.parametrize("name", ["step_riemann", "step_trapezoid"])
-@pytest.mark.parametrize("delta", [0.001, 0.1, 2.0])
-def test_compiled_step_matches_the_numpy_step_bit_for_bit(monkeypatch, compiled, name, delta):
-    step = getattr(kernels, name)
+@pytest.mark.parametrize("delta", DELTAS)
+def test_compiled_step_matches_the_numpy_step_bit_for_bit(compiled, name, delta):
     for band in front_bands():
-        results = []
-        for prefix_sum in (compiled.prefix_sum, None):
-            monkeypatch.setattr(kernels, "_compiled_prefix_sum", prefix_sum)
-            out_p, out_g = np.empty_like(band), np.empty_like(band)
-            excess = step(band, delta, out_p, out_g, np.empty(len(band) + 5))
-            results.append((np.float64(excess).tobytes(), out_p.tobytes(), out_g.tobytes()))
-        assert results[0] == results[1]
+        assert_same_step(compiled, name, band, delta)
+
+
+def subnormals(mantissas) -> np.ndarray:
+    """The doubles mantissa * 2^-1074."""
+    return np.asarray(mantissas, dtype=np.uint64).view(np.float64)
+
+
+TINY = np.finfo(np.float64).smallest_normal
+# the head sums below 2^-900 in a domain scaled by 2^128 (_compensated.c)
+SWITCH = 2.0**-900
+
+
+def head_inputs() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(29)
+    odd = subnormals(2 * rng.integers(1, 2**50, 400) + 1)
+    return {
+        # inputs that leave the scaled head at and around 2^-900
+        "input_at_switch": np.array([0.0, 5e-324, SWITCH / 2, np.nextafter(SWITCH, 0.0),
+                                     SWITCH, np.nextafter(SWITCH, 1.0), 1e-200, 0.5]),
+        # inputs below 2^-900 whose running sum passes it
+        "sum_past_switch": np.concatenate(([0.0], np.full(300, SWITCH / 64), odd[:50])),
+        # sums whose unscaled value crosses the subnormal range's top
+        "sums_at_smallest_normal": np.concatenate((
+            [0.0], subnormals([2**51, 2**51 - 1, 1, 3]), [np.nextafter(TINY, 0.0), TINY],
+            np.sort(odd), [1e-300, SWITCH],
+        )),
+        # the whole band in the head
+        "all_head": np.concatenate(([0.0], np.sort(odd))),
+        "one_subnormal": subnormals([3]),
+        # a subnormal g after a large running sum: after the head, the sum
+        # cancels back to 0, and x * 0.5 rounds on the odd mantissas (a
+        # fused multiply-add would not round it)
+        "subnormal_after_large_sum": np.concatenate(([0.0, 0.5, -0.5], odd)),
+        "subnormal_after_normal_sum": np.concatenate(([0.0, 1e-300], odd, [1e-20], odd)),
+        # signed zeros, NaN and inf inside the head
+        "signed_zeros": np.array([-0.0, 0.0, -0.0, 5e-324, -0.0, 1e-310, -5e-324, 0.0, 1e-305]),
+        "negative_zero_first": np.array([-0.0, -0.0, 1e-310, 0.5]),
+        "nan_in_head": np.concatenate(([0.0], odd[:20], [np.nan], odd[20:40], [0.5])),
+        "inf_in_head": np.concatenate(([0.0], odd[:20], [np.inf], odd[20:40], [0.5])),
+        "negative_inf_in_head": np.concatenate(([0.0], odd[:20], [-np.inf], odd[20:40])),
+        "nan_first": np.concatenate(([np.nan], odd[:20])),
+        "negative_head": -np.concatenate(([0.0], np.sort(odd), [1e-300, 1e-20])),
+    }
+
+
+@pytest.mark.parametrize("name", ["step_riemann", "step_trapezoid"])
+@pytest.mark.parametrize("delta", DELTAS)
+@pytest.mark.parametrize("case", sorted(head_inputs()))
+def test_compiled_step_matches_numpy_in_the_head(compiled, case, delta, name):
+    assert_same_step(compiled, name, head_inputs()[case], delta)
+
+
+def test_head_inputs_reach_the_scaled_head(compiled):
+    # the cases above do leave the head where they say
+    inputs = head_inputs()
+    m = len(inputs["all_head"])
+    assert compiled.step_head(inputs["all_head"], 0.01, True, *(np.empty(m) for _ in range(3)))[0] == m
+    x = inputs["sum_past_switch"]
+    j, _ = compiled.step_head(x, 0.01, True, *(np.empty(len(x)) for _ in range(3)))
+    assert 60 < j < 301
+    x = inputs["input_at_switch"]
+    j, _ = compiled.step_head(x, 0.01, True, *(np.empty(len(x)) for _ in range(3)))
+    assert j == 4
+    # at delta 1e300 Q leaves the linear run inside the head
+    _, p, _ = step_bytes(compiled.step_head, "step_trapezoid", inputs["all_head"], 1e300, np.nan)
+    assert (p[1:] < 1.0).all()
+
+
+band_values = st.one_of(
+    st.floats(min_value=5e-324, max_value=1.0),
+    st.floats(min_value=-323.3, max_value=0.0).map(lambda e: 10.0**e),
+    st.integers(1, 2**52 - 1).map(lambda m: float(subnormals([m])[0])),
+    st.just(0.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(band_values, min_size=1, max_size=300),
+    monotone=st.booleans(),
+    delta=st.sampled_from(DELTAS),
+)
+def test_compiled_step_matches_numpy_on_arrays_spanning_the_doubles(compiled, values, monotone, delta):
+    band = np.array(values)
+    if monotone:
+        band = np.sort(band)
+    for name in ("step_riemann", "step_trapezoid"):
+        assert_same_step(compiled, name, band, delta)
+
+
+@pytest.mark.parametrize("delta,n_max,quadrature,every", [
+    (0.001, 200, Quadrature.RIEMANN, 20),
+    (0.01, 2000, Quadrature.TRAPEZOID, 100),
+    (0.1, 3000, Quadrature.TRAPEZOID, 150),
+])
+def test_compiled_step_matches_numpy_on_front_bands(compiled, delta, n_max, quadrature, every):
+    # bands as a front run steps them, every few generations, in both modes
+    config = RecursionConfig(delta, front_clearance_xmax(n_max, 0.5), n_max, quadrature)
+    checked = 0
+    for n, (band, _) in enumerate(bands(config, p_floor=0.5)):
+        if n % every == 0:
+            g = band.complement.copy()  # bands reuses its buffers
+            for name in ("step_riemann", "step_trapezoid"):
+                assert_same_step(compiled, name, g, delta)
+            checked += 1
+    assert checked == n_max // every + 1
