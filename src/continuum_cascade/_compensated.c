@@ -2,30 +2,40 @@
    the linear-run scan in one pass.
 
    step_head(x, delta, trapezoid, out_p, out_g, work) -> (j, k) does, node
-   by node, the float64 operations of kernels' numpy step in the same order:
+   by node, the float64 operations of kernels._numpy_head in the same order:
    the running sum s of x, the FastTwoSum error e = min(a, b) - (t - max(a, b))
    of each addition t = a + b, the running sum E of those errors, the sum
    s + E at every node after the first, and from it Q = ((s + E) - x * 0.5)
    * delta (trapezoid) or (s + E) * delta (Riemann).  On the leading run of
    nodes where |Q| < 2^-56 it writes P = 1 to out_p and Q to out_g; past the
-   run it writes -Q to work.  k is where that run ends (len(x) if it does
-   not), counted from j on: the caller checks the first j nodes itself.
+   run it writes -Q to work.  k is where that run ends, len(x) if it does
+   not.  The first j nodes are the exception: there it writes P = 1 and the
+   sums s + E to work, and the caller forms Q from them into out_g.
 
    Those j nodes are the band's subnormal head.  While x[i] and the running
    sum are below 2^-900 the loop sums in a domain scaled by 2^128, so that
    no operand or result of an addition is subnormal (an addition that meets
-   one takes a microcode assist on x86, which costs more than the addition),
-   and writes the unscaled sums s + E to work[:j]; the caller forms Q there
-   with numpy, whose vector loops pay one assist per vector.  The scaling
-   changes no bit.  For two doubles a, b whose sum and scaled sum are
-   finite, fl(2^k a + 2^k b) = 2^k fl(a + b): an exact sum of at least
-   2^-1022 in magnitude is rounded to 53 bits at the same relative place
-   either way, and a smaller one is a multiple of 2^-1074 that needs at most
-   52 bits, so both are exact.  A compare is unchanged by the scaling too,
-   and the compensated recurrence uses nothing else.  A subnormal input is
-   scaled, and a sum whose unscaled value is subnormal is unscaled, through
-   its integer mantissa; every other scaling is a multiplication by a power
-   of two, which is exact.  So the split point changes speed, never bits.
+   one takes a microcode assist on x86, which costs more than the addition);
+   numpy's vector loops, which pay one assist per vector, form Q there.
+   The scaling changes no bit.  For two doubles a, b whose sum and scaled
+   sum are finite, fl(2^k a + 2^k b) = 2^k fl(a + b): an exact sum of at
+   least 2^-1022 in magnitude is rounded to 53 bits at the same relative
+   place either way, and a smaller one is a multiple of 2^-1074 that needs
+   at most 52 bits, so both are exact.  A compare is unchanged by the
+   scaling too, and the compensated recurrence uses nothing else.  A
+   subnormal input is scaled, and a sum whose unscaled value is subnormal
+   is unscaled, through its integer mantissa; every other scaling is a
+   multiplication by a power of two, which is exact.  So the split point
+   changes speed, never bits.
+
+   The head lies inside the linear run, so P = 1 is its value.  A head node
+   has |x| < 2^-900 and, before x is added, a running sum below 2^-900 (the
+   loop's own exit tests; NaN and inf fail them by their exponent field), so
+   |s + E| < 2^-899 and |x * 0.5| < 2^-901, and |Q| < 2^-898 |delta|.  The
+   scaled head is entered only for |delta| < 2^841 (HEAD_DELTA), where that
+   is at most 2^-57, under 2^-56 with its roundings: the numpy head marks
+   every such node linear too.  A NaN, infinite or larger delta gives j = 0,
+   and the plain loop runs from node 0.
 
    A multiplication sits next to additions (x * 0.5 before the subtraction),
    so a fused multiply-add would change a bit where x * 0.5 rounds; setup.py
@@ -65,6 +75,8 @@
    running sums below 2^(128-900) */
 #define HEAD_EXPONENTS (UINT64_C(123) << 52)
 #define HEAD_SCALED_SUM 0x1p-772
+/* the scaled head's delta bound: there |Q| < 2^-898 |delta| < 2^-57 */
+#define HEAD_DELTA 0x1p841
 
 static inline uint64_t
 bits_of(double v)
@@ -132,8 +144,9 @@ head_pass(const double *x, Py_ssize_t m, double delta, int trapezoid,
     /* -0.0 + e is e, bit for bit, so the first E is e itself, as the numpy
        accumulate of the errors gives it */
     double s = x[0], E = -0.0;
-    if ((bits_of(s) & ~SIGN_BIT) < HEAD_EXPONENTS) {
+    if (fabs(delta) < HEAD_DELTA && (bits_of(s) & ~SIGN_BIT) < HEAD_EXPONENTS) {
         double S = scale_up(s), ES = -0.0;
+        out_p[0] = 1.0;
         work[0] = s;
         for (; i < m && fabs(S) < HEAD_SCALED_SUM
                && (bits_of(x[i]) & ~SIGN_BIT) < HEAD_EXPONENTS; i++) {
@@ -142,6 +155,7 @@ head_pass(const double *x, Py_ssize_t m, double delta, int trapezoid,
             double big = a > b ? a : b, small = a > b ? b : a;
             ES += small - (t - big);
             S = t;
+            out_p[i] = 1.0;
             work[i] = scale_down(t + ES);
         }
         s = scale_down(S);
@@ -241,8 +255,9 @@ static PyMethodDef methods[] = {
     {"step_head", (PyCFunction)(void (*)(void))step_head, METH_FASTCALL,
      "step_head(x, delta, trapezoid, out_p, out_g, work) -> (j, k)\n--\n\n"
      "The compensated prefix sums of x, Q and the linear run of a recursion\n"
-     "step in one pass: the sums of the subnormal head x[:j] into work[:j],\n"
-     "and past it P = 1 and Q on the run, which ends at k, and -Q after it."},
+     "step in one pass: P = 1 and Q on the linear run, which ends at k, and\n"
+     "-Q after it, except that the subnormal head x[:j], inside the run, gets\n"
+     "P = 1 and its sums in work[:j]."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -202,9 +202,20 @@ def cmd_recurse(params: dict, writer: RunWriter) -> None:
 
 
 def cmd_front(params: dict, writer: RunWriter) -> None:
+    delta, n_max, level = params["delta"], params["nmax"], params["level"]
+    x_max = recursion.front_clearance_xmax(n_max, level)
+    recursion.check_delta(delta)
+    # the grid end is no option here: refuse the spacing that does not fit it
+    grid_end = f"the grid end {x_max:.6g} that --nmax {n_max} and --level {level:g} give"
+    if not delta <= x_max:
+        raise ConfigurationError(f"delta (--delta) = {delta:g} must be at most {grid_end}")
+    if not x_max / delta < recursion.MAX_ARRAY_ITEMS:
+        raise ConfigurationError(
+            f"delta (--delta) = {delta:g} cuts {grid_end} into {x_max / delta:.3g} intervals, "
+            f"more nodes than one array can hold ({recursion.MAX_ARRAY_ITEMS})"
+        )
     config = recursion.RecursionConfig(
-        delta=params["delta"], n_max=params["nmax"], quadrature=_quadrature(params["mode"]),
-        x_max=recursion.front_clearance_xmax(params["nmax"], params["level"]),
+        delta=delta, x_max=x_max, n_max=n_max, quadrature=_quadrature(params["mode"]),
     )
     if params["fit"] not in ("joint", "fixed"):
         raise ConfigurationError(f"unknown fit flavor '{params['fit']}'")
@@ -226,7 +237,7 @@ def cmd_front(params: dict, writer: RunWriter) -> None:
             raise ConfigurationError(
                 f"--fit-lo {lo} --fit-hi {hi}: the log-fit window {shortfall}"
             )
-    result = recursion.run_recursion(config, front_levels=(params["level"],))
+    result = recursion.run_recursion(config, front_levels=(level,))
     trace = result.front_traces[0]
     writer.write_csv(
         "front_trace.csv", "n,x_front",

@@ -33,37 +33,33 @@ spanning the kernel's range, so P and g can differ in the last ulps
 between dispatch levels.  The bits are fixed for one numpy build at one
 dispatch level only.
 
-The head of a step, everything before its exp and expm1 (the sum, Q and
-the linear-run scan below), has two implementations that give the same
-bits.  The compiled one, _compensated.step_head (built from
-_compensated.c by `pip install` when a C compiler is there), is one pass
-with both running sums in registers.  The numpy one, _prefix_sum and then
-Q and the run's mask, makes about a dozen passes; it runs when the module
-was not built (a source tree on PYTHONPATH, or an install without a
-compiler), and the tests compare the compiled head with it.  Both do the
-same float64 operations in the same order; the C file is built with
-floating-point contraction off, so no fused multiply-add enters.
-KERNEL_BACKEND in __init__ names the one that runs.
+A step is a head and a tail.  The head forms the sum and Q, writes P = 1
+and Q on the leading linear run (below) and -Q past it, and returns
+(j, k): the run ends at node k, and Q on its first j nodes is left to the
+step, which forms it from the sums the head wrote to the scratch there.
+The tail (_tail) does what must keep numpy's bits: exp and expm1 past the
+run, P[0] and g[0], the excess and the clamp.  The head has two
+implementations that give the same bits.  The compiled one,
+_compensated.step_head (built from _compensated.c by `pip install` when a
+C compiler is there), is one pass with both running sums in registers.
+The numpy one, _numpy_head, makes about a dozen passes and returns j = 0;
+it runs when the module was not built (a source tree on PYTHONPATH, or an
+install without a compiler), and the tests compare the compiled head with
+it.  Both do the same float64 operations in the same order; the C file is
+built with floating-point contraction off, so no fused multiply-add
+enters.  _head is the one that runs, and KERNEL_BACKEND in __init__ names
+it.
 
-The band's left edge is its subnormal head: thousands of nodes where g,
-or the sum's FastTwoSum errors, are subnormal, and an addition that meets
-a subnormal takes a microcode assist on x86.  While g and the running sum
-are below 2^-900 the compiled loop sums in a domain scaled by 2^128,
-which changes no bit: a sum of two doubles is rounded at the same
-relative place whether both are scaled by a power of two or not, or is
-exact either way when it is subnormal, and compares are unchanged.  A
-subnormal input is scaled, and a subnormal sum unscaled, through its
-integer mantissa, so no subnormal passes through the FPU; every other
-scaling is an exact multiplication.  The loop writes the subnormal
-head's sums to the scratch, and Q there is formed with numpy: a product
-is not unchanged by scaling where it is subnormal, and numpy's vector
-loops pay one assist per vector rather than one per node.  Past the head
-the loop forms Q itself, writes the linear run and -Q past it, and says
-where the run ends.  What stays numpy on either path is what must keep
-numpy's bits: exp and expm1 past the run, P[0] and g[0], the excess and
-the clamp (_tail).
+The compiled head's j nodes are the band's subnormal head, where g or the
+sum's FastTwoSum errors are subnormal and an addition that meets one takes
+a microcode assist on x86.  The loop sums there in a domain scaled by
+2^128, which changes no bit, and enters it only for delta < 2^841, where
+every head node lies inside the linear run (_compensated.c has both
+arguments).  Q there is formed with numpy: a product is not unchanged by
+scaling where it is subnormal, and numpy's vector loops pay one assist per
+vector rather than one per node.
 
-Both steps fill the exposed probability array and the complement array
+The step fills the exposed probability array and the complement array
 from the same exponent Q.  Behind the front the step is linear to the
 last bit: where |Q| < 2^-56 the correctly rounded values are exp(-Q) = 1
 and -expm1(-Q) = Q, so the leading run of such nodes (three quarters of
@@ -77,23 +73,19 @@ expm1 give it.  The return value is the largest clamp applied to keep P
 and g in [0, 1], so the caller can tell last-ulp jitter from a real
 invariant violation.
 
-The steps allocate no array: the caller passes the outputs, as long as
+The step allocates no array: the caller passes the outputs, as long as
 the band, and a scratch array at least that long (recursion.bands keeps
-one set for a whole run).  Every ufunc writes into them with out=.  On
-the numpy path the outputs double as the sum's FastTwoSum temporaries and
+one set for a whole run).  Every ufunc writes into them with out=.  In
+the numpy head the outputs double as the sum's FastTwoSum temporaries and
 then as the linear-run mask; Q is formed in place in the g output, and
 the scratch holds the prefix sums and then -Q.  The compiled head writes
-P = 1 and Q on the run, the head's sums and -Q past the run to the same
-places.  Nothing is read before it is written, so a step gives the same
-bits whatever its buffers held.
+P = 1 and Q on the run, the subnormal head's sums and -Q past the run to
+the same places.  Nothing is read before it is written, so a step gives
+the same bits whatever its buffers held.  A band that is not contiguous
+float64 is stepped as its contiguous float64 copy, by either head.
 """
 
 import numpy as np
-
-try:
-    from ._compensated import step_head as _compiled_head
-except ImportError:  # not built: the numpy step runs
-    _compiled_head = None
 
 
 def _prefix_sum(x: np.ndarray, out: np.ndarray, err: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -119,7 +111,7 @@ def _prefix_sum(x: np.ndarray, out: np.ndarray, err: np.ndarray, tmp: np.ndarray
 
 # |Q| below this: exp(-Q) rounds to 1 and -expm1(-Q) to Q (module docstring)
 LINEAR_TAIL = 2.0**-56
-# the steps' constant operands as 0-d arrays: a ufunc converts a Python float
+# the step's constant operands as 0-d arrays: a ufunc converts a Python float
 # operand on every call, at about a third of a microsecond
 _TAIL, _HALF = np.array(LINEAR_TAIL), np.array(0.5)
 
@@ -174,36 +166,29 @@ def _tail(out_p: np.ndarray, out_g: np.ndarray, neg_q: np.ndarray, k: int) -> fl
     return max(excess, 0.0)
 
 
-def _finish(out_p: np.ndarray, out_g: np.ndarray, tmp: np.ndarray) -> float:
-    """P = exp(-Q) and g = -expm1(-Q) from the Q that `out_g` holds on entry.
+def _numpy_head(x: np.ndarray, delta: float, trapezoid: bool,
+                out_p: np.ndarray, out_g: np.ndarray, work: np.ndarray) -> tuple[int, int]:
+    """The step's head in numpy, as _compensated.step_head with j = 0 (module docstring)."""
+    s = _prefix_sum(x, work, out_g, out_p)
+    _quadrature(s, x, delta, out_g, trapezoid)
+    return 0, _linear_run(out_p, out_g, work)
 
-    `tmp` holds at least len(out_g) values and is overwritten.
+
+try:
+    from ._compensated import step_head as _head
+except ImportError:  # not built: the numpy head runs
+    _head = _numpy_head
+
+
+def step(x: np.ndarray, delta: float, trapezoid: bool,
+         out_p: np.ndarray, out_g: np.ndarray, work: np.ndarray) -> float:
+    """P and g of the next generation from the complement `x`, and the largest clamp.
+
+    Trapezoid quadrature when `trapezoid`, else Riemann.  out_p and out_g
+    are as long as `x`, `work` at least as long; all three are overwritten.
     """
-    return _tail(out_p, out_g, tmp, _linear_run(out_p, out_g, tmp))
-
-
-def _step(x: np.ndarray, delta: float, out_p: np.ndarray, out_g: np.ndarray,
-          work: np.ndarray, trapezoid: bool) -> float:
-    if _compiled_head is None:
-        s = _prefix_sum(x, work, out_g, out_p)
-        _quadrature(s, x, delta, out_g, trapezoid)
-        return _finish(out_p, out_g, work)
     x = np.ascontiguousarray(x, dtype=np.float64)
-    j, k = _compiled_head(x, delta, trapezoid, out_p, out_g, work)
+    j, k = _head(x, delta, trapezoid, out_p, out_g, work)
     if j:  # the subnormal head's sums are in work[:j]
         _quadrature(work[:j], x[:j], delta, out_g[:j], trapezoid)
-        run = _linear_run(out_p[:j], out_g[:j], work)
-        if run < j:  # the run ends in the head: -Q past it, where C wrote Q
-            np.negative(out_g[j:k], out=work[j:k])
-            k = run
     return _tail(out_p, out_g, work, k)
-
-
-def step_riemann(prev_g: np.ndarray, delta: float,
-                 out_p: np.ndarray, out_g: np.ndarray, work: np.ndarray) -> float:
-    return _step(prev_g, delta, out_p, out_g, work, False)
-
-
-def step_trapezoid(prev_g: np.ndarray, delta: float,
-                   out_p: np.ndarray, out_g: np.ndarray, work: np.ndarray) -> float:
-    return _step(prev_g, delta, out_p, out_g, work, True)

@@ -235,12 +235,6 @@ def init_p0(delta: float, nodes: int) -> GridFunction:
     return GridFunction(delta=delta, values=values, generation=0, complement=complement)
 
 
-_STEPPERS = {
-    Quadrature.RIEMANN: kernels.step_riemann,
-    Quadrature.TRAPEZOID: kernels.step_trapezoid,
-}
-
-
 def iterate_step(
     prev: GridFunction,
     quadrature: Quadrature,
@@ -250,7 +244,7 @@ def iterate_step(
     """Advance one generation.  O(nodes) via a running compensated prefix sum.
 
     `prev`'s g = 1 - P must be exactly 0 at its first node, as in every
-    generation init_p0 and the steps build (the kernels rely on it, see
+    generation init_p0 and kernels.step build (the step relies on it, see
     kernels.py).  The result is the next generation on the first `nodes`
     nodes, by default as many as `prev` has.  More nodes than `prev` has
     continue it by exact 1s of g, so `prev` must end where g is exactly 1.
@@ -285,7 +279,7 @@ def iterate_step(
         raise ContractViolationError(f"step arrays do not fit a band of {nodes} nodes")
     if not out_p.dtype == out_g.dtype == np.float64:
         raise ContractViolationError("a step writes its result to float64 arrays")
-    excess = _STEPPERS[quadrature](g, prev.delta, out_p, out_g, scratch)
+    excess = kernels.step(g, prev.delta, quadrature is Quadrature.TRAPEZOID, out_p, out_g, scratch)
     if not excess <= CLAMP_TOLERANCE:  # a NaN excess fails too
         raise NumericError(
             f"clamp exceeded tolerance at generation {prev.generation + 1}: "
@@ -384,7 +378,7 @@ def bands(
     its grid so, from the windows it is given).
 
     Steps allocate nothing: the first step allocates two ping-pong g
-    buffers, one P buffer (a step reads only g) and the kernels' scratch, a
+    buffers, one P buffer (a step reads only g) and the kernel's scratch, a
     step that outgrows them first doubles them, to at most the grid, and
     generation n is written at the start of the P buffer and of the g buffer
     its input is not in.  So every band after generation 0 is a read-only

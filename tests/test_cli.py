@@ -396,6 +396,9 @@ def test_front_rejects_bad_fit_flags_before_computing(tmp_path, capsys, fit_args
     # before anything is allocated
     ["recurse", "--delta", "1e-300", "--nmax", "1"],
     ["front", "--delta", "1e-300", "--nmax", "5"],
+    ["front", "--delta", "1e-300", "--nmax", "2"],
+    # a spacing wider than the grid end that --nmax and --level give
+    ["front", "--delta", "100", "--nmax", "5"],
     ["alpha-scan", "--deltas", "1e-300", "--nmax", "50"],
     # deltas that would share a probe_<delta>.csv, or repeat an alpha_scan.csv row
     ["alpha-scan", "--deltas", "0.02,0.02000001", "--nmax", "60", "--emit-probe"],
@@ -446,6 +449,8 @@ def test_bad_counts_exit_two(tmp_path, capsys, monkeypatch, argv):
     # the error names the flag it rejects
     if argv[0] == "front" and "--fit-lo" in argv:
         assert "--fit-lo" in err and "--fit-hi" in err
+    if argv[:2] == ["front", "--delta"] and argv[2] in ("1e-300", "100"):
+        assert "(--delta)" in err and "x_max" not in err
     for flag, value in (("--x", "1e300"), ("--vmax", "1e300"), ("--ncap", str(2**63 - 1)),
                         ("--n", str(2**63 - 1)), ("--workers", str(10**6)),
                         ("--nmax", str(2**31)), ("--nmax", str(2**63 - 1))):

@@ -25,6 +25,12 @@ from continuum_cascade.recursion import (
 )
 
 
+# kernels.step's two quadratures, under the ids of the per-quadrature step
+# functions it replaced
+QUADRATURES = pytest.mark.parametrize(
+    "trapezoid", [False, True], ids=["step_riemann", "step_trapezoid"])
+
+
 def random_complement(m: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     g = np.maximum.accumulate(np.sort(rng.random(m)))
@@ -94,24 +100,24 @@ def test_prefix_sum_matches_two_sum_bit_for_bit(name):
     assert np.array_equal(got, two_sum_prefix(x))
 
 
-@pytest.mark.parametrize("name", ["step_riemann", "step_trapezoid"])
-def test_all_ones_fixed_point(name):
+@QUADRATURES
+def test_all_ones_fixed_point(trapezoid):
     g = np.zeros(64)
     out_p = np.empty(64)
     out_g = np.empty(64)
-    excess = getattr(kernels, name)(g, 0.01, out_p, out_g, np.empty(64))
+    excess = kernels.step(g, 0.01, trapezoid, out_p, out_g, np.empty(64))
     assert excess == 0.0
     assert np.all(out_p == 1.0)
     assert np.all(out_g == 0.0)
 
 
-@pytest.mark.parametrize("name", ["step_riemann", "step_trapezoid"])
+@QUADRATURES
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_step_matches_exact_quadrature(name, seed):
+def test_step_matches_exact_quadrature(trapezoid, seed):
     g = random_complement(5000, seed)
     delta = 0.003
     sums = exact_prefix_sums(g)
-    if name == "step_riemann":
+    if not trapezoid:
         q = [Fraction(delta) * (s - sums[0]) for s in sums]
     else:
         ends = map(Fraction, g.tolist())
@@ -119,7 +125,7 @@ def test_step_matches_exact_quadrature(name, seed):
     q = np.array([float(v) for v in q])
     out_p = np.empty_like(g)
     out_g = np.empty_like(g)
-    getattr(kernels, name)(g, delta, out_p, out_g, np.empty_like(g))
+    kernels.step(g, delta, trapezoid, out_p, out_g, np.empty_like(g))
     np.testing.assert_allclose(out_p, np.exp(-q), rtol=0.0, atol=5e-15)
     np.testing.assert_allclose(out_g, -np.expm1(-q), rtol=5e-13, atol=0.0)
 
@@ -129,6 +135,11 @@ def libm_values(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     p, g = np.exp(-q), -np.expm1(-q)
     p[0], g[0] = 1.0, 0.0
     return p, g
+
+
+def finish(out_p: np.ndarray, out_g: np.ndarray, tmp: np.ndarray) -> float:
+    """The step past its head, from the Q that `out_g` holds: the numpy linear run, then _tail."""
+    return kernels._tail(out_p, out_g, tmp, kernels._linear_run(out_p, out_g, tmp))
 
 
 def test_linear_tail_matches_libm_across_the_threshold():
@@ -142,7 +153,7 @@ def test_linear_tail_matches_libm_across_the_threshold():
         [2.0**-54, 1e-10, 1e-3, 1.0, 30.0, 700.0],
     ))
     out_p, out_g = np.empty_like(q), q.copy()
-    assert kernels._finish(out_p, out_g, np.empty_like(q)) == 0.0
+    assert finish(out_p, out_g, np.empty_like(q)) == 0.0
     p, g = libm_values(q)
     assert np.array_equal(out_p, p)
     assert np.array_equal(out_g, g)
@@ -156,7 +167,7 @@ def test_linear_tail_run_ends_at_the_first_node_outside_it():
               [0.0, 1e-20, 1.0, t / 2, 1e-300]):
         q = np.array(q)
         out_p, out_g = np.empty_like(q), q.copy()
-        excess = kernels._finish(out_p, out_g, np.empty_like(q))
+        excess = finish(out_p, out_g, np.empty_like(q))
         p, g = libm_values(q)
         expected = max(max(float(p.max()) - 1.0, float(-g.min())), 0.0)
         np.testing.assert_equal(excess, expected)  # NaN when q holds one
@@ -197,9 +208,9 @@ def reference_finish(out_p: np.ndarray, out_g: np.ndarray, tmp: np.ndarray) -> f
 def finish_both(q: np.ndarray):
     """(excess, P, g) from the kernel's finish and from the reference, on one Q."""
     results = []
-    for finish in (kernels._finish, reference_finish):
+    for kernel_finish in (finish, reference_finish):
         out_p, out_g = np.full_like(q, np.nan), q.copy()
-        excess = finish(out_p, out_g, np.full(len(q) + 3, np.nan))
+        excess = kernel_finish(out_p, out_g, np.full(len(q) + 3, np.nan))
         results.append((np.float64(excess).tobytes(), out_p.tobytes(), out_g.tobytes()))
     return results
 
@@ -252,26 +263,35 @@ def front_bands() -> tuple[np.ndarray, np.ndarray]:
     return g, bad
 
 
-@pytest.mark.parametrize("name", ["step_riemann", "step_trapezoid"])
+@QUADRATURES
 @pytest.mark.parametrize("delta", [0.001, 0.1, 2.0])
-def test_step_matches_the_reference_finish_bit_for_bit(monkeypatch, name, delta):
+def test_step_matches_the_reference_finish_bit_for_bit(monkeypatch, compiled, trapezoid, delta):
+    # the reference replaces the step past either head: the linear run the
+    # head wrote and _tail, from the Q the head formed
+    tail, calls = kernels._tail, []
+
+    def reference_tail(out_p, out_g, neg_q, k):
+        calls.append(k)
+        np.negative(neg_q[k:len(out_g)], out=out_g[k:])  # Q past the run, where the head wrote -Q
+        return reference_finish(out_p, out_g, neg_q)
+
     g, bad = front_bands()
-    step = getattr(kernels, name)
-    monkeypatch.setattr(kernels, "_compiled_head", None)  # the numpy step calls _finish
-    for band in (g, bad):
+    for head, band in itertools.product((kernels._numpy_head, compiled.step_head), (g, bad)):
+        monkeypatch.setattr(kernels, "_head", head)
         results = []
-        for finish in (kernels._finish, reference_finish):
-            monkeypatch.setattr(kernels, "_finish", finish)
+        for finish_step in (tail, reference_tail):
+            monkeypatch.setattr(kernels, "_tail", finish_step)
             out_p, out_g = np.empty_like(band), np.empty_like(band)
-            excess = step(band, delta, out_p, out_g, np.empty(len(band) + 5))
+            excess = kernels.step(band, delta, trapezoid, out_p, out_g, np.empty(len(band) + 5))
             results.append((np.float64(excess).tobytes(), out_p.tobytes(), out_g.tobytes()))
         assert results[0] == results[1]
         # iterate_step raises NumericError on the negative node's excess
         assert (excess > CLAMP_TOLERANCE) == (band is bad)
+    assert len(calls) == 4  # the reference ran under each head, on each band
 
 
-@pytest.mark.parametrize("name", ["step_riemann", "step_trapezoid"])
-def test_step_ignores_what_its_buffers_held(name):
+@QUADRATURES
+def test_step_ignores_what_its_buffers_held(trapezoid):
     # bands reuses its buffers: a step must give the same bits whatever the
     # outputs and the scratch held before, and a scratch longer than the
     # band must not change the result
@@ -281,13 +301,12 @@ def test_step_ignores_what_its_buffers_held(name):
         random_complement(3000, 4)[1:],
         np.ones(200),  # the band's trailing exact 1s
     ))
-    step = getattr(kernels, name)
     fresh = np.zeros_like(g), np.zeros_like(g)
-    assert step(g, 0.003, *fresh, np.zeros_like(g)) == 0.0
+    assert kernels.step(g, 0.003, trapezoid, *fresh, np.zeros_like(g)) == 0.0
     assert np.all(fresh[0][:900] == 1.0) and np.all(fresh[1][1:900] > 0.0)
     work = np.full(2 * len(g) + 7, np.nan)
     stale = np.full_like(g, np.nan), np.full_like(g, np.nan)
-    assert step(g, 0.003, *stale, work) == 0.0
+    assert kernels.step(g, 0.003, trapezoid, *stale, work) == 0.0
     assert np.array_equal(stale[0], fresh[0])
     assert np.array_equal(stale[1], fresh[1])
 
@@ -305,9 +324,9 @@ def test_complement_resolves_saturated_tail():
 
 
 # The compiled step head.  Tier-1 imports the package from src/, where the
-# extension is not built, so it is built here once, from setup.py; the tests
-# call its step_head directly or hand it to the kernels in place of the
-# import, and compare it with the numpy step, which runs without it.
+# extension may not be built, so it is built here once, from setup.py; the
+# tests call its step_head directly or hand it to kernels.step as _head, and
+# compare it with the numpy head.
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -337,6 +356,7 @@ def compiled_sums(compiled, x: np.ndarray) -> np.ndarray:
 
     At delta 1 a Riemann Q is the sum itself, so the sums are work[:j] in
     the head, Q on the linear run after it and minus the -Q past the run.
+    P is 1 on the whole run, the head included.
     """
     m = len(x)
     out_p, out_g, work = (np.full(m + 3, np.nan) for _ in range(3))
@@ -344,7 +364,7 @@ def compiled_sums(compiled, x: np.ndarray) -> np.ndarray:
     assert 0 <= j <= k <= m
     for out in (out_p, out_g, work):
         assert np.isnan(out[m:]).all()  # nothing past len(x) is written
-    assert np.all(out_p[j:k] == 1.0)
+    assert np.all(out_p[:k] == 1.0)
     return np.concatenate((work[:j], out_g[j:k], -work[k:m]))
 
 
@@ -378,37 +398,41 @@ def test_compiled_prefix_sum_matches_numpy_on_front_bands(compiled, delta, n_max
     assert checked == n_max // 50 + 1
 
 
-def step_bytes(head, name: str, band: np.ndarray, delta: float, fill: float) -> list[np.ndarray]:
-    """[excess, P, g] of one step, run by the compiled `head` or by numpy (None).
+def step_bytes(head, trapezoid: bool, band: np.ndarray, delta: float, fill: float) -> list[np.ndarray]:
+    """[excess, P, g] of one kernels.step run by `head`.
 
     The outputs and the scratch start filled with `fill`.
     """
-    saved = kernels._compiled_head
-    kernels._compiled_head = head
+    saved = kernels._head
+    kernels._head = head
     try:
         out_p, out_g = np.full(len(band), fill), np.full(len(band), fill)
         with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, exp(inf)
-            excess = getattr(kernels, name)(band, delta, out_p, out_g, np.full(len(band) + 5, fill))
+            excess = kernels.step(band, delta, trapezoid, out_p, out_g, np.full(len(band) + 5, fill))
     finally:
-        kernels._compiled_head = saved
+        kernels._head = saved
     return [np.array([excess]), out_p, out_g]
 
 
-def assert_same_step(compiled, name: str, band: np.ndarray, delta: float) -> None:
-    """The compiled and the numpy step give the same bytes, or NaN at the same nodes.
+def assert_same_step(compiled, trapezoid: bool, band: np.ndarray, delta: float) -> None:
+    """The step gives the same bytes under either head, or NaN at the same nodes.
 
-    The compiled step starts from NaN-filled buffers and the numpy one from
-    zeros, so a node the compiled step leaves unwritten shows.
+    The compiled head's step starts from NaN-filled buffers and the numpy
+    one's from zeros, so a node the compiled head leaves unwritten shows.
     """
     band = np.asarray(band, dtype=np.float64)
-    got = step_bytes(compiled.step_head, name, band, delta, np.nan)
-    want = step_bytes(None, name, band, delta, 0.0)
+    got = step_bytes(compiled.step_head, trapezoid, band, delta, np.nan)
+    want = step_bytes(kernels._numpy_head, trapezoid, band, delta, 0.0)
     for label, a, b in zip(("excess", "P", "g"), got, want):
         same = (a.view(np.uint64) == b.view(np.uint64)) | (np.isnan(a) & np.isnan(b))
         assert same.all(), f"{label} differs at nodes {np.flatnonzero(~same)[:10]}"
 
 
-DELTAS = [0.001, 0.1, 2.0, 1e300]
+# the scaled head's bound on |delta| (_compensated.c): below it the head lies
+# inside the linear run; at 2^899 a head sum near 2^-900 gives Q near 1/2
+HEAD_DELTA = 2.0**841
+BOUND_DELTAS = [2.0**840, np.nextafter(HEAD_DELTA, 0.0), HEAD_DELTA, 2.0**842, 2.0**899, 1e300]
+DELTAS = [0.001, 0.1, 2.0, *BOUND_DELTAS]
 
 
 @pytest.mark.parametrize("kind", ["float32", "strided", "big_endian"])
@@ -426,12 +450,13 @@ def test_compiled_prefix_sum_never_misreads_a_buffer(compiled, kind):
         assert all(np.isnan(out).all() for out in outs)  # refused before writing
     else:
         assert compiled_sums(compiled, given).tobytes() == compiled_sums(compiled, copy).tobytes()
-    # the steps hand the compiled head the contiguous float64 copy
-    for name in ("step_riemann", "step_trapezoid"):
-        got = step_bytes(compiled.step_head, name, given, 0.01, np.nan)
-        want = step_bytes(compiled.step_head, name, copy, 0.01, np.nan)
+    # the step hands either head the contiguous float64 copy
+    heads = compiled.step_head, kernels._numpy_head
+    for trapezoid, head in itertools.product((False, True), heads):
+        got = step_bytes(head, trapezoid, given, 0.01, np.nan)
+        want = step_bytes(head, trapezoid, copy, 0.01, np.nan)
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
-        assert_same_step(compiled, name, copy, 0.01)
+        assert_same_step(compiled, trapezoid, copy, 0.01)
 
 
 def test_compiled_prefix_sum_refuses_an_out_it_cannot_fill(compiled):
@@ -466,11 +491,11 @@ def test_compiled_prefix_sum_gives_nan_where_numpy_does(compiled, bad):
     assert np.isnan(out[20:]).all() and not np.isnan(out[:20]).any()
 
 
-@pytest.mark.parametrize("name", ["step_riemann", "step_trapezoid"])
+@QUADRATURES
 @pytest.mark.parametrize("delta", DELTAS)
-def test_compiled_step_matches_the_numpy_step_bit_for_bit(compiled, name, delta):
+def test_compiled_step_matches_the_numpy_step_bit_for_bit(compiled, trapezoid, delta):
     for band in front_bands():
-        assert_same_step(compiled, name, band, delta)
+        assert_same_step(compiled, trapezoid, band, delta)
 
 
 def subnormals(mantissas) -> np.ndarray:
@@ -516,11 +541,11 @@ def head_inputs() -> dict[str, np.ndarray]:
     }
 
 
-@pytest.mark.parametrize("name", ["step_riemann", "step_trapezoid"])
+@QUADRATURES
 @pytest.mark.parametrize("delta", DELTAS)
 @pytest.mark.parametrize("case", sorted(head_inputs()))
-def test_compiled_step_matches_numpy_in_the_head(compiled, case, delta, name):
-    assert_same_step(compiled, name, head_inputs()[case], delta)
+def test_compiled_step_matches_numpy_in_the_head(compiled, case, delta, trapezoid):
+    assert_same_step(compiled, trapezoid, head_inputs()[case], delta)
 
 
 def test_head_inputs_reach_the_scaled_head(compiled):
@@ -534,9 +559,27 @@ def test_head_inputs_reach_the_scaled_head(compiled):
     x = inputs["input_at_switch"]
     j, _ = compiled.step_head(x, 0.01, True, *(np.empty(len(x)) for _ in range(3)))
     assert j == 4
-    # at delta 1e300 Q leaves the linear run inside the head
-    _, p, _ = step_bytes(compiled.step_head, "step_trapezoid", inputs["all_head"], 1e300, np.nan)
+    # at delta 1e300 Q leaves the linear run at node 1, and the scaled head
+    # is not entered
+    _, p, _ = step_bytes(compiled.step_head, True, inputs["all_head"], 1e300, np.nan)
     assert (p[1:] < 1.0).all()
+
+
+@QUADRATURES
+@pytest.mark.parametrize(
+    "delta", BOUND_DELTAS, ids=["2^840", "below_2^841", "2^841", "2^842", "2^899", "1e300"])
+def test_compiled_head_lies_inside_the_linear_run(compiled, delta, trapezoid):
+    for case in ("sum_past_switch", "all_head", "input_at_switch"):
+        x = head_inputs()[case]
+        m = len(x)
+        out_p, out_g, work = (np.full(m, np.nan) for _ in range(3))
+        j, k = compiled.step_head(x, delta, trapezoid, out_p, out_g, work)
+        if delta < HEAD_DELTA:
+            assert 0 < j <= k, case
+        else:
+            assert j == 0, case
+        assert np.all(out_p[:k] == 1.0), case  # the run counts from node 0, the head included
+        assert k == kernels._numpy_head(x, delta, trapezoid, *(np.empty(m) for _ in range(3)))[1]
 
 
 band_values = st.one_of(
@@ -557,8 +600,8 @@ def test_compiled_step_matches_numpy_on_arrays_spanning_the_doubles(compiled, va
     band = np.array(values)
     if monotone:
         band = np.sort(band)
-    for name in ("step_riemann", "step_trapezoid"):
-        assert_same_step(compiled, name, band, delta)
+    for trapezoid in (False, True):
+        assert_same_step(compiled, trapezoid, band, delta)
 
 
 @pytest.mark.parametrize("delta,n_max,quadrature,every", [
@@ -573,7 +616,7 @@ def test_compiled_step_matches_numpy_on_front_bands(compiled, delta, n_max, quad
     for n, (band, _) in enumerate(bands(config, p_floor=0.5)):
         if n % every == 0:
             g = band.complement.copy()  # bands reuses its buffers
-            for name in ("step_riemann", "step_trapezoid"):
-                assert_same_step(compiled, name, g, delta)
+            for trapezoid in (False, True):
+                assert_same_step(compiled, trapezoid, g, delta)
             checked += 1
     assert checked == n_max // every + 1

@@ -532,25 +532,29 @@ def test_hand_built_record_keeps_the_callers_arrays():
     assert values.flags.writeable and complement.flags.writeable
 
 
-def _libm_finish(out_p, out_g, tmp):
-    """Reference kernel finish: exp and expm1 at every node, no linear tail."""
-    q = out_g.copy()
-    np.exp(-q, out=out_p)
-    out_g[:] = -np.expm1(-q)
-    out_p[0] = 1.0
-    out_g[0] = 0.0
-    excess = max(float(out_p.max()) - 1.0, float(-out_g.min()))
-    if excess > 0.0:
-        np.minimum(out_p, 1.0, out=out_p)
-        np.maximum(out_g, 0.0, out=out_g)
-    return max(excess, 0.0)
+def _libm_tail(calls: list[int]):
+    """kernels._tail with no linear run: exp and expm1 at every node.
+
+    Both heads leave Q in out_g on the run they wrote, so -Q goes to the
+    scratch there too and the tail starts at node 0; `calls` gets the run's
+    end at each step.
+    """
+    tail = kernels._tail
+
+    def libm_tail(out_p, out_g, neg_q, k):
+        calls.append(k)
+        np.negative(out_g[:k], out=neg_q[:k])
+        return tail(out_p, out_g, neg_q, 0)
+
+    return libm_tail
 
 
 @pytest.mark.parametrize("quadrature", list(Quadrature))
 @pytest.mark.parametrize("delta, n_max", [(0.01, 600), (0.001, 150)])
 def test_linear_tail_is_bit_identical_to_libm_steps(monkeypatch, quadrature, delta, n_max):
     # most of a long run's band is linear tail (|Q| < 2^-56): the kernel's
-    # shortcut there gives the bits of exp/expm1 at every node
+    # shortcut there gives the bits of exp/expm1 at every node, whichever
+    # head the build runs
     config = RecursionConfig(
         delta=delta, x_max=front_clearance_xmax(n_max), n_max=n_max,
         quadrature=quadrature,
@@ -558,8 +562,10 @@ def test_linear_tail_is_bit_identical_to_libm_steps(monkeypatch, quadrature, del
     snaps = (1, n_max // 3, n_max - 1, n_max)
     levels = (1e-6, 0.5)
     fast = run_recursion(config, snaps, front_levels=levels)
-    monkeypatch.setattr(kernels, "_finish", _libm_finish)
+    calls = []
+    monkeypatch.setattr(kernels, "_tail", _libm_tail(calls))
     ref = run_recursion(config, snaps, front_levels=levels)
+    assert len(calls) == n_max and max(calls) > 1000  # the reference stepped, past long runs
     for got, want in zip(fast.snapshots, ref.snapshots):
         assert got.generation == want.generation
         assert np.array_equal(got.values, want.values)
