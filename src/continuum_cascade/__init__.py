@@ -22,13 +22,13 @@ from .recursion import (
     GridFunction,
     Quadrature,
     RecursionConfig,
-    RecursionResult,
     bands,
     closed_form_p1,
     front_clearance_xmax,
+    front_traces,
     init_p0,
     iterate_step,
-    run_recursion,
+    snapshots,
 )
 from .fronts import (
     AlphaScanResult,

@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric/fit error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -184,29 +185,23 @@ def _quadrature(mode: str) -> recursion.Quadrature:
         raise ConfigurationError(f"unknown quadrature mode '{mode}'") from None
 
 
-def cmd_recurse(params: dict, writer: RunWriter) -> None:
-    x_max = params["xmax"]
-    if x_max is None:
-        x_max = recursion.front_clearance_xmax(params["nmax"])
-    config = recursion.RecursionConfig(
-        delta=params["delta"], x_max=x_max, n_max=params["nmax"],
-        quadrature=_quadrature(params["mode"]),
-    )
-    snaps = params["snapshots"] or [params["nmax"]]
-    result = recursion.run_recursion(config, snapshot_generations=snaps)
-    for snap in result.snapshots:
-        writer.write_csv(
-            f"pn_{snap.generation}.csv", "x,p",
-            zip(snap.grid_x().tolist(), snap.values.tolist()),
-        )
+def _recursion_config(params: dict) -> recursion.RecursionConfig:
+    """The grid of a `recurse` or `front` run; a refused grid is named by the user's flags.
 
-
-def cmd_front(params: dict, writer: RunWriter) -> None:
-    delta, n_max, level = params["delta"], params["nmax"], params["level"]
-    x_max = recursion.front_clearance_xmax(n_max, level)
+    Without --xmax (`front` has none) the grid end is the front clearance
+    of --nmax, and of `front`'s --level.
+    """
+    delta, n_max, x_max = params["delta"], params["nmax"], params.get("xmax")
     recursion.check_delta(delta)
-    # the grid end is no option here: refuse the spacing that does not fit it
-    grid_end = f"the grid end {x_max:.6g} that --nmax {n_max} and --level {level:g} give"
+    if x_max is None:
+        x_max = recursion.front_clearance_xmax(n_max, params.get("level", 1.0))
+        given = (f"--nmax {n_max} and --level {params['level']:g} give" if "level" in params
+                 else f"--nmax {n_max} gives")
+        grid_end = f"the grid end {x_max:.6g} that {given}"
+    elif not x_max < math.inf:
+        raise ConfigurationError(f"the grid end (--xmax) must be finite, got {x_max:g}")
+    else:
+        grid_end = f"the grid end (--xmax) {x_max:g}"
     if not delta <= x_max:
         raise ConfigurationError(f"delta (--delta) = {delta:g} must be at most {grid_end}")
     if not x_max / delta < recursion.MAX_ARRAY_ITEMS:
@@ -214,9 +209,23 @@ def cmd_front(params: dict, writer: RunWriter) -> None:
             f"delta (--delta) = {delta:g} cuts {grid_end} into {x_max / delta:.3g} intervals, "
             f"more nodes than one array can hold ({recursion.MAX_ARRAY_ITEMS})"
         )
-    config = recursion.RecursionConfig(
+    return recursion.RecursionConfig(
         delta=delta, x_max=x_max, n_max=n_max, quadrature=_quadrature(params["mode"]),
     )
+
+
+def cmd_recurse(params: dict, writer: RunWriter) -> None:
+    config = _recursion_config(params)
+    # each snapshot is written when its generation is reached, and dropped
+    for snap in recursion.snapshots(config, params["snapshots"] or [params["nmax"]]):
+        writer.write_csv(
+            f"pn_{snap.generation}.csv", "x,p",
+            zip(snap.grid_x().tolist(), snap.values.tolist()),
+        )
+
+
+def cmd_front(params: dict, writer: RunWriter) -> None:
+    config = _recursion_config(params)
     if params["fit"] not in ("joint", "fixed"):
         raise ConfigurationError(f"unknown fit flavor '{params['fit']}'")
     lo, hi = params["fit-lo"], params["fit-hi"]
@@ -237,8 +246,7 @@ def cmd_front(params: dict, writer: RunWriter) -> None:
             raise ConfigurationError(
                 f"--fit-lo {lo} --fit-hi {hi}: the log-fit window {shortfall}"
             )
-    result = recursion.run_recursion(config, front_levels=(level,))
-    trace = result.front_traces[0]
+    [trace] = recursion.front_traces(config, (params["level"],))
     writer.write_csv(
         "front_trace.csv", "n,x_front",
         zip(trace.generations.tolist(), trace.positions.tolist()),

@@ -18,20 +18,23 @@ prefix sum adds exact 1s), so the band's nodes come out bit-identical to a
 full-grid step.  Cost is O(band width) per generation, via a running
 prefix sum; the band stays a few hundred units wide while the domain grows
 like n/e.  A consumer that needs more of a generation asks the band to
-reach further: run_recursion has each snapshot reach the grid end, and
-fronts.probe_slabs has each band reach the end of the slab it keeps.
+reach further.  Each consumer is its own loop over `bands`:
+`front_traces` reads the level crossings off every band, `snapshots` has
+each requested band reach the grid end and yields it as it is reached,
+and fronts.probe_slabs has each band reach the end of the slab it keeps.
 
 Steps allocate nothing: `bands` steps in one workspace that grows with
 the band, not with the grid.  Every band after generation 0 is a
 read-only view into it that is valid only until the generator advances:
 a consumer copies what it keeps.  Memory is the workspace, the current
-band and the copies a consumer keeps.
+band and the copies a consumer keeps; `snapshots` keeps none, so a
+caller that drops each snapshot holds at most one whole grid at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
@@ -69,11 +72,11 @@ def front_clearance_xmax(n_max: int, level: float = 1.0) -> float:
     front the integral of P_{n-1} stops growing and P_n(x) falls like e^-x,
     so the crossing of a level L lies about ln(1/L) further out: a level in
     (0, 1) adds -ln L, which a level far below 1/2 needs at small n; any
-    other level adds nothing (run_recursion refuses it).  It is not an
+    other level adds nothing (front_traces refuses it).  It is not an
     accuracy margin: a node depends only on the nodes left of it (the
     integral is one-sided), so every grid that holds the crossings gives
     the same bits on the nodes it keeps, and the same front trace, and
-    run_recursion raises FrontNotFoundError on one that does not.
+    front_traces raises FrontNotFoundError on one that does not.
     """
     ln_level = math.log(level) if 0.0 < level < 1.0 else 0.0
     if n_max <= 0:
@@ -185,19 +188,6 @@ class GridFunction:
             raise NumericError("complement is not non-decreasing in x")
         if np.max(np.abs((1.0 - v) - g)) > 1e-15:
             raise NumericError("values and complement disagree")
-
-
-@dataclass
-class RecursionResult:
-    config: RecursionConfig
-    snapshots: list[GridFunction]
-    front_traces: list["FrontTrace"] = field(default_factory=list)
-
-    def snapshot(self, generation: int) -> GridFunction:
-        for s in self.snapshots:
-            if s.generation == generation:
-                return s
-        raise KeyError(f"no snapshot retained for generation {generation}")
 
 
 @dataclass
@@ -367,13 +357,15 @@ def bands(
     end: the margin, at least one unit of x, is more than the g = 1 edge
     moves in a generation, and reach(n) (an end node, exclusive) makes band n
     cover nodes a consumer needs; reach(n) = grid_size + 1 gives the whole
-    grid.  When a step ends short of the grid end and either short of g = 1
-    or not below `p_floor`, the margin doubles and the step is redone.  Below
-    lo, P is exactly 1 and g exactly 0; the band's nodes are bit-identical to
-    a step of the whole grid.  The generator steps lazily, so a consumer that stops early saves the
-    later steps.  A node depends only on the nodes left of it in the
-    generation before, so a config with a smaller x_max gives the same bits
-    on the nodes it keeps: a consumer that reads nothing past node k of any
+    grid (`snapshots` asks so for each generation it yields).  When a step
+    ends short of the grid end and either short of g = 1 or not below
+    `p_floor` (`front_traces` passes its lowest level), the margin doubles
+    and the step is redone.  Below lo, P is exactly 1 and g exactly 0; the
+    band's nodes are bit-identical to a step of the whole grid.  The
+    generator steps lazily, so a consumer that stops early saves the later
+    steps.  A node depends only on the nodes left of it in the generation
+    before, so a config with a smaller x_max gives the same bits on the
+    nodes it keeps: a consumer that reads nothing past node k of any
     generation can run on a grid that ends there (fronts.probe_slabs builds
     its grid so, from the windows it is given).
 
@@ -424,53 +416,52 @@ def bands(
         yield band, lo
 
 
-def run_recursion(
-    config: RecursionConfig,
-    snapshot_generations: Iterable[int] = (),
-    front_levels: Sequence[float] | None = None,
-) -> RecursionResult:
-    """Iterate from P_0 to generation n_max, retaining requested snapshots.
+def front_traces(config: RecursionConfig, levels: Sequence[float]) -> list[FrontTrace]:
+    """The crossings of each level in (0, 1) by generations 0..n_max.
 
-    Deterministic.  When `front_levels` is given the level crossings are
-    recorded every generation.  Every grid that holds them gives the same
+    Deterministic.  Every grid that holds the crossings gives the same
     bits (front_clearance_xmax(n_max, level) is one); a crossing past the
     grid end raises FrontNotFoundError naming the level, the generation
-    and the grid end.
-
-    One consumer of `bands`: crossings are read off each band; snapshot bands
-    reach the grid end and are copied whole, with P = 1, g = 0 below them.
+    and the grid end.  Levels are checked before any step.
     """
-    wanted = {int(g) for g in snapshot_generations}
+    levels = tuple(levels)
+    for lev in levels:
+        if not 0.0 < lev < 1.0:
+            raise ConfigurationError(f"front level must be in (0,1), got {lev}")
+    crossings: list[list[float]] = [[] for _ in levels]
+    # a band must reach past every crossing recorded on it
+    for band, lo in bands(config, p_floor=min(levels, default=1.0)):
+        for xs, lev in zip(crossings, levels):
+            # a band that holds no crossing reaches the grid end (see bands)
+            xs.append(_bracketed_crossing(band, lev, lo))
+    gens = np.arange(config.n_max + 1)
+    return [FrontTrace(lev, gens, np.asarray(xs)) for lev, xs in zip(levels, crossings)]
+
+
+def snapshots(config: RecursionConfig, generations: Iterable[int]) -> Iterator[GridFunction]:
+    """Yield the requested generations in order, each when the run reaches it.
+
+    Each is a read-only copy on the whole grid: its band reaches the grid
+    end, and P is exactly 1 and g exactly 0 below the band.  Generations
+    outside [0, n_max] are refused here, before any step.  The run steps on
+    to n_max after the last one, so a failing step past it still raises.
+    Nothing is kept between yields: a caller that drops each snapshot holds
+    one grid's copy at a time.
+    """
+    wanted = {int(g) for g in generations}
     if wanted and (min(wanted) < 0 or max(wanted) > config.n_max):
         raise ConfigurationError(
             f"snapshot generations {sorted(wanted)} outside [0, {config.n_max}]"
         )
-    levels = tuple(front_levels or ())
-    for lev in levels:
-        if not 0.0 < lev < 1.0:
-            raise ConfigurationError(f"front level must be in (0,1), got {lev}")
-
     n_nodes = config.grid_size + 1
-    # a band must reach past every crossing recorded on it
-    steps = bands(config, lambda n: n_nodes if n in wanted else 0, min(levels, default=1.0))
-    snaps: list[GridFunction] = []
-    fronts: list[list[float]] = [[] for _ in levels]
-    for n, (band, lo) in enumerate(steps):
-        for trace, lev in zip(fronts, levels):
-            # a band that holds no crossing reaches the grid end (see bands)
-            trace.append(_bracketed_crossing(band, lev, lo))
-        if n in wanted:
-            values, complement = np.ones(n_nodes), np.zeros(n_nodes)
-            values[lo:], complement[lo:] = band.values, band.complement
-            values.setflags(write=False)
-            complement.setflags(write=False)
-            snaps.append(GridFunction(config.delta, values, n, complement))
+    steps = bands(config, lambda n: n_nodes if n in wanted else 0)
+    return (_whole_grid(band, lo, n_nodes) for band, lo in steps if band.generation in wanted)
 
-    traces = []
-    if front_levels is not None:
-        gens = np.arange(config.n_max + 1)
-        traces = [
-            FrontTrace(level=lev, generations=gens, positions=np.asarray(fs))
-            for lev, fs in zip(levels, fronts)
-        ]
-    return RecursionResult(config=config, snapshots=snaps, front_traces=traces)
+
+def _whole_grid(band: GridFunction, lo: int, n_nodes: int) -> GridFunction:
+    """A read-only copy of a band that ends at the grid end, padded from node 0."""
+    values, complement = np.ones(n_nodes), np.zeros(n_nodes)
+    values[lo:], complement[lo:] = band.values, band.complement
+    values.setflags(write=False)
+    complement.setflags(write=False)
+    return GridFunction(band.delta, values, band.generation, complement)

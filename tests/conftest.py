@@ -13,7 +13,8 @@ from continuum_cascade.recursion import (
     Quadrature,
     RecursionConfig,
     front_clearance_xmax,
-    run_recursion,
+    front_traces,
+    snapshots,
 )
 
 
@@ -42,15 +43,19 @@ def check_binomial():
     return _check_binomial
 
 
+D01_N2000 = RecursionConfig(delta=0.01, x_max=front_clearance_xmax(2000), n_max=2000)
+
+
 @pytest.fixture(scope="session")
-def d01_n2000_run():
-    """Trapezoid run at delta = 0.01 to n = 2000 with fronts at three levels."""
-    config = RecursionConfig(delta=0.01, x_max=front_clearance_xmax(2000), n_max=2000)
-    return run_recursion(
-        config,
-        snapshot_generations=(1, 20, 40, 60, 80, 100),
-        front_levels=(0.25, 0.5, 0.75),
-    )
+def d01_n2000_traces():
+    """Trapezoid run at delta = 0.01 to n = 2000: fronts at three levels."""
+    return front_traces(D01_N2000, (0.25, 0.5, 0.75))
+
+
+@pytest.fixture(scope="session")
+def d01_n2000_snapshots():
+    """The same run's generations 1, 20, 40, 60, 80 and 100, by generation."""
+    return {s.generation: s for s in snapshots(D01_N2000, (1, 20, 40, 60, 80, 100))}
 
 
 @pytest.fixture(scope="session")
@@ -61,7 +66,7 @@ def d001_riemann_n400_trace():
         n_max=400,
         quadrature=Quadrature.RIEMANN,
     )
-    return run_recursion(config, front_levels=(0.5,)).front_traces[0]
+    return front_traces(config, (0.5,))[0]
 
 
 @pytest.fixture(scope="session")
@@ -72,7 +77,7 @@ def d01_riemann_n400_trace():
         n_max=400,
         quadrature=Quadrature.RIEMANN,
     )
-    return run_recursion(config, front_levels=(0.5,)).front_traces[0]
+    return front_traces(config, (0.5,))[0]
 
 
 @pytest.fixture(scope="session")
@@ -83,9 +88,9 @@ def d001_n200_limit_law_probe():
 
 @pytest.fixture(scope="session")
 def recursion_oracle_x3():
-    """P_n(x) for n = 0..15 on [0, 3] at delta = 0.001 (Monte Carlo oracle)."""
+    """P_n(x) for n = 0..15 on [0, 3] at delta = 0.001 (Monte Carlo oracle), indexed by n."""
     config = RecursionConfig(delta=0.001, x_max=3.0, n_max=15)
-    return run_recursion(config, snapshot_generations=range(16))
+    return list(snapshots(config, range(16)))
 
 
 @pytest.fixture(scope="session")

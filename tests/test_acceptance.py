@@ -101,8 +101,8 @@ def test_criterion_03_velocity(d001_riemann_n400_trace, d01_riemann_n400_trace):
            f"v(0.001)={fine.v:.6f} ({100*rel:.2f}% off 1/e), v(0.01)={coarse.v:.6f}")
 
 
-def test_criterion_04_log_correction(d01_n2000_run):
-    trace = next(t for t in d01_n2000_run.front_traces if t.level == 0.5)
+def test_criterion_04_log_correction(d01_n2000_traces):
+    trace = next(t for t in d01_n2000_traces if t.level == 0.5)
     v, _ = scheme_velocity(0.01, Quadrature.TRAPEZOID)
     fit = log_correction_fit(trace, (500, 2000), v_fixed=v)
     assert abs(fit.b - B_TARGET) <= 0.30 * B_TARGET
@@ -121,8 +121,8 @@ def test_criterion_04_log_correction(d01_n2000_run):
            f"off by {100*(fit.b/B_TARGET-1):+.1f}%)")
 
 
-def test_criterion_05_wave_collapse(d01_n2000_run):
-    snaps = [d01_n2000_run.snapshot(g) for g in (60, 80, 100)]
+def test_criterion_05_wave_collapse(d01_n2000_snapshots):
+    snaps = [d01_n2000_snapshots[g] for g in (60, 80, 100)]
     spread = wave_shape_collapse(snaps, level=0.5, u_range=(-5.0, 5.0))
     assert spread < 0.02
     report(5, "wave collapse", f"max spread over u in [-5,5] = {spread:.4f}")
@@ -149,7 +149,7 @@ def test_criterion_07_mc_recursion_agreement(recursion_oracle_x3, check_binomial
         cdf.check_accounting()
         assert cdf.truncated_trials / trials < 0.001
         for n in range(16):
-            p = recursion_oracle_x3.snapshot(n).evaluate(x)
+            p = recursion_oracle_x3[n].evaluate(x)
             p_value = check_binomial(int(cdf.counts[n]), trials, p, f"x={x} n={n}")
             smallest = min(smallest, p_value)
     report(7, "MC vs recursion",

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from continuum_cascade import fronts, graphs, recursion, simulate
+from continuum_cascade import fronts, graphs, kernels, recursion, simulate
 from continuum_cascade.cli import (
     COMMANDS,
     COMMON,
@@ -30,8 +31,9 @@ from continuum_cascade.output import fmt, sha256_file
 from continuum_cascade.recursion import (
     RecursionConfig,
     front_clearance_xmax,
+    front_traces,
     init_p0,
-    run_recursion,
+    snapshots,
 )
 
 
@@ -60,11 +62,70 @@ def test_recurse_writes_snapshots_and_manifest(tmp_path):
 
     rows = read_csv(tmp_path / "pn_5.csv")
     config = RecursionConfig(delta=0.01, x_max=10.0, n_max=5)
-    expected = run_recursion(config, snapshot_generations=[5]).snapshot(5)
+    [expected] = snapshots(config, [5])
     assert len(rows) == config.grid_size + 1
     k = 150
     assert float(rows[k]["x"]) == 0.01 * k
     assert float(rows[k]["p"]) == expected.values[k]  # 17 digits round-trip
+
+
+def _peak_traced_bytes(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_snapshots_bound_memory(tmp_path):
+    # each snapshot is dropped once it is read or written, so asking for all
+    # 61 generations peaks at most two snapshots above asking for the last
+    # alone (the next one is built while the last is still held).  The
+    # margin was fixed before the test was first run
+    n_max = 60
+    config = RecursionConfig(delta=0.05, x_max=front_clearance_xmax(n_max), n_max=n_max)
+    margin = 2 * 2 * 8 * (config.grid_size + 1)  # two snapshots: P and g in float64
+
+    def drain(generations):
+        for _ in snapshots(config, generations):
+            pass
+
+    def recurse(generations, out):
+        assert main(["recurse", "--delta", "0.05", "--nmax", str(n_max),
+                     "--snapshots", ",".join(map(str, generations)),
+                     "--out", str(tmp_path / out)]) == 0
+
+    drain([n_max])  # one-time allocations (caches, imports) are not the run's
+    one = _peak_traced_bytes(lambda: drain([n_max]))
+    every = _peak_traced_bytes(lambda: drain(range(n_max + 1)))
+    assert every <= one + margin, (one, every, margin)
+    recurse([n_max], "warm")
+    one = _peak_traced_bytes(lambda: recurse([n_max], "one"))
+    every = _peak_traced_bytes(lambda: recurse(range(n_max + 1), "every"))
+    assert every <= one + margin, (one, every, margin)
+    assert len(list((tmp_path / "every").glob("pn_*.csv"))) == n_max + 1
+
+
+def test_interrupted_streamed_run_leaves_no_manifest(tmp_path, monkeypatch, capsys):
+    # a snapshot is written when its generation is reached and the manifest
+    # only when the run ends: a step that fails after the first snapshot
+    # leaves that snapshot's file, and no manifest vouching for it
+    args = ["recurse", "--delta", "0.05", "--nmax", "8", "--snapshots", "2,5", "--out"]
+    assert main([*args, str(tmp_path / "whole")]) == 0
+    step, steps = kernels.step, []
+
+    def nan_after_generation_2(*args):
+        steps.append(args)
+        excess = step(*args)
+        return math.nan if len(steps) > 2 else excess
+
+    monkeypatch.setattr(kernels, "step", nan_after_generation_2)
+    assert main([*args, str(tmp_path / "cut")]) == 3
+    assert "clamp exceeded tolerance at generation 3" in capsys.readouterr().err
+    assert [p.name for p in (tmp_path / "cut").iterdir()] == ["pn_2.csv"]
+    assert (tmp_path / "cut" / "pn_2.csv").read_bytes() == \
+        (tmp_path / "whole" / "pn_2.csv").read_bytes()
 
 
 def test_recurse_nmax_zero_writes_p0(tmp_path):
@@ -84,8 +145,8 @@ def test_full_float_precision_in_csv(tmp_path):
     rows = read_csv(tmp_path / "pn_1.csv")
     values = [float(r["p"]) for r in rows]
     config = RecursionConfig(delta=0.01, x_max=2.0, n_max=1)
-    expected = run_recursion(config, snapshot_generations=[1]).snapshot(1).values
-    np.testing.assert_array_equal(np.array(values), expected)
+    [expected] = snapshots(config, [1])
+    np.testing.assert_array_equal(np.array(values), expected.values)
 
 
 def test_simulate_determinism_and_worker_independence(tmp_path):
@@ -174,7 +235,7 @@ def test_front_default_grid_holds_a_low_level_crossing(tmp_path, level, nmax):
     assert main(["front", "--delta", "0.01", "--level", level, "--nmax", str(nmax),
                  "--out", str(tmp_path)]) == 0
     longer = RecursionConfig(0.01, 4 * front_clearance_xmax(nmax, float(level)), nmax)
-    want = run_recursion(longer, front_levels=(float(level),)).front_traces[0]
+    [want] = front_traces(longer, (float(level),))
     rows = read_csv(tmp_path / "front_trace.csv")
     assert [int(r["n"]) for r in rows] == want.generations.tolist() == list(range(nmax + 1))
     assert [float(r["x_front"]) for r in rows] == want.positions.tolist()
@@ -370,6 +431,21 @@ def test_front_rejects_bad_fit_flags_before_computing(tmp_path, capsys, fit_args
     capsys.readouterr()
 
 
+# a refused grid is named by the flags given, never by the x_max derived
+# from them: --delta against --xmax, or against the grid end that --nmax
+# (and front's --level) give
+GRID_REFUSALS = {
+    ("recurse", "--delta", "1e-300", "--nmax", "1"): ("(--delta)", "10.3679 that --nmax 1 gives"),
+    ("recurse", "--delta", "1e-300", "--xmax", "1", "--nmax", "2"): ("(--delta)", "(--xmax) 1 "),
+    ("recurse", "--delta", "100", "--nmax", "5"): ("(--delta)", "17.9338 that --nmax 5 gives"),
+    ("recurse", "--delta", "1", "--xmax", "0.5", "--nmax", "2"): ("(--delta)", "(--xmax) 0.5"),
+    ("recurse", "--xmax", "inf", "--nmax", "2"): ("(--xmax)", "finite"),
+    ("front", "--delta", "1e-300", "--nmax", "5"): ("(--delta)", "--nmax 5 and --level 0.5 give"),
+    ("front", "--delta", "1e-300", "--nmax", "2"): ("(--delta)", "--nmax 2 and --level 0.5 give"),
+    ("front", "--delta", "100", "--nmax", "5"): ("(--delta)", "--nmax 5 and --level 0.5 give"),
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["graph", "--n-vertices", "50", "--c", "0.02", "--trials", "0"],
     ["graph", "--n-vertices", "50", "--c", "0.02", "--trials", "5", "--ncap", "-1"],
@@ -395,9 +471,12 @@ def test_front_rejects_bad_fit_flags_before_computing(tmp_path, capsys, fit_args
     # grids with more nodes than one float64 array can address: rejected
     # before anything is allocated
     ["recurse", "--delta", "1e-300", "--nmax", "1"],
+    ["recurse", "--delta", "1e-300", "--xmax", "1", "--nmax", "2"],
     ["front", "--delta", "1e-300", "--nmax", "5"],
     ["front", "--delta", "1e-300", "--nmax", "2"],
-    # a spacing wider than the grid end that --nmax and --level give
+    # a spacing wider than the grid end that --nmax (and --level) give, or than --xmax
+    ["recurse", "--delta", "100", "--nmax", "5"],
+    ["recurse", "--delta", "1", "--xmax", "0.5", "--nmax", "2"],
     ["front", "--delta", "100", "--nmax", "5"],
     ["alpha-scan", "--deltas", "1e-300", "--nmax", "50"],
     # deltas that would share a probe_<delta>.csv, or repeat an alpha_scan.csv row
@@ -449,8 +528,10 @@ def test_bad_counts_exit_two(tmp_path, capsys, monkeypatch, argv):
     # the error names the flag it rejects
     if argv[0] == "front" and "--fit-lo" in argv:
         assert "--fit-lo" in err and "--fit-hi" in err
-    if argv[:2] == ["front", "--delta"] and argv[2] in ("1e-300", "100"):
-        assert "(--delta)" in err and "x_max" not in err
+    if tuple(argv) in GRID_REFUSALS:
+        assert "x_max" not in err
+        for part in GRID_REFUSALS[tuple(argv)]:
+            assert part in err
     for flag, value in (("--x", "1e300"), ("--vmax", "1e300"), ("--ncap", str(2**63 - 1)),
                         ("--n", str(2**63 - 1)), ("--workers", str(10**6)),
                         ("--nmax", str(2**31)), ("--nmax", str(2**63 - 1))):
@@ -545,9 +626,8 @@ def test_compare_csv_keeps_its_bytes(tmp_path):
     assert main(["compare", "--n-vertices", str(n), "--x", str(x), "--trials", str(trials),
                  "--seed", str(seed), "--out", str(tmp_path)]) == 0
     lengths = graphs.sample_longest_paths(n, x / n, trials, seed).tolist()
-    law = run_recursion(RecursionConfig(delta=0.001, x_max=2.0, n_max=40),
-                        snapshot_generations=range(41))
-    p_continuum = [law.snapshot(k).evaluate(x) for k in range(41)]
+    law = snapshots(RecursionConfig(delta=0.001, x_max=2.0, n_max=40), range(41))
+    p_continuum = [snap.evaluate(x) for snap in law]
     lines = ["n,p_discrete,p_continuum"]
     ks = 0.0
     for k in range(max(max(lengths), p_continuum.index(1.0)) + 1):

@@ -39,7 +39,7 @@ from continuum_cascade.recursion import (
     front_clearance_xmax,
     init_p0,
     iterate_step,
-    run_recursion,
+    snapshots,
 )
 
 E = math.e
@@ -80,7 +80,8 @@ def test_front_position_stable_under_grid_refinement():
     fronts = {}
     for delta in (0.02, 0.01):
         config = RecursionConfig(delta=delta, x_max=20.0, n_max=20)
-        fronts[delta] = front_position(run_recursion(config, [20]).snapshot(20), 0.5)
+        [p20] = snapshots(config, [20])
+        fronts[delta] = front_position(p20, 0.5)
     assert abs(fronts[0.02] - fronts[0.01]) < 2 * 0.02
 
 
@@ -140,10 +141,10 @@ def test_log_fits_reject_a_window_below_n_one():
             log_correction_fit(trace, window, v_fixed=1 / E)
 
 
-def test_fitted_b_is_level_independent(d01_n2000_run):
+def test_fitted_b_is_level_independent(d01_n2000_traces):
     bs = {}
     v, _ = scheme_velocity(0.01, Quadrature.TRAPEZOID)
-    for trace in d01_n2000_run.front_traces:
+    for trace in d01_n2000_traces:
         bs[trace.level] = log_correction_fit(trace, (500, 2000), v_fixed=v).b
     assert abs(bs[0.25] - bs[0.75]) < 0.05
 
@@ -196,17 +197,17 @@ def test_alpha_star_sits_just_below_the_scheme_velocity():
         assert 0.0 < gap < 1e-3
 
 
-def test_wave_collapse_identical_snapshots_is_zero(d01_n2000_run):
-    snap = d01_n2000_run.snapshot(100)
+def test_wave_collapse_identical_snapshots_is_zero(d01_n2000_snapshots):
+    snap = d01_n2000_snapshots[100]
     assert wave_shape_collapse([snap, snap]) == 0.0
 
 
-def test_wave_collapse_tightens_with_n(d01_n2000_run):
+def test_wave_collapse_tightens_with_n(d01_n2000_snapshots):
     late = wave_shape_collapse(
-        [d01_n2000_run.snapshot(80), d01_n2000_run.snapshot(100)]
+        [d01_n2000_snapshots[80], d01_n2000_snapshots[100]]
     )
     early = wave_shape_collapse(
-        [d01_n2000_run.snapshot(1), d01_n2000_run.snapshot(100)]
+        [d01_n2000_snapshots[1], d01_n2000_snapshots[100]]
     )
     assert late < 0.02
     assert early > late
@@ -283,11 +284,11 @@ def test_probe_rejects_alpha_outside_its_slabs(d01_riemann_n100_slabs):
             read_probe(slabs, np.array([generation]), slabs.lo[-1:])
 
 
-def _evaluate_on_snapshots(run, alpha):
-    """The probe as a loop of GridFunction.evaluate calls on full snapshots."""
-    ns = np.arange(2, run.config.n_max + 1)
+def _evaluate_on_snapshots(snaps, alpha):
+    """The probe as a loop of GridFunction.evaluate calls on full snapshots 0..n_max - 1."""
+    ns = np.arange(2, len(snaps) + 1)
     targets = probe_positions(ns, alpha)
-    return np.array([run.snapshot(int(n) - 1).evaluate(x) for n, x in zip(ns, targets)])
+    return np.array([snaps[int(n) - 1].evaluate(x) for n, x in zip(ns, targets)])
 
 
 @pytest.mark.parametrize("delta, n_max, alpha_range, alphas", [
@@ -305,7 +306,7 @@ def test_probe_on_slabs_is_bit_identical_to_full_snapshots(delta, n_max, alpha_r
     )
     # the snapshots' grid holds the window's top, the probe of n_max at alpha_range[1]
     assert probe_positions(np.array([n_max]), alpha_range[1])[0] < config.x_max
-    run = run_recursion(config, range(n_max))
+    run = list(snapshots(config, range(n_max)))
     slabs = _alpha_slabs(config, *alpha_range)
     for alpha in alphas:
         ns, values = front_constancy_probe(slabs, alpha)
@@ -315,7 +316,7 @@ def test_probe_on_slabs_is_bit_identical_to_full_snapshots(delta, n_max, alpha_r
     # probe never reads, and the last match the snapshots node by node
     for m in (0, n_max - 1):
         slab = slabs.values[slabs.offsets[m] : slabs.offsets[m + 1]]
-        nodes = run.snapshot(m).values[slabs.first[m] : slabs.first[m] + len(slab)]
+        nodes = run[m].values[slabs.first[m] : slabs.first[m] + len(slab)]
         assert np.array_equal(slab, nodes)
     if alpha_range[1] > 1.5:
         # some slabs end past the band a generation steps on its own, which
@@ -461,9 +462,9 @@ def test_front_trace_increments_are_positive_and_subunit(d001_riemann_n400_trace
     assert np.all(diffs < 1.0)      # velocity below 1
 
 
-def test_snapshots_shift_right_with_generation(d01_n2000_run):
+def test_snapshots_shift_right_with_generation(d01_n2000_snapshots):
     fronts = [
-        front_position(d01_n2000_run.snapshot(g), 0.5) for g in (20, 40, 60, 80, 100)
+        front_position(d01_n2000_snapshots[g], 0.5) for g in (20, 40, 60, 80, 100)
     ]
     assert all(b > a for a, b in zip(fronts, fronts[1:]))
 

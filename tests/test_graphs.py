@@ -277,7 +277,7 @@ def test_compare_continuum_is_the_recursion_oracle(recursion_oracle_x3):
     for x in (1.0, 2.0, 3.0):
         column = compare_discrete_continuum(100, x, 50, seed=6).continuum
         assert [column[n] for n in range(16)] == [
-            recursion_oracle_x3.snapshot(n).evaluate(x) for n in range(16)
+            recursion_oracle_x3[n].evaluate(x) for n in range(16)
         ]
         if x == 2.0:
             reference = Path(__file__).resolve().parents[1] / "perfbench/reference/pn_x2.csv"

@@ -21,7 +21,7 @@ from continuum_cascade.recursion import (
     RecursionConfig,
     bands,
     front_clearance_xmax,
-    run_recursion,
+    snapshots,
 )
 
 
@@ -315,7 +315,7 @@ def test_complement_resolves_saturated_tail():
     # the point of iterating g: behind the front, 1 - P underflows in the
     # exposed probabilities but stays resolved in the complement
     config = RecursionConfig(delta=0.01, x_max=60.0, n_max=120)
-    final = run_recursion(config, [120]).snapshot(120)
+    [final] = snapshots(config, [120])
     g = final.complement
     saturated = final.values == 1.0
     assert saturated.any()

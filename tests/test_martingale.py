@@ -22,7 +22,7 @@ from continuum_cascade.recursion import (
     Quadrature,
     RecursionConfig,
     front_clearance_xmax,
-    run_recursion,
+    snapshots,
 )
 from continuum_cascade.simulate import BRW_STREAM, DEFAULT_PARTICLE_CAP, trial_rng
 
@@ -225,7 +225,7 @@ def test_leftmost_particle_has_the_law_of_the_recursion(check_binomial):
         last = simulate_Dn(4, trial_rng(11, BRW_STREAM, i), keep_positions=True).positions[4]
         if last.size:
             minima[i] = last.min()
-    p3 = run_recursion(RecursionConfig(0.001, 3.5, 3), [3]).snapshot(3)
+    [p3] = snapshots(RecursionConfig(0.001, 3.5, 3), [3])
     for x in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
         survivors = int(np.count_nonzero(minima > math.e * x - 4))
         check_binomial(survivors, walks, float(p3.evaluate(x)), f"x={x}")
@@ -294,9 +294,9 @@ def test_equivalence_check_finds_off_grid_points_before_stepping(monkeypatch):
     ns = np.array([100, 200])
     # base + 55 is 131.5 at n = 200
     past = equivalence_check(0.001, [55.0], ns)
-    run = run_recursion(RecursionConfig(0.001, 140.0, 200), ns - 1)
+    run = snapshots(RecursionConfig(0.001, 140.0, 200), ns - 1)
     points = fronts.probe_positions(ns, 1.0) + 55.0
-    want = [run.snapshot(n - 1).evaluate(x) for n, x in zip(ns.tolist(), points)]
+    want = [snap.evaluate(x) for snap, x in zip(run, points)]
     assert np.array_equal(past.values[0], want) and 0.0 < want[1] < want[0]
 
     def no_stepping(*args):
@@ -327,14 +327,15 @@ def test_limit_law_probe_is_bit_identical_to_full_snapshots(d001_n200_limit_law_
     # the oracle is the snapshot path: retain generation n - 1 on the whole
     # front-clearance grid and interpolate it at x + n/e + (3/(2e)) ln n
     probe = d001_n200_limit_law_probe
-    run = run_recursion(
+    run = snapshots(
         RecursionConfig(delta=0.001, x_max=front_clearance_xmax(200), n_max=200),
-        snapshot_generations=[int(n) - 1 for n in probe.generations],
+        [int(n) - 1 for n in probe.generations],
     )
     assert list(probe.generations) == [100, 150, 200]
-    for j, n in enumerate(probe.generations):
+    for j, (n, snap) in enumerate(zip(probe.generations, run)):
+        assert snap.generation == n - 1
         base = n * VELOCITY + LOG_COEFFICIENT * math.log(n)
-        expected = run.snapshot(int(n) - 1).evaluate(probe.x_grid + base)
+        expected = snap.evaluate(probe.x_grid + base)
         assert np.array_equal(probe.values[:, j], expected)
 
 

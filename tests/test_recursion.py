@@ -27,9 +27,10 @@ from continuum_cascade.recursion import (
     closed_form_p1,
     front_clearance_xmax,
     bands,
+    front_traces,
     init_p0,
     iterate_step,
-    run_recursion,
+    snapshots,
 )
 
 
@@ -101,7 +102,7 @@ def test_modes_converge_to_each_other():
         snaps = {}
         for quad in Quadrature:
             config = RecursionConfig(delta=delta, x_max=40.0, n_max=50, quadrature=quad)
-            snaps[quad] = run_recursion(config, [50]).snapshot(50)
+            [snaps[quad]] = snapshots(config, [50])
         grid = np.arange(0.0, 40.0, 0.01)
         diffs[delta] = np.max(
             np.abs(snaps[Quadrature.RIEMANN].evaluate(grid)
@@ -112,9 +113,8 @@ def test_modes_converge_to_each_other():
 
 def test_run_invariants_hold_along_trajectory():
     config = RecursionConfig(delta=0.01, x_max=30.0, n_max=40)
-    result = run_recursion(config, snapshot_generations=range(0, 41, 5))
     prev = None
-    for snap in result.snapshots:
+    for snap in snapshots(config, range(0, 41, 5)):
         snap.check_invariants()
         assert snap.values[0] == 1.0
         if prev is not None:
@@ -144,7 +144,7 @@ def test_config_validation():
 def test_snapshot_out_of_range_rejected():
     config = RecursionConfig(delta=0.01, x_max=1.0, n_max=5)
     with pytest.raises(ConfigurationError):
-        run_recursion(config, snapshot_generations=[6])
+        snapshots(config, [6])
 
 
 @pytest.mark.parametrize("call", [
@@ -184,8 +184,8 @@ def test_full_grid_step_starts_where_g_is_zero():
 
 def test_nmax_zero_returns_p0():
     config = RecursionConfig(delta=0.01, x_max=2.0, n_max=0)
-    result = run_recursion(config, [0])
-    np.testing.assert_array_equal(result.snapshot(0).values, init_p0(0.01, 201).values)
+    [p0] = snapshots(config, [0])
+    np.testing.assert_array_equal(p0.values, init_p0(0.01, 201).values)
 
 
 def test_evaluate_interpolates_and_guards_domain():
@@ -210,29 +210,28 @@ def test_front_grid_end_is_checked_by_the_crossing_read():
     # x_max = 5 is fine without front recording; with it, the run fails at
     # the first generation whose crossing lies past the grid end
     config = RecursionConfig(delta=0.01, x_max=5.0, n_max=1)
-    result = run_recursion(config, snapshot_generations=[1])
-    assert math.isclose(result.snapshot(1).evaluate(1.0), 0.6922, abs_tol=1e-3)
-    long = run_recursion(RecursionConfig(0.01, front_clearance_xmax(200), 200), front_levels=(0.5,))
+    [p1] = snapshots(config, [1])
+    assert math.isclose(p1.evaluate(1.0), 0.6922, abs_tol=1e-3)
+    [long] = front_traces(RecursionConfig(0.01, front_clearance_xmax(200), 200), (0.5,))
     for x_max, n_max in ((5.0, 100), (10.0, 200)):
-        k = _first_past(long.front_traces[0], x_max)
+        k = _first_past(long, x_max)
         assert 0 < k <= n_max
         with pytest.raises(FrontNotFoundError, match=(
             f"generation {k} does not drop below level 0.5 by the grid end x = {x_max:g}$"
         )):
-            run_recursion(RecursionConfig(0.01, x_max, n_max), front_levels=(0.5,))
+            front_traces(RecursionConfig(0.01, x_max, n_max), (0.5,))
     # the crossing of 1e-300 lies near ln(1e300) = 690.8 at generation 0,
     # past a grid that ends at the front clearance of n = 100, 82.8
     with pytest.raises(FrontNotFoundError, match="generation 0 does not drop below level 1e-300"):
-        run_recursion(RecursionConfig(0.02, 83.0, 100), front_levels=(1e-300,))
+        front_traces(RecursionConfig(0.02, 83.0, 100), (1e-300,))
 
 
 def test_every_grid_that_holds_the_crossings_gives_the_same_trace():
     # a node depends only on the nodes left of it: a grid ending at 42 holds
     # every crossing of level 0.5 to n = 100 (the last at 40.26), and gives
     # the front-clearance grid's (82.8) trace bit for bit
-    clearance = run_recursion(RecursionConfig(0.01, front_clearance_xmax(100), 100),
-                              front_levels=(0.5,)).front_traces[0]
-    short = run_recursion(RecursionConfig(0.01, 42.0, 100), front_levels=(0.5,)).front_traces[0]
+    [clearance] = front_traces(RecursionConfig(0.01, front_clearance_xmax(100), 100), (0.5,))
+    [short] = front_traces(RecursionConfig(0.01, 42.0, 100), (0.5,))
     assert clearance.positions.max() < 42.0
     assert np.array_equal(short.positions, clearance.positions)
     assert np.array_equal(short.generations, clearance.generations)
@@ -240,7 +239,7 @@ def test_every_grid_that_holds_the_crossings_gives_the_same_trace():
     k = _first_past(clearance, 30.0)
     assert 0 < k < 100
     with pytest.raises(FrontNotFoundError, match=f"generation {k} does not"):
-        run_recursion(RecursionConfig(0.01, 30.0, 100), front_levels=(0.5,))
+        front_traces(RecursionConfig(0.01, 30.0, 100), (0.5,))
 
 
 def test_clamp_diagnostic_fires_on_bad_input():
@@ -314,13 +313,13 @@ def _full_grid_loop(config, snapshot_generations, levels):
 
 def _assert_matches_full_grid(config, snapshot_generations, levels):
     snaps, final, fronts = _full_grid_loop(config, snapshot_generations, levels)
-    result = run_recursion(config, snapshot_generations, front_levels=levels)
-    assert [s.generation for s in result.snapshots] == sorted(snapshot_generations)
-    for snap in result.snapshots:
+    got = list(snapshots(config, snapshot_generations))
+    assert [s.generation for s in got] == sorted(snapshot_generations)
+    for snap in got:
         ref = snaps[snap.generation]
         assert np.array_equal(snap.values, ref.values)
         assert np.array_equal(snap.complement, ref.complement)
-    for trace, ref in zip(result.front_traces, fronts):
+    for trace, ref in zip(front_traces(config, levels), fronts):
         assert np.array_equal(trace.positions, ref)
     return final
 
@@ -365,6 +364,7 @@ def test_window_widens_for_a_low_front_level(monkeypatch):
     # P < 1e-30 lies ~32 units past the g = 1 edge, beyond the initial margin
     # of one unit, so steps are redone with a doubled margin
     config = RecursionConfig(delta=0.01, x_max=250.0, n_max=200)
+    _assert_matches_full_grid(config, {120}, (1e-30, 0.5))
     steps = []
 
     def counted(prev, quadrature, nodes=None, work=None):
@@ -372,7 +372,7 @@ def test_window_widens_for_a_low_front_level(monkeypatch):
         return iterate_step(prev, quadrature, nodes, work)
 
     monkeypatch.setattr(recursion, "iterate_step", counted)
-    _assert_matches_full_grid(config, {120}, (1e-30, 0.5))
+    front_traces(config, (1e-30, 0.5))
     assert steps.count(0) > 1  # the first step was redone
 
 
@@ -399,7 +399,7 @@ def test_front_run_steps_no_band_to_the_grid_end(monkeypatch):
         return iterate_step(prev, quadrature, nodes, work)
 
     monkeypatch.setattr(recursion, "iterate_step", counted)
-    run_recursion(config, front_levels=(0.5,))
+    front_traces(config, (0.5,))
     assert sorted(stepped) == list(range(1, n_max + 1))
     assert all(lows[n] + nodes < config.grid_size + 1 for n, nodes in stepped.items())
 
@@ -435,12 +435,12 @@ def test_bands_step_in_two_reused_buffers(quadrature):
     n_max = 60
     config = RecursionConfig(delta=0.01, x_max=150.0, n_max=n_max, quadrature=quadrature)
     n_nodes = config.grid_size + 1
-    ref = run_recursion(config, range(n_max + 1))
+    ref = list(snapshots(config, range(n_max + 1)))
     for ends in ((), (1, 10, 11, 30, 60), (0, 30)):
         held = []
         for n, (band, lo) in enumerate(bands(config, lambda n: n_nodes if n in ends else 0)):
-            full = ref.snapshot(n)
-            # band 0 is init_p0's, and run_recursion's snapshots are copies
+            full = ref[n]
+            # band 0 is init_p0's, and snapshots yields copies
             for f in (band, full):
                 assert not f.values.flags.writeable and not f.complement.flags.writeable
             assert (lo + len(band.values) == n_nodes) == (n in ends)
@@ -561,19 +561,19 @@ def test_linear_tail_is_bit_identical_to_libm_steps(monkeypatch, quadrature, del
     )
     snaps = (1, n_max // 3, n_max - 1, n_max)
     levels = (1e-6, 0.5)
-    fast = run_recursion(config, snaps, front_levels=levels)
+    fast_snaps, fast_traces = list(snapshots(config, snaps)), front_traces(config, levels)
     calls = []
     monkeypatch.setattr(kernels, "_tail", _libm_tail(calls))
-    ref = run_recursion(config, snaps, front_levels=levels)
+    ref_snaps = list(snapshots(config, snaps))
     assert len(calls) == n_max and max(calls) > 1000  # the reference stepped, past long runs
-    for got, want in zip(fast.snapshots, ref.snapshots):
+    for got, want in zip(fast_snaps, ref_snaps):
         assert got.generation == want.generation
         assert np.array_equal(got.values, want.values)
         assert np.array_equal(got.complement, want.complement)
-    for got, want in zip(fast.front_traces, ref.front_traces):
+    for got, want in zip(fast_traces, front_traces(config, levels)):
         assert np.array_equal(got.positions, want.positions)
     # the run reached the regime the shortcut serves
-    g = fast.snapshot(n_max).complement
+    g = fast_snaps[-1].complement
     assert np.count_nonzero((g > 0.0) & (g < kernels.LINEAR_TAIL)) > 1000
 
 

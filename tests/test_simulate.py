@@ -146,7 +146,7 @@ def test_leftmost_positions_within_barrier():
 def test_survival_to_generation_matches_recursion(recursion_oracle_x3):
     # P(generation 10 nonempty at x = 3) = 1 - P_9(3)
     trials = 4000
-    p9 = recursion_oracle_x3.snapshot(9).evaluate(3.0)
+    p9 = recursion_oracle_x3[9].evaluate(3.0)
     alive = 0
     for trial in range(trials):
         mins, _ = leftmost_trace(3.0, trial_rng(22, HEIGHT_STREAM, trial), n_cap=10)
