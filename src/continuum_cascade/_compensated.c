@@ -1,48 +1,71 @@
 /* The head of a recursion step, compiled: the compensated prefix sum, Q and
    the linear-run scan in one pass.
 
-   step_head(x, delta, trapezoid, out_p, out_g, work) -> (j, k) does, node
-   by node, the float64 operations of kernels._numpy_head in the same order:
-   the running sum s of x, the FastTwoSum error e = min(a, b) - (t - max(a, b))
+   step_head(x, delta, trapezoid, out_p, out_g, work) -> (j, k) gives, node
+   by node, the bits of the float64 operations of kernels._numpy_head: the
+   running sum s of x, the FastTwoSum error e = min(a, b) - (t - max(a, b))
    of each addition t = a + b, the running sum E of those errors, the sum
    s + E at every node after the first, and from it Q = ((s + E) - x * 0.5)
    * delta (trapezoid) or (s + E) * delta (Riemann).  On the leading run of
    nodes where |Q| < 2^-56 it writes P = 1 to out_p and Q to out_g; past the
    run it writes -Q to work.  k is where that run ends, len(x) if it does
-   not.  The first j nodes are the exception: there it writes P = 1 and the
-   sums s + E to work, and the caller forms Q from them into out_g.
+   not, and j counts the nodes at its start that were summed scaled (below).
 
    Those j nodes are the band's subnormal head.  While x[i] and the running
-   sum are below 2^-900 the loop sums in a domain scaled by 2^128, so that
-   no operand or result of an addition is subnormal (an addition that meets
-   one takes a microcode assist on x86, which costs more than the addition);
-   numpy's vector loops, which pay one assist per vector, form Q there.
-   The scaling changes no bit.  For two doubles a, b whose sum and scaled
-   sum are finite, fl(2^k a + 2^k b) = 2^k fl(a + b): an exact sum of at
-   least 2^-1022 in magnitude is rounded to 53 bits at the same relative
-   place either way, and a smaller one is a multiple of 2^-1074 that needs
-   at most 52 bits, so both are exact.  A compare is unchanged by the
-   scaling too, and the compensated recurrence uses nothing else.  A
-   subnormal input is scaled, and a sum whose unscaled value is subnormal
-   is unscaled, through its integer mantissa; every other scaling is a
-   multiplication by a power of two, which is exact.  So the split point
-   changes speed, never bits.
+   sum are below 2^-900 the loop works in a domain scaled by 2^128, so that
+   no operand or result of an addition is subnormal (an addition or a
+   product that meets one takes a microcode assist on x86, which costs more
+   than the operation).  The scaling changes no bit of a sum.  For two
+   doubles a, b whose sum and scaled sum are finite, fl(2^k a + 2^k b) =
+   2^k fl(a + b): an exact sum of at least 2^-1022 in magnitude is rounded
+   to 53 bits at the same relative place either way, and a smaller one is a
+   multiple of 2^-1074 that needs at most 52 bits, so both are exact.  A
+   compare is unchanged by the scaling too, and the compensated recurrence
+   uses nothing else.  A subnormal input is scaled, and a sum whose
+   unscaled value is subnormal is unscaled, through its integer mantissa;
+   every other scaling is a multiplication by a power of two, which is
+   exact.  So the split point changes speed, never bits.
+
+   Q is formed in the scaled domain too, from S, 2^128 times s + E:
+   - the half h = fl(x * 0.5) is exact for |x| >= 2^-1021; below that x is
+     mantissa * 2^-1074, and h is half the mantissa rounded to even, times
+     2^-1074, scaled through that integer (scaled_half);
+   - the difference d = S - 2^128 h is 2^128 fl((s + E) - h), by the lemma
+     above;
+   - the product p = fl(d * delta).  Every nonzero d is a multiple of 2^-946
+     of magnitude at least 2^-946, and delta a multiple of 2^-128, so for
+     2^-76 <= |delta| the exact product is a multiple of 2^-1074 and p is
+     normal.  If |p| >= 2^-894, the unscaled product is rounded to 53 bits
+     at the same relative place, or to 2^-1022 from just below it on both
+     grids, so 2^-128 p is numpy's product.  Below 2^-894 the unscaled
+     product is subnormal: numpy rounds it once, to the grid 2^-1074, which
+     is the grid 2^-946 here, while p was rounded already.  Rounding p again
+     to even gives the same value except where p lies on a tie of the coarse
+     grid and is not exact; there the exact error fma(d, delta, -p), a
+     nonzero multiple of 2^-1074 (so neither rounded nor flushed), says on
+     which side the exact product lies (scaled_product).  The result is
+     built from its integer mantissa with p's sign, so a product that
+     rounds to zero keeps its sign, and one that rounds up to 2^-1022 has
+     the mantissa 2^52, whose bits are those of 2^-1022.
 
    The head lies inside the linear run, so P = 1 is its value.  A head node
    has |x| < 2^-900 and, before x is added, a running sum below 2^-900 (the
    loop's own exit tests; NaN and inf fail them by their exponent field), so
    |s + E| < 2^-899 and |x * 0.5| < 2^-901, and |Q| < 2^-898 |delta|.  The
-   scaled head is entered only for |delta| < 2^841 (HEAD_DELTA), where that
-   is at most 2^-57, under 2^-56 with its roundings: the numpy head marks
-   every such node linear too.  A NaN, infinite or larger delta gives j = 0,
-   and the plain loop runs from node 0.
+   scaled head is entered only for 2^-76 <= |delta| < 2^841 (HEAD_DELTA_MIN,
+   HEAD_DELTA): below the upper bound |Q| is at most 2^-57, under 2^-56
+   with its roundings, and the numpy head marks every such node linear too;
+   the lower bound is the product's, above.  A NaN, zero, infinite or other
+   delta gives j = 0, and the plain loop runs from node 0.
 
    A multiplication sits next to additions (x * 0.5 before the subtraction),
    so a fused multiply-add would change a bit where x * 0.5 rounds; setup.py
    builds this file with contraction off, and the pragma asks the same of a
-   compiler that honours it.  Every operation is exactly rounded, so the
-   bits are those of numpy's additions and multiplications at any of its
-   SIMD dispatch levels, on every platform that evaluates double in double.
+   compiler that honours it.  The one fma is the explicit call for the
+   exact error, which contraction does not touch.  Every operation is
+   exactly rounded, so the bits are those of numpy's additions and
+   multiplications at any of its SIMD dispatch levels, on every platform
+   that evaluates double in double.
 
    Every argument is read through the buffer protocol: x a C-contiguous 1-d
    buffer of native doubles, out_p, out_g and work writable ones at least as
@@ -77,6 +100,8 @@
 #define HEAD_SCALED_SUM 0x1p-772
 /* the scaled head's delta bound: there |Q| < 2^-898 |delta| < 2^-57 */
 #define HEAD_DELTA 0x1p841
+/* and its lower bound: there a scaled product is normal (scaled_product) */
+#define HEAD_DELTA_MIN 0x1p-76
 
 static inline uint64_t
 bits_of(double v)
@@ -104,6 +129,41 @@ scale_up(double x)
         return double_of(bits_of((double)(int64_t)(u & MANTISSA_BITS) * 0x1p-946)
                          | (u & SIGN_BIT));
     return x * 0x1p128;
+}
+
+/* 2^128 fl(x * 0.5) for |x| < 2^-900, from x and scaled = 2^128 x: exact
+   halving from 2^-1021 up; below it x is mantissa * 2^-1074, and the
+   product is half the mantissa rounded to even, times 2^-1074 */
+static inline double
+scaled_half(double x, double scaled)
+{
+    uint64_t u = bits_of(x) & ~SIGN_BIT;
+    if (u >= (UINT64_C(2) << 52))
+        return scaled * 0.5;
+    uint64_t half = (u >> 1) + (u & (u >> 1) & 1);
+    return double_of(bits_of((double)(int64_t)half * 0x1p-946) | (bits_of(x) & SIGN_BIT));
+}
+
+/* the unscaled product fl(2^-128 d * delta), from the scaled difference d,
+   for 2^-76 <= |delta| < 2^841: p = fl(d * delta) is normal, and below
+   2^-894 the unscaled product is subnormal, so the exact product is rounded
+   once to the scaled grid 2^-946, the sign of the exact error
+   fma(d, delta, -p) deciding a tie that p's own rounding made */
+static inline double
+scaled_product(double d, double delta)
+{
+    double p = d * delta;
+    double a = fabs(p);
+    if (a >= 0x1p-894)
+        return p * 0x1p-128;
+    double v = a * 0x1p946;  /* below 2^52 */
+    double r = (v + 0x1p52) - 0x1p52;  /* v rounded to even */
+    if (fabs(v - r) == 0.5) {
+        double err = fma(d, delta, -p);
+        if (err != 0.0)
+            r = (err > 0.0) == (p > 0.0) ? v + 0.5 : v - 0.5;
+    }
+    return double_of((uint64_t)r | (bits_of(p) & SIGN_BIT));
 }
 
 /* 2^-128 v for a v that is 2^128 times a double, with no subnormal result:
@@ -144,10 +204,11 @@ head_pass(const double *x, Py_ssize_t m, double delta, int trapezoid,
     /* -0.0 + e is e, bit for bit, so the first E is e itself, as the numpy
        accumulate of the errors gives it */
     double s = x[0], E = -0.0;
-    if (fabs(delta) < HEAD_DELTA && (bits_of(s) & ~SIGN_BIT) < HEAD_EXPONENTS) {
+    if (fabs(delta) >= HEAD_DELTA_MIN && fabs(delta) < HEAD_DELTA
+        && (bits_of(s) & ~SIGN_BIT) < HEAD_EXPONENTS) {
         double S = scale_up(s), ES = -0.0;
         out_p[0] = 1.0;
-        work[0] = s;
+        out_g[0] = scaled_product(trapezoid ? S - scaled_half(s, S) : S, delta);
         for (; i < m && fabs(S) < HEAD_SCALED_SUM
                && (bits_of(x[i]) & ~SIGN_BIT) < HEAD_EXPONENTS; i++) {
             double a = S, b = scale_up(x[i]);
@@ -155,8 +216,9 @@ head_pass(const double *x, Py_ssize_t m, double delta, int trapezoid,
             double big = a > b ? a : b, small = a > b ? b : a;
             ES += small - (t - big);
             S = t;
+            double sum = t + ES;
             out_p[i] = 1.0;
-            work[i] = scale_down(t + ES);
+            out_g[i] = scaled_product(trapezoid ? sum - scaled_half(x[i], b) : sum, delta);
         }
         s = scale_down(S);
         E = scale_down(ES);
@@ -256,8 +318,7 @@ static PyMethodDef methods[] = {
      "step_head(x, delta, trapezoid, out_p, out_g, work) -> (j, k)\n--\n\n"
      "The compensated prefix sums of x, Q and the linear run of a recursion\n"
      "step in one pass: P = 1 and Q on the linear run, which ends at k, and\n"
-     "-Q after it, except that the subnormal head x[:j], inside the run, gets\n"
-     "P = 1 and its sums in work[:j]."},
+     "-Q after it; the subnormal head x[:j], inside the run, is summed scaled."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -33,13 +33,15 @@ spanning the kernel's range, so P and g can differ in the last ulps
 between dispatch levels.  The bits are fixed for one numpy build at one
 dispatch level only.
 
-A step is a head and a tail.  The head forms the sum and Q, writes P = 1
-and Q on the leading linear run (below) and -Q past it, and returns
-(j, k): the run ends at node k, and Q on its first j nodes is left to the
-step, which forms it from the sums the head wrote to the scratch there.
-The tail (_tail) does what must keep numpy's bits: exp and expm1 past the
-run, P[0] and g[0], the excess and the clamp.  The head has two
-implementations that give the same bits.  The compiled one,
+A step is a head and a tail.  The head's contract: head(x, delta,
+trapezoid, out_p, out_g, work) forms the sum and Q of every node, writes
+P = 1 to out_p and Q to out_g on the leading linear run (below), which ends
+at node k, and -Q to work[k:len(x)], and returns (j, k).  j <= k counts
+the nodes at the run's start that the head summed in a scaled domain
+(below); it tells the tests and the counters where the head ran, and the
+step reads k alone.  The tail (_tail) does what must keep numpy's bits:
+exp and expm1 past the run, P[0] and g[0], the excess and the clamp.  The
+head has two implementations that give the same bits.  The compiled one,
 _compensated.step_head (built from _compensated.c by `pip install` when a
 C compiler is there), is one pass with both running sums in registers.
 The numpy one, _numpy_head, makes about a dozen passes and returns j = 0;
@@ -50,14 +52,15 @@ built with floating-point contraction off, so no fused multiply-add
 enters.  _head is the one that runs, and KERNEL_BACKEND in __init__ names
 it.
 
-The compiled head's j nodes are the band's subnormal head, where g or the
-sum's FastTwoSum errors are subnormal and an addition that meets one takes
-a microcode assist on x86.  The loop sums there in a domain scaled by
-2^128, which changes no bit, and enters it only for delta < 2^841, where
-every head node lies inside the linear run (_compensated.c has both
-arguments).  Q there is formed with numpy: a product is not unchanged by
-scaling where it is subnormal, and numpy's vector loops pay one assist per
-vector rather than one per node.
+The compiled head's j nodes are the band's subnormal head, where g, the
+sum's FastTwoSum errors or Q are subnormal and an addition or product
+that meets one takes a microcode assist on x86.  The loop sums and forms Q
+there in a domain scaled by 2^128, which changes no bit: the sums and the
+trapezoid's difference are exact under the scaling, and a product whose
+unscaled value is subnormal is rounded once, to the grid numpy rounds it
+to, with the exact error deciding a tie.  It enters that domain only for
+2^-76 <= delta < 2^841, where every scaled product is normal and every
+head node lies inside the linear run (_compensated.c has the arguments).
 
 The step fills the exposed probability array and the complement array
 from the same exponent Q.  Behind the front the step is linear to the
@@ -79,8 +82,8 @@ one set for a whole run).  Every ufunc writes into them with out=.  In
 the numpy head the outputs double as the sum's FastTwoSum temporaries and
 then as the linear-run mask; Q is formed in place in the g output, and
 the scratch holds the prefix sums and then -Q.  The compiled head writes
-P = 1 and Q on the run, the subnormal head's sums and -Q past the run to
-the same places.  Nothing is read before it is written, so a step gives
+P = 1 and Q on the run, the subnormal head included, and -Q past it to the
+same places.  Nothing is read before it is written, so a step gives
 the same bits whatever its buffers held.  A band that is not contiguous
 float64 is stepped as its contiguous float64 copy, by either head.
 """
@@ -114,16 +117,6 @@ LINEAR_TAIL = 2.0**-56
 # the step's constant operands as 0-d arrays: a ufunc converts a Python float
 # operand on every call, at about a third of a microsecond
 _TAIL, _HALF = np.array(LINEAR_TAIL), np.array(0.5)
-
-
-def _quadrature(s: np.ndarray, x: np.ndarray, delta: float, out: np.ndarray, trapezoid: bool) -> None:
-    """Q into `out` from the prefix sums `s` of `x`."""
-    if trapezoid:
-        q = np.multiply(x, _HALF, out=out)
-        np.subtract(s, q, out=q)
-        q *= delta
-    else:
-        np.multiply(s, delta, out=out)
 
 
 def _linear_run(out_p: np.ndarray, out_g: np.ndarray, tmp: np.ndarray) -> int:
@@ -170,7 +163,12 @@ def _numpy_head(x: np.ndarray, delta: float, trapezoid: bool,
                 out_p: np.ndarray, out_g: np.ndarray, work: np.ndarray) -> tuple[int, int]:
     """The step's head in numpy, as _compensated.step_head with j = 0 (module docstring)."""
     s = _prefix_sum(x, work, out_g, out_p)
-    _quadrature(s, x, delta, out_g, trapezoid)
+    if trapezoid:
+        q = np.multiply(x, _HALF, out=out_g)
+        np.subtract(s, q, out=q)
+        q *= delta
+    else:
+        np.multiply(s, delta, out=out_g)
     return 0, _linear_run(out_p, out_g, work)
 
 
@@ -188,7 +186,5 @@ def step(x: np.ndarray, delta: float, trapezoid: bool,
     are as long as `x`, `work` at least as long; all three are overwritten.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
-    j, k = _head(x, delta, trapezoid, out_p, out_g, work)
-    if j:  # the subnormal head's sums are in work[:j]
-        _quadrature(work[:j], x[:j], delta, out_g[:j], trapezoid)
+    _, k = _head(x, delta, trapezoid, out_p, out_g, work)
     return _tail(out_p, out_g, work, k)

@@ -24,6 +24,15 @@ def fmt(value) -> str:
     return str(value)
 
 
+# rows a CSV writes and hashes at a time
+_CHUNK_ROWS = 256
+
+
+def _line_format(types: tuple[type, ...]) -> str:
+    """The %-format of a CSV line whose values have these types, as fmt writes each."""
+    return ",".join("%.17g" if issubclass(t, float) else "%s" for t in types) + "\n"
+
+
 class RunWriter:
     """Collects artifacts for one command invocation and writes the manifest."""
 
@@ -34,12 +43,28 @@ class RunWriter:
         self.checksums: dict[str, str] = {}
 
     def write_csv(self, name: str, header: str, rows: Iterable[Iterable]) -> Path:
+        """Writes the header and one line per row, each value as fmt writes it.
+
+        A line is one %-format call, its format chosen by the types of the
+        row's values; the file is hashed as its chunks are written.
+        """
         path = self.out_dir / name
-        with open(path, "w", newline="\n") as fh:
-            fh.write(header + "\n")
+        digest = hashlib.sha256()
+        formats: dict[tuple[type, ...], str] = {}
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            lines = [header + "\n"]
             for row in rows:
-                fh.write(",".join(fmt(v) for v in row) + "\n")
-        self.checksums[name] = sha256_file(path)
+                row = tuple(row)
+                types = tuple(map(type, row))
+                line = formats.get(types)
+                if line is None:
+                    line = formats[types] = _line_format(types)
+                lines.append(line % row)
+                if len(lines) == _CHUNK_ROWS:
+                    _write_hashed(fh, digest, lines)
+                    lines = []
+            _write_hashed(fh, digest, lines)
+        self.checksums[name] = digest.hexdigest()
         return path
 
     def write_manifest(self, command: str, parameters: Mapping, seed: int | None) -> Path:
@@ -56,9 +81,7 @@ class RunWriter:
         return path
 
 
-def sha256_file(path: str | Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(65536), b""):
-            digest.update(block)
-    return digest.hexdigest()
+def _write_hashed(fh, digest, lines: list[str]) -> None:
+    text = "".join(lines)
+    digest.update(text.encode())
+    fh.write(text)

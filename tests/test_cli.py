@@ -27,7 +27,7 @@ from continuum_cascade.cli import (
     parse_bool,
     resolve_params,
 )
-from continuum_cascade.output import fmt, sha256_file
+from continuum_cascade.output import RunWriter, fmt
 from continuum_cascade.recursion import (
     RecursionConfig,
     front_clearance_xmax,
@@ -58,7 +58,7 @@ def test_recurse_writes_snapshots_and_manifest(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["command"] == "recurse"
     for name, digest in manifest["files"].items():
-        assert sha256_file(tmp_path / name) == digest
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
     rows = read_csv(tmp_path / "pn_5.csv")
     config = RecursionConfig(delta=0.01, x_max=10.0, n_max=5)
@@ -147,6 +147,24 @@ def test_full_float_precision_in_csv(tmp_path):
     config = RecursionConfig(delta=0.01, x_max=2.0, n_max=1)
     [expected] = snapshots(config, [1])
     np.testing.assert_array_equal(np.array(values), expected.values)
+
+
+def test_csv_writer_keeps_the_per_value_bytes(tmp_path):
+    # the writer formats a line at a time and hashes as it writes; its bytes
+    # are those of joining fmt of each value, and its checksum the file's
+    floats = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, 0.1, 1.0, 2.0**53]
+    ints = [0, -7, 10**17, 10**17 + 1, 2**63, -(10**30)]
+    values = floats + ints + [np.float64(v) for v in floats] + ["KS", np.int64(10**18)]
+    rng = np.random.default_rng(5)
+    rows = [tuple(values[i] for i in rng.integers(0, len(values), rng.integers(0, 5)))
+            for _ in range(9000)]
+    rows += [(n, float(p), np.float64(p)) for n, p in enumerate(rng.random(5000))]
+    rows += [("KS", 0.25, np.float64(-0.0)), [1, 2.5], ()]
+    writer = RunWriter(tmp_path)
+    path = writer.write_csv("mixed.csv", "a,b,c", iter(rows))
+    want = "".join(",".join(fmt(v) for v in row) + "\n" for row in rows)
+    assert path.read_bytes() == ("a,b,c\n" + want).encode()
+    assert writer.checksums == {"mixed.csv": hashlib.sha256(path.read_bytes()).hexdigest()}
 
 
 def test_simulate_determinism_and_worker_independence(tmp_path):

@@ -2,6 +2,7 @@
 
 import importlib.util
 import itertools
+import math
 import shutil
 import subprocess
 import sys
@@ -354,9 +355,9 @@ def compiled(tmp_path_factory):
 def compiled_sums(compiled, x: np.ndarray) -> np.ndarray:
     """The compensated prefix sums the compiled head forms of `x`.
 
-    At delta 1 a Riemann Q is the sum itself, so the sums are work[:j] in
-    the head, Q on the linear run after it and minus the -Q past the run.
-    P is 1 on the whole run, the head included.
+    At delta 1 a Riemann Q is the sum itself, so the sums are Q on the
+    linear run, the subnormal head included, and minus the -Q past the run.
+    P is 1 on the whole run.
     """
     m = len(x)
     out_p, out_g, work = (np.full(m + 3, np.nan) for _ in range(3))
@@ -364,8 +365,9 @@ def compiled_sums(compiled, x: np.ndarray) -> np.ndarray:
     assert 0 <= j <= k <= m
     for out in (out_p, out_g, work):
         assert np.isnan(out[m:]).all()  # nothing past len(x) is written
+    assert np.isnan(work[:k]).all()  # the run, head included, is written to out_g alone
     assert np.all(out_p[:k] == 1.0)
-    return np.concatenate((work[:j], out_g[j:k], -work[k:m]))
+    return np.concatenate((out_g[:k], -work[k:m]))
 
 
 def both_sums(compiled, x: np.ndarray) -> tuple[bytes, bytes]:
@@ -428,10 +430,13 @@ def assert_same_step(compiled, trapezoid: bool, band: np.ndarray, delta: float) 
         assert same.all(), f"{label} differs at nodes {np.flatnonzero(~same)[:10]}"
 
 
-# the scaled head's bound on |delta| (_compensated.c): below it the head lies
-# inside the linear run; at 2^899 a head sum near 2^-900 gives Q near 1/2
+# the scaled head's bounds on |delta| (_compensated.c): below the upper one
+# the head lies inside the linear run (at 2^899 a head sum near 2^-900 gives
+# Q near 1/2), and from the lower one up every scaled product is normal
 HEAD_DELTA = 2.0**841
-BOUND_DELTAS = [2.0**840, np.nextafter(HEAD_DELTA, 0.0), HEAD_DELTA, 2.0**842, 2.0**899, 1e300]
+HEAD_DELTA_MIN = 2.0**-76
+BOUND_DELTAS = [2.0**840, np.nextafter(HEAD_DELTA, 0.0), HEAD_DELTA, 2.0**842, 2.0**899, 1e300,
+                HEAD_DELTA_MIN, np.nextafter(HEAD_DELTA_MIN, 0.0)]
 DELTAS = [0.001, 0.1, 2.0, *BOUND_DELTAS]
 
 
@@ -548,17 +553,47 @@ def test_compiled_step_matches_numpy_in_the_head(compiled, case, delta, trapezoi
     assert_same_step(compiled, trapezoid, head_inputs()[case], delta)
 
 
+def heads(compiled, x: np.ndarray, delta: float, trapezoid: bool):
+    """(j, k, P, Q) of each head on `x`, the compiled one first.
+
+    Q is out_g on the linear run and minus the -Q written to the scratch
+    past it; the compiled head's buffers start as NaN, so a node it leaves
+    unwritten shows.
+    """
+    m = len(x)
+    results = []
+    for head, fill in ((compiled.step_head, np.nan), (kernels._numpy_head, 0.0)):
+        out_p, out_g, work = (np.full(m, fill) for _ in range(3))
+        j, k = head(x, delta, trapezoid, out_p, out_g, work)
+        if head is compiled.step_head:
+            assert np.isnan(work[:k]).all()  # the run, head included, is written to out_g alone
+        results.append((j, k, out_p[:k], np.concatenate((out_g[:k], -work[k:]))))
+    return results
+
+
+def assert_same_head(compiled, x: np.ndarray, delta: float, trapezoid: bool) -> tuple[int, np.ndarray]:
+    """Both heads give the same run end and the same bytes of P and Q; (j, Q) of the compiled one."""
+    (j, k, p, q), (_, want_k, want_p, want_q) = heads(compiled, x, delta, trapezoid)
+    assert k == want_k
+    assert np.all(p == 1.0) and p.tobytes() == want_p.tobytes()
+    same = (q.view(np.uint64) == want_q.view(np.uint64)) | (np.isnan(q) & np.isnan(want_q))
+    assert same.all(), f"Q differs at nodes {np.flatnonzero(~same)[:10]}"
+    return j, q
+
+
 def test_head_inputs_reach_the_scaled_head(compiled):
-    # the cases above do leave the head where they say
+    # the cases above do leave the head where they say, and the head's Q is
+    # the numpy head's
     inputs = head_inputs()
     m = len(inputs["all_head"])
-    assert compiled.step_head(inputs["all_head"], 0.01, True, *(np.empty(m) for _ in range(3)))[0] == m
-    x = inputs["sum_past_switch"]
-    j, _ = compiled.step_head(x, 0.01, True, *(np.empty(len(x)) for _ in range(3)))
+    assert assert_same_head(compiled, inputs["all_head"], 0.01, True)[0] == m
+    j, _ = assert_same_head(compiled, inputs["sum_past_switch"], 0.01, True)
     assert 60 < j < 301
-    x = inputs["input_at_switch"]
-    j, _ = compiled.step_head(x, 0.01, True, *(np.empty(len(x)) for _ in range(3)))
-    assert j == 4
+    assert assert_same_head(compiled, inputs["input_at_switch"], 0.01, True)[0] == 4
+    # from 2^-76 up the scaled head is entered, and below it it is not
+    assert assert_same_head(compiled, inputs["all_head"], HEAD_DELTA_MIN, False)[0] == m
+    below = np.nextafter(HEAD_DELTA_MIN, 0.0)
+    assert assert_same_head(compiled, inputs["all_head"], below, False)[0] == 0
     # at delta 1e300 Q leaves the linear run at node 1, and the scaled head
     # is not entered
     _, p, _ = step_bytes(compiled.step_head, True, inputs["all_head"], 1e300, np.nan)
@@ -567,19 +602,105 @@ def test_head_inputs_reach_the_scaled_head(compiled):
 
 @QUADRATURES
 @pytest.mark.parametrize(
-    "delta", BOUND_DELTAS, ids=["2^840", "below_2^841", "2^841", "2^842", "2^899", "1e300"])
+    "delta", BOUND_DELTAS,
+    ids=["2^840", "below_2^841", "2^841", "2^842", "2^899", "1e300", "2^-76", "below_2^-76"])
 def test_compiled_head_lies_inside_the_linear_run(compiled, delta, trapezoid):
     for case in ("sum_past_switch", "all_head", "input_at_switch"):
         x = head_inputs()[case]
-        m = len(x)
-        out_p, out_g, work = (np.full(m, np.nan) for _ in range(3))
-        j, k = compiled.step_head(x, delta, trapezoid, out_p, out_g, work)
-        if delta < HEAD_DELTA:
+        (j, k, p, q), (_, want_k, _, want_q) = heads(compiled, x, delta, trapezoid)
+        if HEAD_DELTA_MIN <= delta < HEAD_DELTA:
             assert 0 < j <= k, case
         else:
             assert j == 0, case
-        assert np.all(out_p[:k] == 1.0), case  # the run counts from node 0, the head included
-        assert k == kernels._numpy_head(x, delta, trapezoid, *(np.empty(m) for _ in range(3)))[1]
+        assert np.all(p == 1.0), case  # the run counts from node 0, the head included
+        assert k == want_k, case
+        assert q[:k].tobytes() == want_q[:k].tobytes(), case  # out_g holds Q on the run
+
+
+def exact_q(d: float, delta: float, trapezoid: bool) -> Fraction:
+    """Q of node 1 of the band [0, d], exactly, from the rounded difference."""
+    return Fraction(d - d * 0.5 if trapezoid else d) * Fraction(delta)
+
+
+def rounded_to_subnormals(q: Fraction) -> float:
+    """The double nearest q, for |q| <= 2^-1022: q rounded to even on the grid 2^-1074."""
+    return math.copysign(float(Fraction(round(q * 2**1074), 2**1074)), q)
+
+
+def tie_error_sign(d: float, delta: float, trapezoid: bool) -> int:
+    """Q's exact error sign where its scaled product is an inexact tie of the grid 2^-946, else 0.
+
+    There rounding the scaled product to that grid rounds twice, and to even
+    would be wrong for one sign of the error.
+    """
+    diff = d - d * 0.5 if trapezoid else d
+    p = Fraction(diff * 2.0**128 * delta) / 2**128  # the scaled product, unscaled
+    exact = exact_q(d, delta, trapezoid)
+    if (p * 2**1074).denominator != 2 or p == exact:
+        return 0
+    return 1 if exact > p else -1
+
+
+@QUADRATURES
+def test_compiled_head_rounds_subnormal_products_once(compiled, trapezoid):
+    # bands [0, d] with d in [2^-1022, 2^-1021) and delta in [0.5, 1): Q on
+    # node 1 is subnormal, and many scaled products land on a tie of the
+    # subnormal grid with a nonzero error of either sign
+    rng = np.random.default_rng(32)
+    count = 2000
+    ds = (np.uint64(1) << np.uint64(52) | rng.integers(0, 2**52, count).astype(np.uint64)).view(np.float64)
+    ds[rng.random(count) < 0.5] *= -1.0
+    deltas = (np.uint64(0x3FE0000000000000) | rng.integers(0, 2**52, count).astype(np.uint64)).view(np.float64)
+    assert TINY <= np.abs(ds).min() and np.abs(ds).max() < 2 * TINY
+    assert 0.5 <= deltas.min() and deltas.max() < 1.0
+    ties = {-1: 0, 0: 0, 1: 0}
+    for d, delta in zip(ds.tolist(), deltas.tolist()):
+        ties[tie_error_sign(d, delta, trapezoid)] += 1
+        band = np.array([0.0, d])
+        _, q = assert_same_head(compiled, band, delta, trapezoid)
+        want = rounded_to_subnormals(exact_q(d, delta, trapezoid))
+        assert q[1].tobytes() == np.float64(want).tobytes(), (d, delta)
+        assert_same_step(compiled, trapezoid, band, delta)
+    assert ties[-1] >= 100 and ties[1] >= 100, ties
+
+
+@QUADRATURES
+def test_compiled_head_rounds_up_to_the_smallest_normal(compiled, trapezoid):
+    # exact products in [2^-1022 - 2^-1074, 2^-1022): from the tie at
+    # 2^-1022 - 2^-1075 up they round to 2^-1022, below it down; the scaled
+    # products of some on either side lie on that tie
+    cases = []
+    for mantissa in range(2**52, 2**52 + 24):
+        for k in range(1, 60):
+            delta = 1.0 - k * 2.0**-53
+            d = float(subnormals([mantissa])[0])
+            if trapezoid:
+                d *= 2.0  # halved exactly
+            if 2**52 - 1 <= mantissa * Fraction(delta) < 2**52:
+                cases.append((d, delta))
+    results = {}
+    for d, delta in cases:
+        _, q = assert_same_head(compiled, np.array([0.0, d]), delta, trapezoid)
+        want = rounded_to_subnormals(exact_q(d, delta, trapezoid))
+        assert q[1] == want, (d, delta)
+        results[want] = results.get(want, 0) + 1
+        assert_same_step(compiled, trapezoid, np.array([0.0, d]), delta)
+    assert results.get(TINY, 0) >= 20 and results.get(np.nextafter(TINY, 0.0), 0) >= 20, results
+    assert sum(tie_error_sign(d, delta, trapezoid) != 0 for d, delta in cases) >= 10
+
+
+@QUADRATURES
+@pytest.mark.parametrize("delta", [HEAD_DELTA_MIN, 2.0**-10, 0.25, np.nextafter(0.5, 0.0), 0.5])
+def test_compiled_head_keeps_negative_zeros(compiled, trapezoid, delta):
+    # a negative head whose products all round to -0.0, at a tie of the
+    # subnormal grid at delta 0.5: P = 1 and g = -0.0, with no clamp
+    band = np.concatenate(([0.0], np.full(min(int(0.5 / delta), 200), -5e-324)))
+    _, q = assert_same_head(compiled, band, delta, trapezoid)
+    assert np.all(q[1:] == 0.0) and np.signbit(q[1:]).all()
+    excess, p, g = step_bytes(compiled.step_head, trapezoid, band, delta, np.nan)
+    assert excess[0] == 0.0 and np.all(p == 1.0)
+    assert np.all(g[1:] == 0.0) and np.signbit(g[1:]).all()
+    assert_same_step(compiled, trapezoid, band, delta)
 
 
 band_values = st.one_of(
