@@ -7,8 +7,8 @@ defaults.  Every run writes its CSV artifacts plus a manifest.json with
 checksums into --out (default: $CONTINUUM_CASCADE_OUTDIR or the current
 directory).
 
-Exit codes: 0 success, 2 configuration error, 3 numeric/fit error,
-4 I/O error.
+Exit codes: 0 success, 2 configuration error or out of memory,
+3 numeric/fit error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -369,6 +369,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"cascade: i/o error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:  # an addressable size that cannot be allocated
+        print(f"cascade: error: out of memory: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

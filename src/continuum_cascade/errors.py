@@ -39,4 +39,4 @@ class ScanError(CascadeError):
 
 
 class NumericError(CascadeError):
-    """Numerical guard tripped (quadrature failure, clamp beyond tolerance)."""
+    """Numerical guard tripped (quadrature failure, a recursion step that left [0, 1])."""

@@ -40,7 +40,7 @@ at node k, and -Q to work[k:len(x)], and returns (j, k).  j <= k counts
 the nodes at the run's start that the head summed in a scaled domain
 (below); it tells the tests and the counters where the head ran, and the
 step reads k alone.  The tail (_tail) does what must keep numpy's bits:
-exp and expm1 past the run, P[0] and g[0], the excess and the clamp.  The
+exp and expm1 past the run, P[0] and g[0], and the excess (below).  The
 head has two implementations that give the same bits.  The compiled one,
 _compensated.step_head (built from _compensated.c by `pip install` when a
 C compiler is there), is one pass with both running sums in registers.
@@ -72,9 +72,10 @@ threshold sits two binades below 2^-54, where rounding to 1 starts,
 because numpy's SIMD exp is not correctly rounded near there: it returns
 1 - 2^-53 for some Q in [2^-54.3, 2^-54), and 1 for every Q below 2^-55
 checked (x86-64, numpy 2.4).  So the run gets the bits numpy's exp and
-expm1 give it.  The return value is the largest clamp applied to keep P
-and g in [0, 1], so the caller can tell last-ulp jitter from a real
-invariant violation.
+expm1 give it.  Nothing is repaired: every term of g is >= 0, so Q >= 0,
+and a faithfully rounded exp and expm1 keep P <= 1 and g >= 0.  The step
+returns how far P and g left [0, 1], 0.0 on every valid band (NaN on a
+NaN), and recursion.iterate_step fails the run on any other value.
 
 The step allocates no array: the caller passes the outputs, as long as
 the band, and a scratch array at least that long (recursion.bands keeps
@@ -140,6 +141,7 @@ def _tail(out_p: np.ndarray, out_g: np.ndarray, neg_q: np.ndarray, k: int) -> fl
     """P = exp(-Q) and g = -expm1(-Q) past the linear run, which ends at k.
 
     neg_q[k:len(out_g)] holds -Q; P and g are written on the run already.
+    Returns the excess max(max P - 1, -min g) (module docstring).
     """
     n = len(out_g)
     neg_q = neg_q[k:n]
@@ -152,11 +154,7 @@ def _tail(out_p: np.ndarray, out_g: np.ndarray, neg_q: np.ndarray, k: int) -> fl
     # in the maximum's scan; argmax and argmin find an extreme (or the first
     # NaN) with less dispatch than max and min
     p = out_p[max(k - 1, 0):]
-    excess = max(p.item(p.argmax()) - 1.0, -out_g.item(out_g.argmin()))
-    if excess > 0.0:
-        np.minimum(out_p, 1.0, out=out_p)
-        np.maximum(out_g, 0.0, out=out_g)
-    return max(excess, 0.0)
+    return max(p.item(p.argmax()) - 1.0, -out_g.item(out_g.argmin()))
 
 
 def _numpy_head(x: np.ndarray, delta: float, trapezoid: bool,
@@ -180,7 +178,7 @@ except ImportError:  # not built: the numpy head runs
 
 def step(x: np.ndarray, delta: float, trapezoid: bool,
          out_p: np.ndarray, out_g: np.ndarray, work: np.ndarray) -> float:
-    """P and g of the next generation from the complement `x`, and the largest clamp.
+    """P and g of the next generation from the complement `x`, and how far they left [0, 1].
 
     Trapezoid quadrature when `trapezoid`, else Riemann.  out_p and out_g
     are as long as `x`, `work` at least as long; all three are overwritten.

@@ -50,10 +50,6 @@ from .errors import (
     NumericError,
 )
 
-# Clamp activity beyond this is treated as a real invariant violation,
-# not floating-point jitter.
-CLAMP_TOLERANCE = 1e-12
-
 # Most 8-byte items (float64 nodes and values, int64 counts) one array can
 # hold: its size in bytes must fit np.intp.  The one bound on array sizes.
 MAX_ARRAY_ITEMS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
@@ -247,6 +243,9 @@ def iterate_step(
     written to p_out and g_out (`nodes` long, not overlapping g) and
     returned as read-only views of them, and scratch (at least `nodes`
     long) is overwritten.
+
+    Nothing is repaired: a result whose P or g leaves [0, 1] by any amount,
+    or holds a NaN, raises NumericError (a valid `prev` never gives one).
     """
     if not isinstance(quadrature, Quadrature):
         raise ConfigurationError(f"unknown quadrature {quadrature!r}")
@@ -270,10 +269,9 @@ def iterate_step(
     if not out_p.dtype == out_g.dtype == np.float64:
         raise ContractViolationError("a step writes its result to float64 arrays")
     excess = kernels.step(g, prev.delta, quadrature is Quadrature.TRAPEZOID, out_p, out_g, scratch)
-    if not excess <= CLAMP_TOLERANCE:  # a NaN excess fails too
+    if excess != 0.0:  # a NaN excess fails too
         raise NumericError(
-            f"clamp exceeded tolerance at generation {prev.generation + 1}: "
-            f"excess={excess:.3e}"
+            f"step to generation {prev.generation + 1} left [0, 1]: excess={excess:.3e}"
         )
     out_p.setflags(write=False)
     out_g.setflags(write=False)

@@ -1,6 +1,12 @@
 """Shared fixtures: the expensive recursion runs are computed once per session."""
 
+import importlib.util
 import math
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,6 +111,35 @@ def d01_riemann_n100_slabs():
 @pytest.fixture(scope="session")
 def alpha_scan_results():
     return alpha_scan([0.02, 0.01, 0.005, 0.001], n_max=100)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """The compiled step head's module, built once from setup.py.
+
+    Tier-1 imports the package from src/, where the extension may not be
+    built; tests call its step_head directly or hand it to kernels.step as
+    _head, and compare it with the numpy head.
+    """
+    cc = sysconfig.get_config_var("CC") or "cc"
+    if shutil.which(cc.split()[0]) is None:
+        pytest.skip(f"no C compiler ({cc}) to build the extension with")
+    out = tmp_path_factory.mktemp("compensated")
+    build = subprocess.run(
+        [sys.executable, "setup.py", "-q", "build_ext",
+         "--build-lib", str(out / "lib"), "--build-temp", str(out / "temp")],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    # setup.py marks the extension optional, so a failed compile exits 0
+    built = list((out / "lib" / "continuum_cascade").glob("_compensated.*"))
+    assert build.returncode == 0 and len(built) == 1, build.stdout + build.stderr
+    spec = importlib.util.spec_from_file_location("continuum_cascade._compensated", built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

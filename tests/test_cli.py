@@ -25,6 +25,8 @@ from continuum_cascade.cli import (
     build_parser,
     main,
     parse_bool,
+    parse_floats,
+    parse_ints,
     resolve_params,
 )
 from continuum_cascade.output import RunWriter, fmt
@@ -122,7 +124,7 @@ def test_interrupted_streamed_run_leaves_no_manifest(tmp_path, monkeypatch, caps
 
     monkeypatch.setattr(kernels, "step", nan_after_generation_2)
     assert main([*args, str(tmp_path / "cut")]) == 3
-    assert "clamp exceeded tolerance at generation 3" in capsys.readouterr().err
+    assert "step to generation 3 left [0, 1]: excess=nan" in capsys.readouterr().err
     assert [p.name for p in (tmp_path / "cut").iterdir()] == ["pn_2.csv"]
     assert (tmp_path / "cut" / "pn_2.csv").read_bytes() == \
         (tmp_path / "whole" / "pn_2.csv").read_bytes()
@@ -565,6 +567,79 @@ def test_runs_without_a_result_write_nothing(tmp_path, capsys, argv, code):
     assert main([*argv, "--out", str(tmp_path)]) == code
     assert list(tmp_path.iterdir()) == []
     capsys.readouterr()
+
+
+# One flag at a time, on small base arguments: every numeric option of every
+# command takes each of these values (a list option as its one element)
+SWEEP_BASE = {
+    "recurse": ["--delta", "0.05", "--nmax", "3"],
+    "front": ["--delta", "0.05", "--nmax", "10"],
+    "simulate": ["--x", "1", "--trials", "20"],
+    "graph": ["--n-vertices", "50", "--c", "0.02", "--trials", "20"],
+    "brw": ["--trials", "1", "--n", "3"],
+    "compare": ["--n-vertices", "50", "--x", "1", "--trials", "20"],
+    "alpha-scan": ["--deltas", "0.02", "--nmax", "60"],
+}
+SWEEP_FLOATS = ["0", "-1", "inf", "-inf", "nan", "1e-300", "5e-324", "1e300", "2"]
+SWEEP_INTS = ["0", "-1", "1", "2"]  # so --workers is never above 2
+SWEEP = [
+    (command, opt.name, value)
+    for command, options in COMMANDS.items()
+    for opt in options
+    for value in {float: SWEEP_FLOATS, parse_floats: SWEEP_FLOATS,
+                  int: SWEEP_INTS, parse_ints: SWEEP_INTS}.get(opt.cast, [])
+]
+
+
+@pytest.mark.parametrize("command, flag, value", SWEEP,
+                         ids=[f"{c}--{f}={v}" for c, f, v in SWEEP])
+def test_one_flag_sweep_keeps_the_exit_code_contract(tmp_path, capsys, command, flag, value):
+    # the value is attached with "=", so that "-inf" reaches the command
+    # rather than parsing as a flag; an exception here is a traceback
+    out = tmp_path / "out"
+    try:
+        rc = main([command, *SWEEP_BASE[command], f"--{flag}={value}", "--out", str(out)])
+    except SystemExit as exc:  # a usage error, from argparse
+        rc, usage = exc.code, True
+    else:
+        usage = False
+    err = capsys.readouterr().err
+    assert rc in (0, 2, 3, 4), err
+    assert "Traceback" not in err
+    if rc:
+        assert not (out / "manifest.json").exists()
+    if rc and not usage:
+        assert len(err.splitlines()) == 1 and err.startswith("cascade: "), err
+
+
+# A size that one array can address but no memory here can hold.  Each run
+# has a 2 GiB address-space limit, so that it fails at once on any machine
+OUT_OF_MEMORY = [
+    ["alpha-scan", "--deltas", "1000", "--nmax", str(2**31)],
+    ["simulate", "--x", "1", "--trials", "10", "--ncap", str(2**31)],
+    ["graph", "--n-vertices", "50", "--c", "0.02", "--trials", "5", "--ncap", str(2**31)],
+    ["brw", "--trials", "1", "--n", str(2**31)],
+]
+
+
+@pytest.mark.parametrize("argv", OUT_OF_MEMORY, ids=[a[0] for a in OUT_OF_MEMORY])
+def test_out_of_memory_exits_two_without_a_manifest(tmp_path, argv):
+    resource = pytest.importorskip("resource")
+    limit = 2 * 2**30
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = Path(graphs.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "continuum_cascade", *argv, "--out", str(tmp_path)],
+        env=env, preexec_fn=limit_address_space, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("cascade: error: out of memory: ")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_commands_run_without_scipy(tmp_path):

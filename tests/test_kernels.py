@@ -1,14 +1,8 @@
 """The recursion kernel against exact rational arithmetic."""
 
-import importlib.util
 import itertools
 import math
-import shutil
-import subprocess
-import sys
-import sysconfig
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +11,6 @@ from hypothesis import strategies as st
 
 from continuum_cascade import kernels
 from continuum_cascade.recursion import (
-    CLAMP_TOLERANCE,
     Quadrature,
     RecursionConfig,
     bands,
@@ -170,20 +163,18 @@ def test_linear_tail_run_ends_at_the_first_node_outside_it():
         out_p, out_g = np.empty_like(q), q.copy()
         excess = finish(out_p, out_g, np.empty_like(q))
         p, g = libm_values(q)
-        expected = max(max(float(p.max()) - 1.0, float(-g.min())), 0.0)
+        expected = max(float(p.max()) - 1.0, float(-g.min()))
         np.testing.assert_equal(excess, expected)  # NaN when q holds one
-        if expected > 0.0:
-            p, g = np.minimum(p, 1.0), np.maximum(g, 0.0)
-        assert np.array_equal(out_p, p, equal_nan=True)
+        assert np.array_equal(out_p, p, equal_nan=True)  # nothing is repaired
         assert np.array_equal(out_g, g, equal_nan=True)
 
 
 def reference_finish(out_p: np.ndarray, out_g: np.ndarray, tmp: np.ndarray) -> float:
-    """The kernel's finish before its scans were narrowed, kept verbatim as the reference.
+    """The kernel's finish with its scans not narrowed, kept as the reference.
 
     It scans the whole band for P's maximum and g's minimum with max and
     min; the kernel scans P only past the linear run and finds both
-    extremes by argmax and argmin.
+    extremes by argmax and argmin.  Neither repairs P or g.
     """
     q = out_g
     n = len(q)
@@ -199,11 +190,7 @@ def reference_finish(out_p: np.ndarray, out_g: np.ndarray, tmp: np.ndarray) -> f
     np.negative(out_g[k:], out=out_g[k:])
     out_p[0] = 1.0
     out_g[0] = 0.0
-    excess = max(float(out_p.max()) - 1.0, float(-out_g.min()))
-    if excess > 0.0:
-        np.minimum(out_p, 1.0, out=out_p)
-        np.maximum(out_g, 0.0, out=out_g)
-    return max(excess, 0.0)
+    return max(float(out_p.max()) - 1.0, float(-out_g.min()))
 
 
 def finish_both(q: np.ndarray):
@@ -286,8 +273,8 @@ def test_step_matches_the_reference_finish_bit_for_bit(monkeypatch, compiled, tr
             excess = kernels.step(band, delta, trapezoid, out_p, out_g, np.empty(len(band) + 5))
             results.append((np.float64(excess).tobytes(), out_p.tobytes(), out_g.tobytes()))
         assert results[0] == results[1]
-        # iterate_step raises NumericError on the negative node's excess
-        assert (excess > CLAMP_TOLERANCE) == (band is bad)
+        # iterate_step raises NumericError on any excess but 0.0
+        assert (excess != 0.0) == (band is bad)
     assert len(calls) == 4  # the reference ran under each head, on each band
 
 
@@ -324,32 +311,9 @@ def test_complement_resolves_saturated_tail():
     assert g[saturated][1:].min() < 1e-17
 
 
-# The compiled step head.  Tier-1 imports the package from src/, where the
-# extension may not be built, so it is built here once, from setup.py; the
-# tests call its step_head directly or hand it to kernels.step as _head, and
+# The compiled step head (the `compiled` fixture, in conftest.py): the tests
+# call its step_head directly or hand it to kernels.step as _head, and
 # compare it with the numpy head.
-
-ROOT = Path(__file__).resolve().parents[1]
-
-
-@pytest.fixture(scope="session")
-def compiled(tmp_path_factory):
-    cc = sysconfig.get_config_var("CC") or "cc"
-    if shutil.which(cc.split()[0]) is None:
-        pytest.skip(f"no C compiler ({cc}) to build the extension with")
-    out = tmp_path_factory.mktemp("compensated")
-    build = subprocess.run(
-        [sys.executable, "setup.py", "-q", "build_ext",
-         "--build-lib", str(out / "lib"), "--build-temp", str(out / "temp")],
-        cwd=ROOT, capture_output=True, text=True,
-    )
-    # setup.py marks the extension optional, so a failed compile exits 0
-    built = list((out / "lib" / "continuum_cascade").glob("_compensated.*"))
-    assert build.returncode == 0 and len(built) == 1, build.stdout + build.stderr
-    spec = importlib.util.spec_from_file_location("continuum_cascade._compensated", built[0])
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def compiled_sums(compiled, x: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from continuum_cascade import kernels, recursion
+from continuum_cascade import fronts, graphs, kernels, recursion
 from continuum_cascade.errors import (
     ConfigurationError,
     ContractViolationError,
@@ -242,9 +242,9 @@ def test_every_grid_that_holds_the_crossings_gives_the_same_trace():
         front_traces(RecursionConfig(0.01, 30.0, 100), (0.5,))
 
 
-def test_clamp_diagnostic_fires_on_bad_input():
+def test_step_guard_fires_on_bad_input():
     # negative complement (P > 1) past x = 0 drives the exponent negative,
-    # pushing the output probability past 1 by more than the clamp tolerance
+    # pushing the output probability past 1
     g = np.full(201, -0.5)
     g[0] = 0.0
     bad = GridFunction(delta=0.01, values=1.0 - g, generation=0, complement=g)
@@ -252,14 +252,50 @@ def test_clamp_diagnostic_fires_on_bad_input():
         iterate_step(bad, Quadrature.TRAPEZOID)
 
 
-def test_clamp_diagnostic_fires_on_a_nan():
+def test_step_guard_fires_on_a_nan():
     # one NaN in a band's complement gives a NaN excess, which must not pass
-    # the tolerance check and spread to every later node
+    # the guard and spread to every later node
     g = init_p0(0.01, 50).complement.copy()
     g[10] = math.nan
     band = GridFunction(delta=0.01, values=1.0 - g, generation=0, complement=g)
     with pytest.raises(NumericError):
         iterate_step(band, Quadrature.TRAPEZOID, 50)
+
+
+@pytest.mark.parametrize("quadrature,excess", [
+    (Quadrature.TRAPEZOID, "5.000e-18"), (Quadrature.RIEMANN, "1.000e-17"),
+])
+def test_step_guard_has_no_tolerance(quadrature, excess):
+    # g dips to -1e-15 at node 1 alone: Q there is delta/2 (trapezoid) or
+    # delta (Riemann) times the dip, inside the linear run, so g comes out as
+    # that Q, far below any last-ulp jitter, and the run still fails: nothing
+    # clamps it to 0
+    g = init_p0(0.01, 50).complement.copy()
+    g[1] = -1e-15
+    band = GridFunction(delta=0.01, values=1.0 - g, generation=0, complement=g)
+    with pytest.raises(NumericError, match=rf"generation 1 left \[0, 1\]: excess={excess}$"):
+        iterate_step(band, quadrature)
+
+
+@pytest.mark.parametrize("head", ["numpy", "compiled"])
+def test_steps_of_front_alpha_scan_and_compare_have_zero_excess(monkeypatch, request, head):
+    # Q >= 0 and a faithful exp and expm1 keep P <= 1 and g >= 0 (kernels.py):
+    # the excess is exactly 0.0 on every step of a long front run, of the
+    # benchmark's alpha scan and of compare's continuum column
+    monkeypatch.setattr(kernels, "_head", kernels._numpy_head if head == "numpy"
+                        else request.getfixturevalue("compiled").step_head)
+    step, excesses = kernels.step, []
+
+    def recorded(*args):
+        excesses.append(step(*args))
+        return excesses[-1]
+
+    monkeypatch.setattr(kernels, "step", recorded)
+    front_traces(RecursionConfig(0.01, front_clearance_xmax(2000), 2000), (0.5,))
+    fronts.alpha_scan([0.02, 0.01, 0.005, 0.001], n_max=200)
+    graphs._continuum_cdf(2.0, 0)
+    assert len(excesses) > 2000 + 4 * 199
+    assert all(e == 0.0 for e in excesses)
 
 
 def _as_curve(raw: np.ndarray) -> np.ndarray:
