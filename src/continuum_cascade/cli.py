@@ -225,6 +225,7 @@ def cmd_recurse(params: dict, writer: RunWriter) -> None:
 
 
 def cmd_front(params: dict, writer: RunWriter) -> None:
+    recursion.check_level(params["level"])  # before the grid that --level sizes
     config = _recursion_config(params)
     if params["fit"] not in ("joint", "fixed"):
         raise ConfigurationError(f"unknown fit flavor '{params['fit']}'")

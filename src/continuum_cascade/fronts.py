@@ -235,8 +235,9 @@ def probe_slabs(
     the node left of the highest hi: no node past it is stepped.  Memory is
     the sum of the slabs, about (hi - lo) over delta nodes per generation,
     instead of a full grid per generation.  A delta that is not positive
-    and finite, and a window that is not finite, has lo > hi or whose top
-    node no array can hold, is refused before any array is built from it.
+    and finite, and a window that is not finite, has lo > hi, whose top
+    node no array can hold or whose slabs sum to more nodes than one array
+    can hold, is refused before any array is built from it.
     """
     check_delta(delta)
     lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
@@ -256,7 +257,14 @@ def probe_slabs(
     config = RecursionConfig(delta, (end + 0.5) * delta, len(lo) - 1, quadrature)
     first = grid_position(lo, delta, end)[1]
     stop = grid_position(hi, delta, end)[1] + 2  # a slab ends one node past its last i
-    offsets = np.concatenate(([0], np.cumsum(stop - first)))
+    sizes = stop - first
+    # summed as Python ints: an int64 sum of this many slabs can overflow
+    if (total := sum(sizes.tolist())) > MAX_ARRAY_ITEMS:
+        raise ConfigurationError(
+            f"probe slabs at delta {delta:g} hold {total} nodes in all, more than one "
+            f"array can hold ({MAX_ARRAY_ITEMS})"
+        )
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
     values = np.empty(int(offsets[-1]))
     # per-generation bounds as Python ints: numpy scalars cost more to index with
     starts, ends, at = first.tolist(), stop.tolist(), offsets.tolist()
@@ -362,6 +370,7 @@ def alpha_scan(
     # refused before any array is built or any delta is run
     for delta in deltas:
         check_delta(delta)
+        scheme_velocity(delta, Quadrature.RIEMANN)  # the probe needs the scheme's front
         if (nodes := _least_slab_nodes(delta, n_max, hi - lo)) > MAX_ARRAY_ITEMS:
             raise ConfigurationError(
                 f"n_max (--nmax) = {n_max} at delta {delta:g} keeps at least {nodes:.3g} "

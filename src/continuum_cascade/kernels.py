@@ -14,9 +14,11 @@ Brunet-Derrida cutoff effect; the magnitude matches pi^2/(2e)/ln^2(eps)).
 In g form the tail stays resolved down to exp(-708) and the continuum
 asymptotics survive to n ~ 10^4 and beyond.
 
-Every state a step reads has g(0) exactly 0: init_p0 builds it, _tail
-writes it, and recursion.iterate_step checks it of every band that
-recursion.bands steps.  So Riemann mode, which sums g at indices 1..i (the
+Every state a step reads has g(0) exactly 0: init_p0 builds it,
+recursion.iterate_step checks it of every band that recursion.bands
+steps, and the head carries it to the next generation: Q(0) is the empty
+sum, 0, which gives P(0) = 1 and g(0) = 0, and nothing writes over
+them.  So Riemann mode, which sums g at indices 1..i (the
 y = 0 endpoint omitted), is the plain prefix sum, and trapezoid mode
 subtracts half of g(x_i) alone.  At delta = 0.001 a generation is a
 ~1e5-term prefix sum and the recursion runs for thousands of generations,
@@ -40,8 +42,8 @@ at node k, and -Q to work[k:len(x)], and returns (j, k).  j <= k counts
 the nodes at the run's start that the head summed in a scaled domain
 (below); it tells the tests and the counters where the head ran, and the
 step reads k alone.  The tail (_tail) does what must keep numpy's bits:
-exp and expm1 past the run, P[0] and g[0], and the excess (below).  The
-head has two implementations that give the same bits.  The compiled one,
+exp and expm1 past the run, and the excess (below).  The head has two
+implementations that give the same bits.  The compiled one,
 _compensated.step_head (built from _compensated.c by `pip install` when a
 C compiler is there), is one pass with both running sums in registers.
 The numpy one, _numpy_head, makes about a dozen passes and returns j = 0;
@@ -140,16 +142,16 @@ def _linear_run(out_p: np.ndarray, out_g: np.ndarray, tmp: np.ndarray) -> int:
 def _tail(out_p: np.ndarray, out_g: np.ndarray, neg_q: np.ndarray, k: int) -> float:
     """P = exp(-Q) and g = -expm1(-Q) past the linear run, which ends at k.
 
-    neg_q[k:len(out_g)] holds -Q; P and g are written on the run already.
-    Returns the excess max(max P - 1, -min g) (module docstring).
+    neg_q[k:len(out_g)] holds -Q; P and g are written on the run already,
+    so every node, node 0 included, holds what the head and the tail
+    computed.  Returns the excess max(max P - 1, -min g) over every node
+    (module docstring).
     """
     n = len(out_g)
     neg_q = neg_q[k:n]
     np.exp(neg_q, out=out_p[k:])
     g = out_g[k:]
     np.negative(np.expm1(neg_q, out=g), out=g)
-    out_p[0] = 1.0
-    out_g[0] = 0.0
     # P is exactly 1 on the run, so one of its nodes stands for all of them
     # in the maximum's scan; argmax and argmin find an extreme (or the first
     # NaN) with less dispatch than max and min
@@ -182,6 +184,8 @@ def step(x: np.ndarray, delta: float, trapezoid: bool,
 
     Trapezoid quadrature when `trapezoid`, else Riemann.  out_p and out_g
     are as long as `x`, `work` at least as long; all three are overwritten.
+    Node 0 is computed and guarded like every other node: an x[0] of 0
+    gives Q(0) = 0, so P = 1 and g = 0 there, and nothing overwrites them.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     _, k = _head(x, delta, trapezoid, out_p, out_g, work)

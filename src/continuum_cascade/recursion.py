@@ -86,6 +86,12 @@ def check_delta(delta: float) -> None:
         raise ConfigurationError(f"delta must be positive, got {delta}")
 
 
+def check_level(level: float) -> None:
+    """A front level must lie in (0, 1)."""
+    if not 0.0 < level < 1.0:
+        raise ConfigurationError(f"front level must be in (0,1), got {level}")
+
+
 @dataclass(frozen=True)
 class RecursionConfig:
     delta: float
@@ -231,7 +237,9 @@ def iterate_step(
 
     `prev`'s g = 1 - P must be exactly 0 at its first node, as in every
     generation init_p0 and kernels.step build (the step relies on it, see
-    kernels.py).  The result is the next generation on the first `nodes`
+    kernels.py).  This check is the one place that value is enforced: the
+    step computes node 0 like any other, from Q(0) = 0, and writes nothing
+    over it.  The result is the next generation on the first `nodes`
     nodes, by default as many as `prev` has.  More nodes than `prev` has
     continue it by exact 1s of g, so `prev` must end where g is exactly 1.
     A node depends only on the nodes left of it, so the result's nodes are
@@ -244,8 +252,9 @@ def iterate_step(
     returned as read-only views of them, and scratch (at least `nodes`
     long) is overwritten.
 
-    Nothing is repaired: a result whose P or g leaves [0, 1] by any amount,
-    or holds a NaN, raises NumericError (a valid `prev` never gives one).
+    Nothing is repaired: a result whose P or g leaves [0, 1] by any amount
+    at any node, node 0 included, or holds a NaN, raises NumericError (a
+    valid `prev` never gives one).
     """
     if not isinstance(quadrature, Quadrature):
         raise ConfigurationError(f"unknown quadrature {quadrature!r}")
@@ -424,8 +433,7 @@ def front_traces(config: RecursionConfig, levels: Sequence[float]) -> list[Front
     """
     levels = tuple(levels)
     for lev in levels:
-        if not 0.0 < lev < 1.0:
-            raise ConfigurationError(f"front level must be in (0,1), got {lev}")
+        check_level(lev)
     crossings: list[list[float]] = [[] for _ in levels]
     # a band must reach past every crossing recorded on it
     for band, lo in bands(config, p_floor=min(levels, default=1.0)):

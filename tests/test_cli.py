@@ -532,6 +532,11 @@ GRID_REFUSALS = {
     ["alpha-scan", "--deltas", "nan", "--nmax", "50"],
     # refused before the first delta is run
     ["alpha-scan", "--deltas", "0.5,nan", "--nmax", "10"],
+    # a spacing whose RIEMANN scheme has no front, which the probe measures
+    ["alpha-scan", "--deltas", "2", "--nmax", "60"],
+    ["alpha-scan", "--deltas", "0.02,1e300", "--nmax", "60"],
+    # a level outside (0, 1), named before the grid it would size
+    ["front", "--level", "2", "--delta", "100", "--nmax", "5"],
 ])
 def test_bad_counts_exit_two(tmp_path, capsys, monkeypatch, argv):
     def no_stepping(*args):
@@ -548,6 +553,10 @@ def test_bad_counts_exit_two(tmp_path, capsys, monkeypatch, argv):
     # the error names the flag it rejects
     if argv[0] == "front" and "--fit-lo" in argv:
         assert "--fit-lo" in err and "--fit-hi" in err
+    if argv[0] == "alpha-scan" and argv[2] in ("2", "0.02,1e300"):
+        assert "front speed only for 0 < delta < 1" in err
+    if "--level" in argv:
+        assert "front level must be in (0,1), got 2.0" in err and "delta" not in err
     if tuple(argv) in GRID_REFUSALS:
         assert "x_max" not in err
         for part in GRID_REFUSALS[tuple(argv)]:
@@ -615,7 +624,7 @@ def test_one_flag_sweep_keeps_the_exit_code_contract(tmp_path, capsys, command, 
 # A size that one array can address but no memory here can hold.  Each run
 # has a 2 GiB address-space limit, so that it fails at once on any machine
 OUT_OF_MEMORY = [
-    ["alpha-scan", "--deltas", "1000", "--nmax", str(2**31)],
+    ["alpha-scan", "--deltas", "0.5", "--nmax", str(2**31)],
     ["simulate", "--x", "1", "--trials", "10", "--ncap", str(2**31)],
     ["graph", "--n-vertices", "50", "--c", "0.02", "--trials", "5", "--ncap", str(2**31)],
     ["brw", "--trials", "1", "--n", str(2**31)],

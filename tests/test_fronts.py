@@ -272,6 +272,18 @@ def test_probe_slabs_reject_a_bad_window(monkeypatch):
     assert one.config.n_max == 0 and len(one.offsets) == 2
 
 
+def test_probe_slabs_refuse_a_total_no_array_can_hold(monkeypatch):
+    # each slab fits one array, but 2000 of them sum past int64: refused by
+    # the total, before anything steps or an array is sized by the sum
+    def no_stepping(*args):
+        raise AssertionError("the recursion ran before the slab total was checked")
+
+    monkeypatch.setattr(recursion, "iterate_step", no_stepping)
+    with pytest.raises(ConfigurationError, match=r"hold 200000000000000004000 nodes in all, "
+                                                 r"more than one array can hold"):
+        probe_slabs(0.001, np.zeros(2000), np.full(2000, 1e14))
+
+
 def test_probe_rejects_alpha_outside_its_slabs(d01_riemann_n100_slabs):
     slabs = d01_riemann_n100_slabs
     for alpha in (0.9, 1.02, float("nan")):
@@ -380,6 +392,19 @@ def test_alpha_scan_result_probe_is_flat(alpha_scan_results):
 def test_alpha_scan_error_when_no_interior_minimum():
     with pytest.raises(ScanError):
         alpha_scan([0.01], n_max=60, alpha_range=(0.5, 0.8))
+
+
+@pytest.mark.parametrize("deltas", [[2.0], [1.0], [1e300], [0.02, 2.0]])
+def test_alpha_scan_refuses_a_spacing_without_a_riemann_front(monkeypatch, deltas):
+    # the probe measures the RIEMANN scheme's front, which exists for delta < 1
+    # alone: every delta is refused by scheme_velocity's rule before any runs
+    def no_stepping(*args):
+        raise AssertionError("a delta ran before every delta was checked")
+
+    monkeypatch.setattr(fronts, "probe_slabs", no_stepping)
+    with pytest.raises(ConfigurationError, match=r"riemann scheme has a front speed only for "
+                                                 r"0 < delta < 1"):
+        alpha_scan(deltas, n_max=60)
 
 
 @pytest.mark.parametrize("delta, n_max", [(0.05, 60), (0.01, 150)])

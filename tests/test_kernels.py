@@ -125,10 +125,8 @@ def test_step_matches_exact_quadrature(trapezoid, seed):
 
 
 def libm_values(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P = exp(-q) and g = -expm1(-q) from libm at every node, node 0 pinned."""
-    p, g = np.exp(-q), -np.expm1(-q)
-    p[0], g[0] = 1.0, 0.0
-    return p, g
+    """P = exp(-q) and g = -expm1(-q) from libm at every node, node 0 included."""
+    return np.exp(-q), -np.expm1(-q)
 
 
 def finish(out_p: np.ndarray, out_g: np.ndarray, tmp: np.ndarray) -> float:
@@ -188,8 +186,6 @@ def reference_finish(out_p: np.ndarray, out_g: np.ndarray, tmp: np.ndarray) -> f
     np.exp(neg_q, out=out_p[k:])
     np.expm1(neg_q, out=out_g[k:])
     np.negative(out_g[k:], out=out_g[k:])
-    out_p[0] = 1.0
-    out_g[0] = 0.0
     return max(float(out_p.max()) - 1.0, float(-out_g.min()))
 
 
@@ -276,6 +272,30 @@ def test_step_matches_the_reference_finish_bit_for_bit(monkeypatch, compiled, tr
         # iterate_step raises NumericError on any excess but 0.0
         assert (excess != 0.0) == (band is bad)
     assert len(calls) == 4  # the reference ran under each head, on each band
+
+
+@QUADRATURES
+@pytest.mark.parametrize("x0", [-1e-3, -1e-20, -1e-310])
+def test_step_reports_a_negative_node_0(monkeypatch, compiled, trapezoid, x0):
+    # nothing overwrites node 0: a negative g there gives Q(0) < 0, so P(0) > 1
+    # or g(0) < 0, and the step reports that excess under either head; the
+    # second node brings the sum back to 0, so node 0 alone leaves [0, 1]
+    # (-1e-310 starts the compiled head's scaled domain)
+    band = np.concatenate(([x0, -2.0 * x0], random_complement(500, 9)[1:], np.ones(50)))
+    delta = 0.01
+    q0 = np.float64((x0 - x0 * 0.5) * delta if trapezoid else x0 * delta)
+    p0, g0 = (1.0, q0) if abs(q0) < kernels.LINEAR_TAIL else (np.exp(-q0), -np.expm1(-q0))
+    for head in (kernels._numpy_head, compiled.step_head):
+        monkeypatch.setattr(kernels, "_head", head)
+        out_p, out_g = np.empty_like(band), np.empty_like(band)
+        excess = kernels.step(band, delta, trapezoid, out_p, out_g, np.empty_like(band))
+        assert (out_p[0], out_g[0]) == (p0, g0)
+        assert np.all((out_p[1:] <= 1.0) & (out_g[1:] >= 0.0))
+        assert excess == max(p0 - 1.0, -g0) > 0.0
+    # _tail alone, on a Q that is negative at node 0 only
+    q = np.array([q0, -q0, 0.5])
+    out_p, out_g = np.empty_like(q), q.copy()
+    assert finish(out_p, out_g, np.empty_like(q)) == max(p0 - 1.0, -g0)
 
 
 @QUADRATURES

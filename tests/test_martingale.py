@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from continuum_cascade import fronts, martingale
+from continuum_cascade import fronts, martingale, recursion
 from continuum_cascade.errors import ConfigurationError, DomainError, NumericError
 from continuum_cascade.fronts import LOG_COEFFICIENT, VELOCITY
 from continuum_cascade.martingale import (
@@ -266,6 +266,17 @@ def test_equivalence_check_preconditions(monkeypatch):
     for huge in (2**62, 2**64):
         with pytest.raises(ConfigurationError, match=f"probe generation {huge} exceeds "):
             equivalence_check(0.001, [0.0], [2, huge])
+
+
+def test_equivalence_check_refuses_slabs_no_array_can_hold(monkeypatch):
+    # 1999 windows 1e14 wide sum to more nodes than int64 counts: refused by
+    # the total, not as a negative array size, and before anything steps
+    def no_stepping(*args):
+        raise AssertionError("the recursion ran before the slab total was checked")
+
+    monkeypatch.setattr(recursion, "iterate_step", no_stepping)
+    with pytest.raises(ConfigurationError, match=r"nodes in all, more than one array can hold"):
+        equivalence_check(0.001, [0.0, 1e14], [2, 2000])
 
 
 def test_equivalence_check_slabs_run_to_the_last_generation_read(monkeypatch):
