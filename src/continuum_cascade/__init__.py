@@ -72,7 +72,7 @@ from .martingale import (
 
 __version__ = "0.1.0"
 
-# which step head (compensated prefix sum, Q and linear run) the recursion
-# kernel runs, the same bits either way (kernels.py): "c" when the build
+# which recursion step (compensated prefix sum, Q, linear run and the owned
+# exp) the kernel runs, the same bits either way (kernels.py): "c" when the build
 # compiled _compensated.c, else the numpy "python" one; run records name it
-KERNEL_BACKEND = "python" if kernels._head is kernels._numpy_head else "c"
+KERNEL_BACKEND = "python" if kernels._step is kernels._numpy_step else "c"

@@ -1,7 +1,13 @@
-/* The head of a recursion step, compiled: the compensated prefix sum, Q and
-   the linear-run scan in one pass.
+/* A recursion step, compiled: the head (the compensated prefix sum, Q and
+   the linear-run scan) in one pass, then P and g past the linear run from
+   the owned exp/expm1 routine, with the step's guard folded into that pass.
 
-   step_head(x, delta, trapezoid, out_p, out_g, work) -> (j, k) gives, node
+   step(x, delta, trapezoid, out_p, out_g, work) -> (excess, j, k) runs the
+   head below, then exp_pass (further below) on the -Q it left in
+   work[k:len(x)], and returns how far P and g left [0, 1] (kernels.py).
+   exp_pair(t, out_p, out_g) runs exp_pass alone: P = e^t and g = -expm1(t).
+
+   The head gives, node
    by node, the bits of the float64 operations of kernels._numpy_head: the
    running sum s of x, the FastTwoSum error e = min(a, b) - (t - max(a, b))
    of each addition t = a + b, the running sum E of those errors, the sum
@@ -67,11 +73,40 @@
    multiplications at any of its SIMD dispatch levels, on every platform
    that evaluates double in double.
 
-   Every argument is read through the buffer protocol: x a C-contiguous 1-d
-   buffer of native doubles, out_p, out_g and work writable ones at least as
-   long, none overlapping another.  Anything else raises and nothing is
-   written, so a float32 or strided buffer is never read as doubles byte
-   for byte. */
+   The owned exp (exp_pass) forms P = e^t and g = -expm1(t) of t = -Q from
+   +, -, * and integer operations on the bits alone, each exactly rounded,
+   so its bits are the same in the scalar loop, in every vector clone and
+   in kernels._exp_pair, the numpy transcription of the same operations:
+   - t is clamped to [-746, 746]: below -746 both P and 2^k round to 0 and
+     g to 1, above 746 P is inf; a NaN stays NaN;
+   - Cody-Waite reduction: k = round(t / ln 2) by the shifter 0x1.8p52,
+     read as an integer from the bits of the shifted sum, and r = (t -
+     k LN2HI) - k LN2LO, where LN2HI has 11 trailing zero bits, so k LN2HI
+     and its difference from t are exact for |k| < 2^11;
+   - p = e^r - 1 = r + r^2 s, s the Horner sum of 1/i! for i = 2..13;
+   - 2^k = 2^h 2^(k - h) with h = floor(k / 2), each factor built from its
+     exponent bits and normal, so P = ((1 + p) 2^h) 2^(k - h) is rounded
+     once where it is subnormal;
+   - g = (1 - 2^k) - 2^k p, which is -p exactly at k = 0.
+   For |t| < 2^-56, k = 0, r = t and r^2 s is below half an ulp of r, so P
+   = 1 and g = Q exactly: the linear run is the routine's own value, not a
+   shortcut past it.
+
+   The guard: the head ORs the bits of g over the linear run, where P = 1,
+   and exp_pass ORs two integer tests over the rest, bits(P) above those of
+   1.0 (P > 1, a negative P or a NaN) and bits(g) above those of +inf (g
+   below +0, -0.0 included, or a NaN).  The excess is 0.0 when none fails
+   and the run is not empty.  Otherwise an exact rescan computes it as
+   kernels._numpy_step does, so the fast path changes no bit of it.  The
+   tests are integer compares in two uint64_t accumulators: gcc vectorises
+   that form of the loop, and not an FP min/max reduction, an FP compare
+   in the flag or one combined accumulator (under -ftrapping-math).
+
+   Every argument is read through the buffer protocol: x (t) a C-contiguous
+   1-d buffer of native doubles, out_p, out_g and work writable ones at
+   least as long, none overlapping another.  Anything else raises and
+   nothing is written, so a float32 or strided buffer is never read as
+   doubles byte for byte. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -102,6 +137,26 @@
 #define HEAD_DELTA 0x1p841
 /* and its lower bound: there a scaled product is normal (scaled_product) */
 #define HEAD_DELTA_MIN 0x1p-76
+
+/* the owned exp's constants; kernels.py holds the same doubles */
+#define CLAMP_BITS UINT64_C(0x4087500000000000)  /* 746.0 */
+#define INVLN2 0x1.71547652b82fep0
+#define SHIFTER 0x1.8p52
+#define LN2HI 0x1.62e42fee00000p-1
+#define LN2LO 0x1.a39ef35793c76p-33
+/* bits(SHIFTER + k) - SHIFTER_BIAS is k + 2048, positive for |k| < 2048 */
+#define SHIFTER_BIAS (UINT64_C(0x4338000000000000) - 2048)
+#define ONE_BITS UINT64_C(0x3ff0000000000000)
+
+/* the exp pass's loop is built for x86-64-v4, AVX2 and the baseline, the
+   one that runs chosen at load time through an ifunc (GCC 11 on, x86-64
+   GNU/Linux); elsewhere it is the plain loop, with the same bits */
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 11 \
+    && defined(__x86_64__) && defined(__gnu_linux__)
+#define EXP_CLONES __attribute__((target_clones("arch=x86-64-v4", "avx2", "default")))
+#else
+#define EXP_CLONES
+#endif
 
 static inline uint64_t
 bits_of(double v)
@@ -178,16 +233,18 @@ scale_down(double v)
 }
 
 /* Q of one node from its sum, and the linear run: P = 1 and Q while it
-   lasts, -Q after it; *k becomes the first node past the run */
+   lasts, with Q's bits ORed into *run_bits, -Q after it; *k becomes the
+   first node past the run */
 static inline void
 emit(Py_ssize_t node, double sum, double b, double delta, int trapezoid,
-     double *out_p, double *out_g, double *work, Py_ssize_t *k)
+     double *out_p, double *out_g, double *work, Py_ssize_t *k, uint64_t *run_bits)
 {
     double q = (trapezoid ? sum - b * 0.5 : sum) * delta;
     if (*k > node) {
         if (fabs(q) < LINEAR_TAIL) {  /* a NaN ends the run */
             out_p[node] = 1.0;
             out_g[node] = q;
+            *run_bits |= bits_of(q);
             return;
         }
         *k = node;
@@ -195,20 +252,24 @@ emit(Py_ssize_t node, double sum, double b, double delta, int trapezoid,
     work[node] = -q;
 }
 
-/* the step's head on m > 0 nodes; returns the run's end k and sets *head to j */
+/* the step's head on m > 0 nodes; returns the run's end k, sets *head to j
+   and ORs the bits of g on the run into *run_bits */
 static Py_ssize_t
 head_pass(const double *x, Py_ssize_t m, double delta, int trapezoid,
-          double *out_p, double *out_g, double *work, Py_ssize_t *head)
+          double *out_p, double *out_g, double *work, Py_ssize_t *head,
+          uint64_t *run_bits)
 {
     Py_ssize_t i = 1, k = m;
     /* -0.0 + e is e, bit for bit, so the first E is e itself, as the numpy
        accumulate of the errors gives it */
     double s = x[0], E = -0.0;
+    uint64_t bits = 0;
     if (fabs(delta) >= HEAD_DELTA_MIN && fabs(delta) < HEAD_DELTA
         && (bits_of(s) & ~SIGN_BIT) < HEAD_EXPONENTS) {
         double S = scale_up(s), ES = -0.0;
         out_p[0] = 1.0;
         out_g[0] = scaled_product(trapezoid ? S - scaled_half(s, S) : S, delta);
+        bits |= bits_of(out_g[0]);
         for (; i < m && fabs(S) < HEAD_SCALED_SUM
                && (bits_of(x[i]) & ~SIGN_BIT) < HEAD_EXPONENTS; i++) {
             double a = S, b = scale_up(x[i]);
@@ -219,6 +280,7 @@ head_pass(const double *x, Py_ssize_t m, double delta, int trapezoid,
             double sum = t + ES;
             out_p[i] = 1.0;
             out_g[i] = scaled_product(trapezoid ? sum - scaled_half(x[i], b) : sum, delta);
+            bits |= bits_of(out_g[i]);
         }
         s = scale_down(S);
         E = scale_down(ES);
@@ -226,7 +288,7 @@ head_pass(const double *x, Py_ssize_t m, double delta, int trapezoid,
     }
     else {
         *head = 0;
-        emit(0, s, s, delta, trapezoid, out_p, out_g, work, &k);
+        emit(0, s, s, delta, trapezoid, out_p, out_g, work, &k, &bits);
     }
     for (; i < m; i++) {
         double a = s, b = x[i];
@@ -234,13 +296,78 @@ head_pass(const double *x, Py_ssize_t m, double delta, int trapezoid,
         double big = a > b ? a : b, small = a > b ? b : a;
         E += small - (t - big);
         s = t;
-        emit(i, t + E, b, delta, trapezoid, out_p, out_g, work, &k);
+        emit(i, t + E, b, delta, trapezoid, out_p, out_g, work, &k, &bits);
     }
+    *run_bits = bits;
     return k;
 }
 
+/* P = e^t and g = -expm1(t) of each t_in[i], i < n, by the owned routine
+   (top of file); nonzero when some P fails P <= 1 or some g fails g >= +0,
+   tested on the bits */
+EXP_CLONES static int
+exp_pass(const double *restrict t_in, Py_ssize_t n, double *restrict out_p,
+         double *restrict out_g)
+{
+    uint64_t bad_p = 0, bad_g = 0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        /* |t| clamped at 746 on its bits, a NaN kept: an FP compare there
+           would keep gcc from vectorising the loop */
+        uint64_t u = bits_of(t_in[i]), mag = u & ~SIGN_BIT;
+        mag = (mag > CLAMP_BITS) & (mag <= EXPONENT_BITS) ? CLAMP_BITS : mag;
+        double t = double_of(mag | (u & SIGN_BIT));
+        double shifted = t * INVLN2 + SHIFTER;
+        uint64_t k = bits_of(shifted) - SHIFTER_BIAS;  /* k + 2048 */
+        double kd = shifted - SHIFTER;
+        double r = (t - kd * LN2HI) - kd * LN2LO;
+        double s = 0x1.6124613a86d09p-33;  /* 1/13! */
+        s = s * r + 0x1.1eed8eff8d898p-29;
+        s = s * r + 0x1.ae64567f544e4p-26;
+        s = s * r + 0x1.27e4fb7789f5cp-22;
+        s = s * r + 0x1.71de3a556c734p-19;
+        s = s * r + 0x1.a01a01a01a01ap-16;
+        s = s * r + 0x1.a01a01a01a01ap-13;
+        s = s * r + 0x1.6c16c16c16c17p-10;
+        s = s * r + 0x1.1111111111111p-7;
+        s = s * r + 0x1.5555555555555p-5;
+        s = s * r + 0x1.5555555555555p-3;
+        s = s * r + 0x1.0000000000000p-1;  /* 1/2! */
+        double p = r + (r * r) * s;
+        uint64_t h = k >> 1;  /* floor(k / 2) + 1024 */
+        double a = double_of((h - 1) << 52);  /* 2^h */
+        double b = double_of((k - h - 1) << 52);  /* 2^(k - h) */
+        double e = a * b;  /* 2^k */
+        double big_p = ((1.0 + p) * a) * b;
+        double g = (1.0 - e) - e * p;
+        out_p[i] = big_p;
+        out_g[i] = g;
+        bad_p |= bits_of(big_p) > ONE_BITS;
+        bad_g |= bits_of(g) > EXPONENT_BITS;
+    }
+    return (bad_p | bad_g) != 0;
+}
+
+/* the excess as kernels._numpy_step computes it on m nodes whose linear
+   run ends at k: the largest P from node k - 1 on, less 1, against minus
+   the smallest g, each found as numpy's argmax and argmin find it (the
+   first extreme, or the first NaN) and combined as Python's max(a, b) */
+static double
+rescan(const double *p, const double *g, Py_ssize_t k, Py_ssize_t m)
+{
+    Py_ssize_t i = k > 0 ? k - 1 : 0;
+    double big = p[i], small = g[0];
+    for (i++; i < m && big == big; i++)
+        if (!(p[i] <= big))
+            big = p[i];
+    for (i = 1; i < m && small == small; i++)
+        if (!(g[i] >= small))
+            small = g[i];
+    double a = big - 1.0, b = -small;
+    return b > a ? b : a;
+}
+
 static int
-get_doubles(PyObject *obj, Py_buffer *view, int writable, const char *name)
+get_doubles(PyObject *obj, Py_buffer *view, int writable, const char *func, const char *name)
 {
     int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | (writable ? PyBUF_WRITABLE : 0);
     if (PyObject_GetBuffer(obj, view, flags) < 0)
@@ -248,8 +375,8 @@ get_doubles(PyObject *obj, Py_buffer *view, int writable, const char *name)
     if (view->ndim != 1 || view->itemsize != sizeof(double)
         || view->format == NULL || strcmp(view->format, "d") != 0) {
         PyErr_Format(PyExc_TypeError,
-                     "step_head: %s must be a 1-d buffer of native float64, got format %s, ndim %d",
-                     name, view->format ? view->format : "B", view->ndim);
+                     "%s: %s must be a 1-d buffer of native float64, got format %s, ndim %d",
+                     func, name, view->format ? view->format : "B", view->ndim);
         PyBuffer_Release(view);
         return -1;
     }
@@ -264,18 +391,48 @@ overlap(const Py_buffer *u, const Py_buffer *v, Py_ssize_t m)
     return m > 0 && a < b + size && b < a + size;
 }
 
-static PyObject *
-step_head(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+/* views[a] of args[positions[a]] for a < count: the first read-only, the
+   rest writable, at least as long as the first and none overlapping
+   another; returns the first one's length, or -1 with an exception set
+   and every view released */
+static Py_ssize_t
+get_views(const char *func, PyObject *const *args, const int *positions,
+          const char *const *names, int count, Py_buffer *views)
 {
-    /* the buffer arguments: x, out_p, out_g and work */
-    static const char *names[] = {"x", "out_p", "out_g", "work"};
+    int got = 0;
+    const char *error = NULL;
+    Py_ssize_t m = 0;
+    for (; got < count; got++)
+        if (get_doubles(args[positions[got]], &views[got], got > 0, func, names[got]) < 0)
+            break;
+    if (got == count) {
+        m = views[0].shape[0];
+        for (int a = 1; a < count && error == NULL; a++) {
+            if (views[a].shape[0] < m)
+                error = "an output is shorter than the input";
+            for (int b = 0; b < a && error == NULL; b++)
+                if (overlap(&views[a], &views[b], m))
+                    error = "two arguments overlap";
+        }
+        if (error == NULL)
+            return m;
+        PyErr_Format(PyExc_ValueError, "%s: %s", func, error);
+    }
+    for (int a = 0; a < got; a++)
+        PyBuffer_Release(&views[a]);
+    return -1;
+}
+
+static PyObject *
+step(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    static const char *const names[] = {"x", "out_p", "out_g", "work"};
     static const int positions[] = {0, 3, 4, 5};
     Py_buffer views[4];
-    int got = 0;
-    Py_ssize_t m = 0, j = 0, k = 0;
-    const char *error = NULL;
+    Py_ssize_t j = 0, k = 0;
+    double excess = 0.0;
     if (nargs != 6) {
-        PyErr_Format(PyExc_TypeError, "step_head takes 6 arguments (%zd given)", nargs);
+        PyErr_Format(PyExc_TypeError, "step takes 6 arguments (%zd given)", nargs);
         return NULL;
     }
     double delta = PyFloat_AsDouble(args[1]);
@@ -284,47 +441,65 @@ step_head(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     int trapezoid = PyObject_IsTrue(args[2]);
     if (trapezoid < 0)
         return NULL;
-    for (; got < 4; got++)
-        if (get_doubles(args[positions[got]], &views[got], got > 0, names[got]) < 0)
-            goto release;
-    m = views[0].shape[0];
-    for (int a = 1; a < 4 && error == NULL; a++) {
-        if (views[a].shape[0] < m)
-            error = "step_head: an output is shorter than x";
-        for (int b = 0; b < a && error == NULL; b++)
-            if (overlap(&views[a], &views[b], m))
-                error = "step_head: two arguments overlap";
-    }
-    if (error == NULL && m > 0) {
+    Py_ssize_t m = get_views("step", args, positions, names, 4, views);
+    if (m < 0)
+        return NULL;
+    if (m > 0) {
+        const double *x = views[0].buf;
+        double *out_p = views[1].buf, *out_g = views[2].buf, *work = views[3].buf;
         Py_BEGIN_ALLOW_THREADS
-        k = head_pass(views[0].buf, m, delta, trapezoid,
-                      views[1].buf, views[2].buf, views[3].buf, &j);
+        uint64_t run_bits;
+        k = head_pass(x, m, delta, trapezoid, out_p, out_g, work, &j, &run_bits);
+        int bad = exp_pass(work + k, m - k, out_p + k, out_g + k);
+        if (bad || k == 0 || (run_bits & SIGN_BIT))
+            excess = rescan(out_p, out_g, k, m);
         Py_END_ALLOW_THREADS
     }
-release:
-    for (int a = 0; a < got; a++)
+    for (int a = 0; a < 4; a++)
         PyBuffer_Release(&views[a]);
-    if (got < 4)
-        return NULL;
-    if (error != NULL) {
-        PyErr_SetString(PyExc_ValueError, error);
+    if (m == 0)  /* no node, no excess: the numpy step raises too */
+        return PyErr_Format(PyExc_ValueError, "step: x holds no node");
+    return Py_BuildValue("(dnn)", excess, j, k);
+}
+
+static PyObject *
+exp_pair(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    static const char *const names[] = {"t", "out_p", "out_g"};
+    static const int positions[] = {0, 1, 2};
+    Py_buffer views[3];
+    if (nargs != 3) {
+        PyErr_Format(PyExc_TypeError, "exp_pair takes 3 arguments (%zd given)", nargs);
         return NULL;
     }
-    return Py_BuildValue("(nn)", j, k);
+    Py_ssize_t m = get_views("exp_pair", args, positions, names, 3, views);
+    if (m < 0)
+        return NULL;
+    Py_BEGIN_ALLOW_THREADS
+    exp_pass(views[0].buf, m, views[1].buf, views[2].buf);
+    Py_END_ALLOW_THREADS
+    for (int a = 0; a < 3; a++)
+        PyBuffer_Release(&views[a]);
+    Py_RETURN_NONE;
 }
 
 static PyMethodDef methods[] = {
-    {"step_head", (PyCFunction)(void (*)(void))step_head, METH_FASTCALL,
-     "step_head(x, delta, trapezoid, out_p, out_g, work) -> (j, k)\n--\n\n"
-     "The compensated prefix sums of x, Q and the linear run of a recursion\n"
-     "step in one pass: P = 1 and Q on the linear run, which ends at k, and\n"
-     "-Q after it; the subnormal head x[:j], inside the run, is summed scaled."},
+    {"step", (PyCFunction)(void (*)(void))step, METH_FASTCALL,
+     "step(x, delta, trapezoid, out_p, out_g, work) -> (excess, j, k)\n--\n\n"
+     "One recursion step: the compensated prefix sums of x and Q in one pass,\n"
+     "P = 1 and g = Q on the linear run, which ends at k, and P = exp(-Q) and\n"
+     "g = -expm1(-Q) by the owned routine after it, -Q left in work; the\n"
+     "subnormal head x[:j], inside the run, is summed scaled.  excess is how\n"
+     "far P and g left [0, 1], 0.0 when they did not."},
+    {"exp_pair", (PyCFunction)(void (*)(void))exp_pair, METH_FASTCALL,
+     "exp_pair(t, out_p, out_g)\n--\n\n"
+     "P = exp(t) and g = -expm1(t) of each t by the owned routine."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_compensated",
-    "The head of a recursion step, its compensated prefix sum included, in one compiled pass.",
+    "A recursion step, its compensated prefix sum and its exp included, in one compiled call.",
     -1, methods,
 };
 

@@ -33,6 +33,9 @@ from .recursion import (
 
 VELOCITY = 1.0 / math.e
 LOG_COEFFICIENT = 3.0 / (2.0 * math.e)
+# scheme_velocity's largest decay-rate bracket end: past it no double
+# spacing below the limit has a measurable speed
+SPEED_BRACKET_MAX = 2.0**60
 
 
 @dataclass
@@ -142,12 +145,36 @@ def scheme_velocity(delta: float, quadrature: Quadrature) -> tuple[float, float]
     delta -> 0.  Velocity selection for a pulled front (Ebert-van Saarloos,
     Physica D 146, 2000) gives v_delta = max -ln K(lambda)/lambda, which is
     1/e at lambda = e in the continuum.  K(inf) is delta/2 or delta, so no
-    positive speed exists for delta >= 2 (TRAPEZOID) or delta >= 1 (RIEMANN).
+    positive speed exists for delta >= 2 (TRAPEZOID) or delta >= 1 (RIEMANN);
+    below those limits there is one for every delta, its lambda growing
+    without bound as delta nears the limit.
+
+    For u = lambda delta < 1, K is formed as (1/lambda) times a ratio in u,
+    (u/2) / tanh(u/2) or u / -expm1(-u), which is 1 where u underflows, so
+    a subnormal delta gives the continuum's speed; from u = 1 on, ln K is
+    the sum of the logs of its factors, accurate where K is close to 1.
+    The maximiser is bracketed first: the bracket's upper end doubles while
+    the speed still rises there.  A lambda that the search leaves at an
+    edge of its bracket is refused, naming the spacing, as is a speed that
+    rises past any bracket.
     """
     if quadrature is Quadrature.TRAPEZOID:
-        limit, symbol = 2.0, lambda lam: 0.5 * delta / math.tanh(0.5 * lam * delta)
+        limit = 2.0
+
+        def ratio(u: float) -> float:
+            half = 0.5 * u
+            return half / math.tanh(half) if half else 1.0
+
+        def log_symbol(u: float) -> float:  # ln((delta/2) coth(u/2))
+            return math.log(0.5 * delta) + math.log1p(2.0 / math.expm1(u))
     else:
-        limit, symbol = 1.0, lambda lam: -delta / math.expm1(-lam * delta)
+        limit = 1.0
+
+        def ratio(u: float) -> float:  # u >= delta > 0
+            return u / -math.expm1(-u)
+
+        def log_symbol(u: float) -> float:  # ln(delta / (1 - e^-u))
+            return math.log(delta) - math.log1p(-math.exp(-u))
     if not 0.0 < delta < limit:
         raise ConfigurationError(
             f"the {quadrature.value} scheme has a front speed only for "
@@ -155,14 +182,29 @@ def scheme_velocity(delta: float, quadrature: Quadrature) -> tuple[float, float]
         )
 
     def minus_speed(lam: float) -> float:
-        return math.log(symbol(lam)) / lam
+        # ln K from the ratio while u < 1; past it, where K nears 1 as delta
+        # nears the limit, from the logs of its factors, which keep ln K's
+        # relative precision
+        u = lam * delta
+        ln_k = math.log(ratio(u) / lam) if u < 1.0 else log_symbol(u)
+        return ln_k / lam
 
-    lo, hi, tol = 1.0, 10.0, 1e-10
+    # the speed falls past the maximiser, so one that still rises from
+    # hi / 2 to hi has it above hi / 2
+    lo, hi = 1.0, 10.0
+    while minus_speed(hi) <= minus_speed(0.5 * hi):
+        lo, hi = 0.5 * hi, 2.0 * hi
+        if hi > SPEED_BRACKET_MAX:
+            raise ConfigurationError(
+                f"the {quadrature.value} scheme's front speed at delta={delta} still "
+                f"rises at decay rate {hi:g}; the spacing is too close to {limit:g}"
+            )
+    tol = 1e-11 * hi
     lam = _golden_section(minus_speed, lo, hi, tol)
     if not lo + tol < lam < hi - tol:
         raise ConfigurationError(
-            f"the {quadrature.value} scheme's front at delta={delta} decays at a "
-            f"rate outside ({lo:g}, {hi:g})"
+            f"the {quadrature.value} scheme's front at delta={delta} has no decay rate "
+            f"inside ({lo:g}, {hi:g}) that maximises its speed"
         )
     return -minus_speed(lam), lam
 

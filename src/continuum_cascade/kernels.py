@@ -29,30 +29,34 @@ Dekker's FastTwoSum (1971), which needs the larger operand first; every
 term of g is >= 0, so max and min put them in that order.  That is as
 accurate as summing in twice the working precision and rounding once, and
 it uses float64 additions alone, each exactly rounded, so its bits do not
-depend on numpy's SIMD dispatch level.  The exp and expm1 of a step do:
-numpy's AVX-512 and AVX2 loops differ at 9.2 % and 4.8 % of 200,001 points
-spanning the kernel's range, so P and g can differ in the last ulps
-between dispatch levels.  The bits are fixed for one numpy build at one
-dispatch level only.
+depend on numpy's SIMD dispatch level.  Nor do those of the exp and expm1
+of a step: they are the package's own routine (_compensated.c has its
+operations: a Cody-Waite reduction, a degree-13 polynomial and 2^k from
+its bits), made of +, -, * and integer operations alone.  numpy's own exp
+and expm1 loops differ between its AVX-512 and AVX2 levels (at 9.2 % and
+4.8 % of 200,001 points spanning the kernel's range), so with them the
+bits were fixed for one dispatch level only; with the owned routine they
+are the same at every level, compiled or not.  P and g are within 1 ulp
+of the exact values, and P, g in [0, 1] wherever Q >= 0.
 
-A step is a head and a tail.  The head's contract: head(x, delta,
-trapezoid, out_p, out_g, work) forms the sum and Q of every node, writes
-P = 1 to out_p and Q to out_g on the leading linear run (below), which ends
-at node k, and -Q to work[k:len(x)], and returns (j, k).  j <= k counts
-the nodes at the run's start that the head summed in a scaled domain
-(below); it tells the tests and the counters where the head ran, and the
-step reads k alone.  The tail (_tail) does what must keep numpy's bits:
-exp and expm1 past the run, and the excess (below).  The head has two
-implementations that give the same bits.  The compiled one,
-_compensated.step_head (built from _compensated.c by `pip install` when a
-C compiler is there), is one pass with both running sums in registers.
-The numpy one, _numpy_head, makes about a dozen passes and returns j = 0;
-it runs when the module was not built (a source tree on PYTHONPATH, or an
-install without a compiler), and the tests compare the compiled head with
-it.  Both do the same float64 operations in the same order; the C file is
-built with floating-point contraction off, so no fused multiply-add
-enters.  _head is the one that runs, and KERNEL_BACKEND in __init__ names
-it.
+A step is a head and a tail.  The head forms the sum and Q of every
+node, writes P = 1 to out_p and Q to out_g on the leading linear run
+(below), which ends at node k, and -Q to work[k:len(x)]; it returns (j, k).
+j <= k counts the nodes at the run's start that the head summed in a
+scaled domain (below); it tells the tests where the head ran.  The tail
+forms P and g past the run with the owned routine, and the excess (below).
+The step has two implementations that give the same bits.  The compiled
+one, _compensated.step (built from _compensated.c by `pip install` when a
+C compiler is there), is one call: one pass for the head, with both
+running sums in registers, and one vectorised pass for the tail, with
+the guard folded in.  The numpy one, _numpy_step (_numpy_head, then
+_exp_pair), makes a few dozen passes; it runs when the module was not
+built (a source tree on PYTHONPATH, or an install without a compiler),
+and the tests compare the compiled step with it.  Both do the same
+float64 operations in the same order; the C file is built with
+floating-point contraction off, so no fused multiply-add enters.  _step is
+the one that runs, and KERNEL_BACKEND in __init__ names it; init_p0 forms
+generation 0 with exp_pair, the same routine, from the same module.
 
 The compiled head's j nodes are the band's subnormal head, where g, the
 sum's FastTwoSum errors or Q are subnormal and an addition or product
@@ -66,30 +70,33 @@ head node lies inside the linear run (_compensated.c has the arguments).
 
 The step fills the exposed probability array and the complement array
 from the same exponent Q.  Behind the front the step is linear to the
-last bit: where |Q| < 2^-56 the correctly rounded values are exp(-Q) = 1
-and -expm1(-Q) = Q, so the leading run of such nodes (three quarters of
-the band in a long front run) is written directly and only the rest goes
-through libm, at full relative precision; a NaN ends the run.  The
-threshold sits two binades below 2^-54, where rounding to 1 starts,
-because numpy's SIMD exp is not correctly rounded near there: it returns
-1 - 2^-53 for some Q in [2^-54.3, 2^-54), and 1 for every Q below 2^-55
-checked (x86-64, numpy 2.4).  So the run gets the bits numpy's exp and
-expm1 give it.  Nothing is repaired: every term of g is >= 0, so Q >= 0,
-and a faithfully rounded exp and expm1 keep P <= 1 and g >= 0.  The step
-returns how far P and g left [0, 1], 0.0 on every valid band (NaN on a
-NaN), and recursion.iterate_step fails the run on any other value.
+last bit: for |Q| < 2^-56 the routine's reduction gives the exponent 0
+and r = -Q, and r^2 times its polynomial is below half an ulp of r, so it
+returns P = 1 and g = Q exactly.  So the leading run of such nodes (three quarters of
+the band in a long front run) is written directly, with the routine's own
+bits, and only the rest goes through it, at full relative precision; a
+NaN ends the run.  The step returns k, and recursion carries it with the
+band, so a reader of P can start at the run's end.  Nothing is repaired:
+every term of g is >= 0, so Q >= 0, and the routine keeps P <= 1 and g >=
+0 there.  The step returns how far P and g left [0, 1], 0.0 on every valid
+band (NaN on a NaN), and recursion.iterate_step fails the run on any other
+value.  The compiled step tests the bits of P and g as it writes them and
+computes the excess exactly only when a test fails (_compensated.c).
 
-The step allocates no array: the caller passes the outputs, as long as
-the band, and a scratch array at least that long (recursion.bands keeps
-one set for a whole run).  Every ufunc writes into them with out=.  In
-the numpy head the outputs double as the sum's FastTwoSum temporaries and
-then as the linear-run mask; Q is formed in place in the g output, and
-the scratch holds the prefix sums and then -Q.  The compiled head writes
-P = 1 and Q on the run, the subnormal head included, and -Q past it to the
-same places.  Nothing is read before it is written, so a step gives
-the same bits whatever its buffers held.  A band that is not contiguous
-float64 is stepped as its contiguous float64 copy, by either head.
+The compiled step allocates no array: the caller passes the outputs, as
+long as the band, and a scratch array at least that long (recursion.bands
+keeps one set for a whole run).  In the numpy head the outputs double as
+the sum's FastTwoSum temporaries and then as the linear-run mask; Q is
+formed in place in the g output, and the scratch holds the prefix sums
+and then -Q.  The compiled head writes P = 1 and Q on the run, the
+subnormal head included, and -Q past it to the same places; the numpy
+tail uses that -Q as scratch and allocates one temporary as long as it.  Nothing is read before it is
+written, so a step gives the same bits whatever its buffers held.  A band
+that is not contiguous float64 is stepped as its contiguous float64 copy,
+by either implementation.
 """
+
+import math
 
 import numpy as np
 
@@ -115,11 +122,71 @@ def _prefix_sum(x: np.ndarray, out: np.ndarray, err: np.ndarray, tmp: np.ndarray
     return s
 
 
-# |Q| below this: exp(-Q) rounds to 1 and -expm1(-Q) to Q (module docstring)
+# |Q| below this: the owned routine gives P = 1 and g = Q (module docstring)
 LINEAR_TAIL = 2.0**-56
 # the step's constant operands as 0-d arrays: a ufunc converts a Python float
 # operand on every call, at about a third of a microsecond
 _TAIL, _HALF = np.array(LINEAR_TAIL), np.array(0.5)
+
+# the owned exp's constants, the doubles and bit patterns of _compensated.c
+_SIGN_BIT = np.uint64(1 << 63)
+_INF_BITS = np.uint64(0x7FF0000000000000)
+_CLAMP_BITS = np.uint64(0x4087500000000000)  # 746.0
+_INVLN2 = float.fromhex("0x1.71547652b82fep0")
+_SHIFTER = float.fromhex("0x1.8p52")
+_SHIFTER_BIAS = np.uint64(0x4338000000000000 - 2048)  # bits(SHIFTER + k) less it: k + 2048
+_LN2HI = float.fromhex("0x1.62e42fee00000p-1")
+_LN2LO = float.fromhex("0x1.a39ef35793c76p-33")
+# 1/i! for i = 13 down to 2, correctly rounded, in Horner order
+_EXP_TERMS = tuple(1.0 / math.factorial(i) for i in range(13, 1, -1))
+
+
+def _exp_pair(t: np.ndarray, out_p: np.ndarray, out_g: np.ndarray) -> None:
+    """P = exp(t) and g = -expm1(t) by the owned routine, in numpy.
+
+    The float64 and integer operations of _compensated.c's exp_pass, in
+    its order, each exactly rounded, so the bits are the compiled loop's at
+    every numpy dispatch level.  Writes out_p[:len(t)] and out_g[:len(t)];
+    they and `t` double as scratch, so `t` is overwritten, and one
+    temporary as long as `t` is allocated.
+    """
+    n = len(t)
+    big_p, g = out_p[:n], out_g[:n]
+    bits, g_bits = t.view(np.uint64), g.view(np.uint64)
+    np.bitwise_and(bits, _SIGN_BIT, out=g_bits)
+    bits &= ~_SIGN_BIT
+    np.minimum(bits, _CLAMP_BITS, out=bits, where=bits <= _INF_BITS)  # a NaN kept
+    bits |= g_bits  # |t| clamped at 746
+    kd = np.multiply(t, _INVLN2, out=big_p)
+    kd += _SHIFTER
+    k = np.subtract(kd.view(np.uint64), _SHIFTER_BIAS, out=g_bits)  # k + 2048
+    kd -= _SHIFTER
+    tmp = kd * _LN2HI
+    r = np.subtract(t, tmp, out=t)
+    r -= np.multiply(kd, _LN2LO, out=tmp)
+    s = tmp
+    s.fill(_EXP_TERMS[0])
+    for term in _EXP_TERMS[1:]:
+        s *= r
+        s += term
+    p = np.multiply(r, r, out=big_p)
+    p *= s
+    p += r  # e^r - 1
+    h = np.right_shift(k, np.uint64(1), out=s.view(np.uint64))  # floor(k / 2) + 1024
+    b = np.subtract(k, h, out=g_bits)
+    b -= np.uint64(1)
+    b <<= np.uint64(52)  # 2^(k - h)
+    a = np.subtract(h, np.uint64(1), out=h)
+    a <<= np.uint64(52)  # 2^h
+    a, b = a.view(np.float64), b.view(np.float64)
+    ep = np.multiply(a, b, out=r)
+    ep *= p  # 2^k p
+    p += 1.0
+    p *= a
+    p *= b  # P = ((1 + p) 2^h) 2^(k - h)
+    e = np.multiply(a, b, out=a)  # 2^k
+    np.subtract(1.0, e, out=g)
+    g -= ep
 
 
 def _linear_run(out_p: np.ndarray, out_g: np.ndarray, tmp: np.ndarray) -> int:
@@ -139,29 +206,9 @@ def _linear_run(out_p: np.ndarray, out_g: np.ndarray, tmp: np.ndarray) -> int:
     return k
 
 
-def _tail(out_p: np.ndarray, out_g: np.ndarray, neg_q: np.ndarray, k: int) -> float:
-    """P = exp(-Q) and g = -expm1(-Q) past the linear run, which ends at k.
-
-    neg_q[k:len(out_g)] holds -Q; P and g are written on the run already,
-    so every node, node 0 included, holds what the head and the tail
-    computed.  Returns the excess max(max P - 1, -min g) over every node
-    (module docstring).
-    """
-    n = len(out_g)
-    neg_q = neg_q[k:n]
-    np.exp(neg_q, out=out_p[k:])
-    g = out_g[k:]
-    np.negative(np.expm1(neg_q, out=g), out=g)
-    # P is exactly 1 on the run, so one of its nodes stands for all of them
-    # in the maximum's scan; argmax and argmin find an extreme (or the first
-    # NaN) with less dispatch than max and min
-    p = out_p[max(k - 1, 0):]
-    return max(p.item(p.argmax()) - 1.0, -out_g.item(out_g.argmin()))
-
-
 def _numpy_head(x: np.ndarray, delta: float, trapezoid: bool,
                 out_p: np.ndarray, out_g: np.ndarray, work: np.ndarray) -> tuple[int, int]:
-    """The step's head in numpy, as _compensated.step_head with j = 0 (module docstring)."""
+    """The step's head in numpy, as the compiled head with j = 0 (module docstring)."""
     s = _prefix_sum(x, work, out_g, out_p)
     if trapezoid:
         q = np.multiply(x, _HALF, out=out_g)
@@ -172,21 +219,47 @@ def _numpy_head(x: np.ndarray, delta: float, trapezoid: bool,
     return 0, _linear_run(out_p, out_g, work)
 
 
+def _tail(out_p: np.ndarray, out_g: np.ndarray, neg_q: np.ndarray, k: int) -> float:
+    """P = exp(-Q) and g = -expm1(-Q) past the linear run, which ends at k.
+
+    neg_q[k:len(out_g)] holds -Q and is overwritten; P and g are written
+    on the run already, so every node, node 0 included, holds what the
+    head and the tail computed.  Returns the excess max(max P - 1, -min g)
+    over every node (module docstring).
+    """
+    n = len(out_g)
+    _exp_pair(neg_q[k:n], out_p[k:n], out_g[k:n])
+    # P is exactly 1 on the run, so one of its nodes stands for all of them
+    # in the maximum's scan; argmax and argmin find an extreme (or the first
+    # NaN) with less dispatch than max and min
+    p = out_p[max(k - 1, 0):n]
+    return max(p.item(p.argmax()) - 1.0, -out_g.item(out_g.argmin()))
+
+
+def _numpy_step(x: np.ndarray, delta: float, trapezoid: bool,
+                out_p: np.ndarray, out_g: np.ndarray, work: np.ndarray) -> tuple[float, int, int]:
+    """The step in numpy, as _compensated.step: (excess, j, k), with j = 0."""
+    j, k = _numpy_head(x, delta, trapezoid, out_p, out_g, work)
+    return _tail(out_p, out_g, work, k), j, k
+
+
 try:
-    from ._compensated import step_head as _head
-except ImportError:  # not built: the numpy head runs
-    _head = _numpy_head
+    from ._compensated import exp_pair, step as _step
+except ImportError:  # not built: the numpy step runs
+    exp_pair, _step = _exp_pair, _numpy_step
 
 
 def step(x: np.ndarray, delta: float, trapezoid: bool,
-         out_p: np.ndarray, out_g: np.ndarray, work: np.ndarray) -> float:
-    """P and g of the next generation from the complement `x`, and how far they left [0, 1].
+         out_p: np.ndarray, out_g: np.ndarray, work: np.ndarray) -> tuple[float, int]:
+    """P and g of the next generation from the complement `x`: (excess, k).
 
     Trapezoid quadrature when `trapezoid`, else Riemann.  out_p and out_g
     are as long as `x`, `work` at least as long; all three are overwritten.
-    Node 0 is computed and guarded like every other node: an x[0] of 0
-    gives Q(0) = 0, so P = 1 and g = 0 there, and nothing overwrites them.
+    excess is how far P and g left [0, 1], 0.0 on every valid band; k is
+    the end of the linear run, on whose nodes P is exactly 1.  Node 0 is
+    computed and guarded like every other node: an x[0] of 0 gives Q(0) =
+    0, so P = 1 and g = 0 there, and nothing overwrites them.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
-    _, k = _head(x, delta, trapezoid, out_p, out_g, work)
-    return _tail(out_p, out_g, work, k)
+    excess, _, k = _step(x, delta, trapezoid, out_p, out_g, work)
+    return excess, k

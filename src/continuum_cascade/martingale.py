@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.laguerre import laggauss
 
 from . import fronts
 from .errors import ConfigurationError, DomainError, NumericError
@@ -78,8 +77,12 @@ def _boundary_moments(nodes: int) -> np.ndarray:
 
     With t = y + 1 the weight e^-y becomes e * e^-t on [0, inf), so each
     integral is e * sum w_i f(t_i - 1) over the Gauss–Laguerre nodes; no
-    cutoff of the infinite range is needed.
+    cutoff of the infinite range is needed.  numpy.polynomial is imported
+    here, not with the module: only brw needs it, and loading it costs
+    every command's start-up a few milliseconds.
     """
+    from numpy.polynomial.laguerre import laggauss
+
     t, w = laggauss(nodes)
     y = t + SUPPORT_LO
     integrands = np.stack([np.full_like(y, INTENSITY), y * INTENSITY, y * y])

@@ -144,13 +144,16 @@ class GridFunction:
 
     Both are float64 arrays, kept as given: this module's builders make
     theirs read-only where they create them, and a hand-built record leaves
-    its caller's arrays as they are.
+    its caller's arrays as they are.  `values` is exactly 1 on its first
+    `ones` nodes: iterate_step sets it to the step's linear-run end, so a
+    reader of `values` can start there; 0 claims nothing.
     """
 
     delta: float
     values: np.ndarray
     generation: int
     complement: np.ndarray
+    ones: int = 0
 
     @property
     def x_max(self) -> float:
@@ -209,19 +212,19 @@ def closed_form_p1(x):
 
 
 def init_p0(delta: float, nodes: int) -> GridFunction:
-    """Generation 0: exp(-x) at the first `nodes` grid nodes, built in two arrays.
+    """Generation 0: exp(-x) and -expm1(-x) at the first `nodes` grid nodes.
 
-    Node i is at x = i * delta, so fewer nodes give the same bits as the
-    head of more.
+    Both come from the step's own exp routine (kernels.exp_pair), so their
+    bits do not depend on numpy's dispatch level.  Node i is at x = i *
+    delta, so fewer nodes give the same bits as the head of more.
     """
     check_delta(delta)
     if not 1 <= nodes <= MAX_ARRAY_ITEMS:
         raise ConfigurationError(f"generation 0 needs 1 to {MAX_ARRAY_ITEMS} nodes, got {nodes}")
     neg_x = np.arange(nodes, dtype=np.float64)
     neg_x *= -delta
-    values = np.exp(neg_x)
-    complement = np.expm1(neg_x, out=neg_x)
-    np.negative(complement, out=complement)
+    values, complement = np.empty(nodes), np.empty(nodes)
+    kernels.exp_pair(neg_x, values, complement)
     values.setflags(write=False)
     complement.setflags(write=False)
     return GridFunction(delta=delta, values=values, generation=0, complement=complement)
@@ -277,31 +280,35 @@ def iterate_step(
         raise ContractViolationError(f"step arrays do not fit a band of {nodes} nodes")
     if not out_p.dtype == out_g.dtype == np.float64:
         raise ContractViolationError("a step writes its result to float64 arrays")
-    excess = kernels.step(g, prev.delta, quadrature is Quadrature.TRAPEZOID, out_p, out_g, scratch)
+    excess, k = kernels.step(g, prev.delta, quadrature is Quadrature.TRAPEZOID,
+                             out_p, out_g, scratch)
     if excess != 0.0:  # a NaN excess fails too
         raise NumericError(
             f"step to generation {prev.generation + 1} left [0, 1]: excess={excess:.3e}"
         )
     out_p.setflags(write=False)
     out_g.setflags(write=False)
-    return GridFunction(prev.delta, out_p, prev.generation + 1, out_g)
+    return GridFunction(prev.delta, out_p, prev.generation + 1, out_g, k)
 
 
 def _bracketed_crossing(f: GridFunction, level: float, offset: int = 0) -> float:
-    """Interpolated x where a non-increasing curve crosses `level`.
+    """Interpolated x where a non-increasing curve crosses `level` < 1.
 
-    `f` starts at grid node `offset`.  The node index is formed as an
-    integer before the fraction is added, so a band and the full grid give
-    the same bits.
+    `f` starts at grid node `offset`.  The scan starts at node f.ones - 1:
+    no node before it, where P is exactly 1, lies below the level.  The
+    node index is formed as an integer before the fraction is added, so a
+    band and the full grid give the same bits.
     """
     values, delta = f.values, f.delta
-    below = values < level
+    start = max(f.ones - 1, 0)
+    below = values[start:] < level
     idx = int(below.argmax())
     if not below[idx]:  # argmax of all False is 0
         raise FrontNotFoundError(
             f"generation {f.generation} does not drop below level {level} by the grid end "
             f"x = {delta * (offset + len(values) - 1):.6g}"
         )
+    idx += start
     if idx == 0:
         raise FrontNotFoundError(f"curve starts below level {level}")
     hi, lo = values.item(idx - 1), values.item(idx)

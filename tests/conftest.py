@@ -118,11 +118,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.fixture(scope="session")
 def compiled(tmp_path_factory):
-    """The compiled step head's module, built once from setup.py.
+    """The compiled step's module, built once from setup.py.
 
     Tier-1 imports the package from src/, where the extension may not be
-    built; tests call its step_head directly or hand it to kernels.step as
-    _head, and compare it with the numpy head.
+    built; tests call its step and exp_pair directly or hand its step to
+    kernels.step as _step, and compare them with the numpy ones.
     """
     cc = sysconfig.get_config_var("CC") or "cc"
     if shutil.which(cc.split()[0]) is None:

@@ -119,8 +119,8 @@ def test_interrupted_streamed_run_leaves_no_manifest(tmp_path, monkeypatch, caps
 
     def nan_after_generation_2(*args):
         steps.append(args)
-        excess = step(*args)
-        return math.nan if len(steps) > 2 else excess
+        excess, k = step(*args)
+        return (math.nan if len(steps) > 2 else excess), k
 
     monkeypatch.setattr(kernels, "step", nan_after_generation_2)
     assert main([*args, str(tmp_path / "cut")]) == 3
@@ -692,6 +692,72 @@ assert loaded == [], loaded
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "alpha-scan" / "probe_0.02.csv").exists()
+
+
+def test_commands_do_not_load_numpy_polynomial(tmp_path):
+    # only brw's boundary moments need laggauss; importing numpy.polynomial
+    # costs every command a few milliseconds of start-up
+    script = f"""
+import sys
+from continuum_cascade.cli import main
+assert not any(m.startswith("numpy.polynomial") for m in sys.modules)
+assert main(["front", "--delta", "0.05", "--nmax", "20", "--out", {str(tmp_path / "front")!r}]) == 0
+assert main(["compare", "--n-vertices", "50", "--x", "1", "--trials", "20",
+             "--out", {str(tmp_path / "compare")!r}]) == 0
+loaded = [m for m in sys.modules if m.startswith("numpy.polynomial")]
+assert loaded == [], loaded
+assert main(["brw", "--trials", "1", "--n", "2", "--out", {str(tmp_path / "brw")!r}]) == 0
+assert "numpy.polynomial.laguerre" in sys.modules
+"""
+    src = Path(graphs.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+# numpy's AVX2 loops on a machine with AVX-512 (CI names the same set)
+AVX2_DISPATCH = "AVX512_SPR AVX512_ICL X86_V4"
+AVX512_PROBE = """
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
+print(int(__cpu_features__.get("AVX512_SKX", False)))
+"""
+RECURSION_COMMANDS = [
+    ["recurse", "--delta", "0.05", "--nmax", "20", "--snapshots", "5,20"],
+    ["front", "--delta", "0.05", "--nmax", "500"],
+    ["compare", "--n-vertices", "200", "--x", "2", "--trials", "2000", "--seed", "1"],
+    ["alpha-scan", "--deltas", "0.02,0.01", "--nmax", "100", "--emit-probe"],
+]
+
+
+def test_recursion_commands_write_the_same_bytes_at_every_dispatch_level(tmp_path):
+    # the recursion's exp is the package's own routine, so its commands
+    # write the same bytes at each numpy dispatch level the machine offers:
+    # the default and, where numpy runs AVX-512 loops, its AVX2 ones
+    src = Path(graphs.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = str(src)
+    probe = subprocess.run([sys.executable, "-c", AVX512_PROBE], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert probe.returncode == 0, probe.stderr
+    levels = {"default": env}
+    if probe.stdout.strip() == "1":
+        levels["avx2"] = {**env, "NPY_DISABLE_CPU_FEATURES": AVX2_DISPATCH}
+    runs = {}
+    for level, level_env in levels.items():
+        for i, argv in enumerate(RECURSION_COMMANDS):
+            out = tmp_path / f"{level}-{i}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "continuum_cascade", *argv, "--out", str(out)],
+                env=level_env, capture_output=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs[level, i] = proc.stdout, proc.stderr, tree_bytes(out)
+    for (level, i), run in runs.items():
+        assert run == runs["default", i], (level, RECURSION_COMMANDS[i])
 
 
 def test_manifest_checksums_cover_all_artifacts(tmp_path):

@@ -171,11 +171,53 @@ def test_scheme_velocity_reproduces_the_closed_forms():
     (0.0, Quadrature.RIEMANN),
     (-0.01, Quadrature.TRAPEZOID),
     (math.nan, Quadrature.TRAPEZOID),
-    (0.9999, Quadrature.RIEMANN),  # a speed, but its decay rate is past the bracket
 ])
 def test_scheme_velocity_rejects_a_grid_without_a_front_speed(delta, quadrature):
     with pytest.raises(ConfigurationError, match=re.escape(f"delta={delta}")):
         scheme_velocity(delta, quadrature)
+
+
+def mp_speed(delta: float, quadrature: Quadrature, lam):
+    """-ln K(lambda) / lambda of the scheme's symbol, in 50-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    d = mpmath.mpf(delta)
+    if quadrature is Quadrature.TRAPEZOID:
+        k = d / 2 * mpmath.coth(lam * d / 2)
+    else:
+        k = d / (1 - mpmath.exp(-lam * d))
+    return -mpmath.log(k) / lam
+
+
+@pytest.mark.parametrize("delta, quadrature", [
+    (0.999, Quadrature.RIEMANN),
+    (0.9995, Quadrature.RIEMANN),  # the maximiser lies just past 10
+    (0.99995, Quadrature.RIEMANN),
+    (1.999, Quadrature.TRAPEZOID),
+    (1.99999999, Quadrature.TRAPEZOID),
+])
+def test_scheme_velocity_solves_near_the_spacing_limit(delta, quadrature):
+    # close to the limit the maximiser moves past any fixed bracket: the
+    # search grows its bracket and returns the maximum, not a bracket edge
+    mpmath = pytest.importorskip("mpmath")
+    v, lam = scheme_velocity(delta, quadrature)
+    with mpmath.workdps(50):
+        root = mpmath.findroot(lambda x: mpmath.diff(lambda y: mp_speed(delta, quadrature, y), x), lam)
+        best = mp_speed(delta, quadrature, root)
+        assert abs(lam - root) <= 1e-4 * root
+        assert abs(v - best) <= 1e-9 * best
+        assert v > 0.0
+
+
+@pytest.mark.parametrize("quadrature", list(Quadrature))
+@pytest.mark.parametrize("delta", [5e-324, 1e-320, 1e-310])
+def test_scheme_velocity_at_a_subnormal_spacing_is_the_continuum_speed(delta, quadrature):
+    # the symbol's ratio in u = lambda delta is 1 where u underflows, so
+    # v and lambda are the continuum's 1/e and e (tolerances fixed before
+    # the first run: the golden section finds lambda to about 1e-8 on a
+    # maximum this flat, and v is second order in lambda's error)
+    v, lam = scheme_velocity(delta, quadrature)
+    assert abs(v - 1 / E) <= 1e-15
+    assert abs(lam - E) <= 1e-6
 
 
 @pytest.mark.parametrize("trace, delta", [

@@ -271,34 +271,23 @@ def test_compare_report_shapes():
     assert 0.0 <= report.ks_statistic <= 1.0
 
 
-def continuum_reference_x2() -> Path:
-    """The stored x = 2 column that numpy's exp and expm1 give at the dispatch level in use.
-
-    The benchmark's file holds the bits of numpy's AVX-512 loops; its AVX2
-    and baseline loops give 1 ulp more at n = 4, 5 and 11, recorded once
-    beside this file.  numpy's AVX512_SKX feature separates the two.
-    """
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:  # numpy 1.x
-        from numpy.core._multiarray_umath import __cpu_features__
-    here = Path(__file__).resolve().parent
-    if __cpu_features__.get("AVX512_SKX"):
-        return here.parent / "perfbench/reference/pn_x2.csv"
-    return here / "pn_x2_without_avx512.csv"
+# compare's x = 2 continuum column, stored once: the recursion's exp is the
+# package's own routine, so its bits do not depend on numpy's dispatch level
+# (the benchmark's perfbench/reference/pn_x2.csv holds the bits of numpy's
+# AVX-512 exp, 1 ulp lower at n = 5 and 11, and its gate reads it at 5 sigma)
+CONTINUUM_X2 = Path(__file__).resolve().parent / "pn_x2.csv"
 
 
 def test_compare_continuum_is_the_recursion_oracle(recursion_oracle_x3):
     # the column is criterion 07's full-snapshot oracle bit for bit, and at
-    # x = 2 the stored reference of the dispatch level in use (the benchmark
-    # checks against the AVX-512 one)
+    # x = 2 the stored reference, at every dispatch level
     for x in (1.0, 2.0, 3.0):
         column = compare_discrete_continuum(100, x, 50, seed=6).continuum
         assert [column[n] for n in range(16)] == [
             recursion_oracle_x3[n].evaluate(x) for n in range(16)
         ]
         if x == 2.0:
-            rows = continuum_reference_x2().read_text().split()[1:]
+            rows = CONTINUUM_X2.read_text().split()[1:]
             assert [column[n] for n in range(16)] == [float(r.split(",")[1]) for r in rows]
 
 

@@ -99,8 +99,8 @@ def test_all_ones_fixed_point(trapezoid):
     g = np.zeros(64)
     out_p = np.empty(64)
     out_g = np.empty(64)
-    excess = kernels.step(g, 0.01, trapezoid, out_p, out_g, np.empty(64))
-    assert excess == 0.0
+    excess, k = kernels.step(g, 0.01, trapezoid, out_p, out_g, np.empty(64))
+    assert (excess, k) == (0.0, 64)
     assert np.all(out_p == 1.0)
     assert np.all(out_g == 0.0)
 
@@ -124,9 +124,12 @@ def test_step_matches_exact_quadrature(trapezoid, seed):
     np.testing.assert_allclose(out_g, -np.expm1(-q), rtol=5e-13, atol=0.0)
 
 
-def libm_values(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P = exp(-q) and g = -expm1(-q) from libm at every node, node 0 included."""
-    return np.exp(-q), -np.expm1(-q)
+def routine_values(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P = exp(-q) and g = -expm1(-q) from the owned routine at every node, node 0 included."""
+    p, g = np.empty_like(q), np.empty_like(q)
+    with np.errstate(invalid="ignore", over="ignore"):
+        kernels._exp_pair(-q, p, g)
+    return p, g
 
 
 def finish(out_p: np.ndarray, out_g: np.ndarray, tmp: np.ndarray) -> float:
@@ -135,6 +138,9 @@ def finish(out_p: np.ndarray, out_g: np.ndarray, tmp: np.ndarray) -> float:
 
 
 def test_linear_tail_matches_libm_across_the_threshold():
+    # the linear run writes what the owned routine gives on it, P = 1 and
+    # g = Q, and the nodes past it go through the routine, including the
+    # Q in [2^-54.3, 2^-54) where numpy's SIMD exp is not correctly rounded
     t = kernels.LINEAR_TAIL
     tiny = np.finfo(np.float64).smallest_normal
     q = np.concatenate((
@@ -146,21 +152,103 @@ def test_linear_tail_matches_libm_across_the_threshold():
     ))
     out_p, out_g = np.empty_like(q), q.copy()
     assert finish(out_p, out_g, np.empty_like(q)) == 0.0
-    p, g = libm_values(q)
+    p, g = routine_values(q)
     assert np.array_equal(out_p, p)
     assert np.array_equal(out_g, g)
     assert np.all(out_g[1:6] == q[1:6])  # subnormal and tiny g stay exact
 
 
+def test_routine_is_linear_below_the_threshold(compiled):
+    # for |Q| < 2^-56 the routine itself gives P = 1 and g = Q exactly, in
+    # numpy and compiled: the linear run is its value, not a shortcut past it
+    # (a zero Q of either sign gives g = +0.0)
+    rng = np.random.default_rng(18)
+    t = kernels.LINEAR_TAIL
+    q = np.concatenate((
+        2.0 ** rng.uniform(-1074.0, -56.0, 100_000),
+        subnormals(rng.integers(1, 2**52, 1000)),
+        [np.nextafter(t, 0.0), 5e-324, 2.0**-1022, 0.0],
+    ))
+    q = np.concatenate((q, -q))
+    for exp_pair in (kernels._exp_pair, compiled.exp_pair):
+        p, g = np.empty_like(q), np.empty_like(q)
+        exp_pair(-q, p, g)
+        assert np.all(p == 1.0) and np.all(g == q)
+        assert g[q != 0.0].tobytes() == q[q != 0.0].tobytes()
+
+
+def routine_points() -> np.ndarray:
+    """t = -Q at 720,000 magnitudes log-uniform over 2^-56..746, and the range's ends.
+
+    Past -746 the routine clamps t; past about -745.13 P rounds to 0, and
+    past about -708.4 it is subnormal.
+    """
+    rng = np.random.default_rng(35)
+    t = -np.exp(rng.uniform(math.log(2.0**-56), math.log(746.0), 720_000))
+    ends = [2.0**-56, np.nextafter(2.0**-56, 1.0), math.log(2.0) / 2, 708.3, 708.4, 745.1, 745.2, 746.0]
+    return np.concatenate((t, -np.array(ends)))
+
+
+def test_compiled_routine_matches_its_numpy_transcription(compiled):
+    # the same bits from the compiled loop, at the clone the machine runs,
+    # and from numpy's ufuncs, over the step's range and past it: NaN, the
+    # infinities, signed zeros, subnormals and the positive t of a negative
+    # Q (P > 1, overflowing to inf past t = 709.78)
+    specials = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.0**-1022,
+                1e-300, 0.5, 30.0, 709.7, 709.8, 745.9, 746.0, 746.1, 800.0, 1e300, -1e300]
+    t = np.concatenate((routine_points(), specials))
+    got = [np.full_like(t, np.nan) for _ in range(2)]
+    compiled.exp_pair(t, *got)
+    want = [np.zeros_like(t) for _ in range(2)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernels._exp_pair(t.copy(), *want)
+    for label, a, b in zip(("P", "g"), got, want):
+        same = (a.view(np.uint64) == b.view(np.uint64)) | (np.isnan(a) & np.isnan(b))
+        assert same.all(), f"{label} differs at t = {t[~same][:5]}"
+    p, g = (v[-len(specials):] for v in got)
+    assert np.isnan(p[:2]).all() and np.isnan(g[:2]).all()
+    assert (p[2], g[2], p[3], g[3]) == (np.inf, -np.inf, 0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=64))
+def test_compiled_routine_matches_numpy_on_any_doubles(compiled, values):
+    t = np.array(values)
+    got = [np.empty_like(t) for _ in range(2)]
+    compiled.exp_pair(t, *got)
+    want = [np.empty_like(t) for _ in range(2)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernels._exp_pair(t.copy(), *want)
+    for a, b in zip(got, want):
+        assert ((a.view(np.uint64) == b.view(np.uint64)) | (np.isnan(a) & np.isnan(b))).all()
+
+
+def test_routine_is_within_one_ulp_of_a_longdouble_reference():
+    # exp and expm1 in 80-bit long double, rounded to double: P and g are
+    # the nearest double or one of its neighbours (a subnormal P within one
+    # step of 2^-1074), and both lie in [0, 1] wherever Q >= 0
+    if np.finfo(np.longdouble).nmant < 63:
+        pytest.skip("long double is not the 80-bit extended format here")
+    t = routine_points()
+    p, g = np.empty_like(t), np.empty_like(t)
+    kernels._exp_pair(t.copy(), p, g)
+    wide = t.astype(np.longdouble)
+    for label, got, want in (("P", p, np.exp(wide)), ("g", g, -np.expm1(wide))):
+        nearest = want.astype(np.float64)
+        ulps = np.abs(got.view(np.int64) - nearest.view(np.int64))
+        assert ulps.max() <= 1, f"{label} is {ulps.max()} ulps off at t = {t[ulps.argmax()]}"
+        assert np.all((0.0 <= got) & (got <= 1.0)), label
+
+
 def test_linear_tail_run_ends_at_the_first_node_outside_it():
-    # a NaN or a large |q| ends the run; a later tiny q goes through libm
+    # a NaN or a large |q| ends the run; a later tiny q goes through the routine
     t = kernels.LINEAR_TAIL
     for q in ([0.0, -1e-20, -1e-13, 1e-20], [0.0, 1e-20, np.nan, 1e-20],
               [0.0, 1e-20, 1.0, t / 2, 1e-300]):
         q = np.array(q)
         out_p, out_g = np.empty_like(q), q.copy()
         excess = finish(out_p, out_g, np.empty_like(q))
-        p, g = libm_values(q)
+        p, g = routine_values(q)
         expected = max(float(p.max()) - 1.0, float(-g.min()))
         np.testing.assert_equal(excess, expected)  # NaN when q holds one
         assert np.array_equal(out_p, p, equal_nan=True)  # nothing is repaired
@@ -183,9 +271,7 @@ def reference_finish(out_p: np.ndarray, out_g: np.ndarray, tmp: np.ndarray) -> f
         k = n
     out_p[:k] = 1.0  # g = q there already
     neg_q = np.negative(q[k:], out=neg_q[k:])
-    np.exp(neg_q, out=out_p[k:])
-    np.expm1(neg_q, out=out_g[k:])
-    np.negative(out_g[k:], out=out_g[k:])
+    kernels._exp_pair(neg_q, out_p[k:], out_g[k:])
     return max(float(out_p.max()) - 1.0, float(-out_g.min()))
 
 
@@ -250,28 +336,26 @@ def front_bands() -> tuple[np.ndarray, np.ndarray]:
 @QUADRATURES
 @pytest.mark.parametrize("delta", [0.001, 0.1, 2.0])
 def test_step_matches_the_reference_finish_bit_for_bit(monkeypatch, compiled, trapezoid, delta):
-    # the reference replaces the step past either head: the linear run the
-    # head wrote and _tail, from the Q the head formed
-    tail, calls = kernels._tail, []
-
-    def reference_tail(out_p, out_g, neg_q, k):
-        calls.append(k)
-        np.negative(neg_q[k:len(out_g)], out=out_g[k:])  # Q past the run, where the head wrote -Q
-        return reference_finish(out_p, out_g, neg_q)
+    # the reference replaces the step past the numpy head: the linear run the
+    # head wrote and the owned routine, from the Q the head formed, with the
+    # excess scanned over the whole band; the numpy step and the compiled
+    # one, whose guard is folded into its exp pass, give its bytes
+    def reference_step(x, delta, trapezoid, out_p, out_g, work):
+        _, k = kernels._numpy_head(x, delta, trapezoid, out_p, out_g, work)
+        np.negative(work[k:len(out_g)], out=out_g[k:])  # Q past the run, where the head wrote -Q
+        return reference_finish(out_p, out_g, work), 0, k
 
     g, bad = front_bands()
-    for head, band in itertools.product((kernels._numpy_head, compiled.step_head), (g, bad)):
-        monkeypatch.setattr(kernels, "_head", head)
+    for band in (g, bad):
         results = []
-        for finish_step in (tail, reference_tail):
-            monkeypatch.setattr(kernels, "_tail", finish_step)
+        for step in (reference_step, kernels._numpy_step, compiled.step):
+            monkeypatch.setattr(kernels, "_step", step)
             out_p, out_g = np.empty_like(band), np.empty_like(band)
-            excess = kernels.step(band, delta, trapezoid, out_p, out_g, np.empty(len(band) + 5))
-            results.append((np.float64(excess).tobytes(), out_p.tobytes(), out_g.tobytes()))
-        assert results[0] == results[1]
+            excess, k = kernels.step(band, delta, trapezoid, out_p, out_g, np.empty(len(band) + 5))
+            results.append((np.float64(excess).tobytes(), k, out_p.tobytes(), out_g.tobytes()))
+        assert results[1] == results[0] and results[2] == results[0]
         # iterate_step raises NumericError on any excess but 0.0
         assert (excess != 0.0) == (band is bad)
-    assert len(calls) == 4  # the reference ran under each head, on each band
 
 
 @QUADRATURES
@@ -284,11 +368,11 @@ def test_step_reports_a_negative_node_0(monkeypatch, compiled, trapezoid, x0):
     band = np.concatenate(([x0, -2.0 * x0], random_complement(500, 9)[1:], np.ones(50)))
     delta = 0.01
     q0 = np.float64((x0 - x0 * 0.5) * delta if trapezoid else x0 * delta)
-    p0, g0 = (1.0, q0) if abs(q0) < kernels.LINEAR_TAIL else (np.exp(-q0), -np.expm1(-q0))
-    for head in (kernels._numpy_head, compiled.step_head):
-        monkeypatch.setattr(kernels, "_head", head)
+    p0, g0 = (x[0] for x in routine_values(np.array([q0])))
+    for step in (kernels._numpy_step, compiled.step):
+        monkeypatch.setattr(kernels, "_step", step)
         out_p, out_g = np.empty_like(band), np.empty_like(band)
-        excess = kernels.step(band, delta, trapezoid, out_p, out_g, np.empty_like(band))
+        excess, _ = kernels.step(band, delta, trapezoid, out_p, out_g, np.empty_like(band))
         assert (out_p[0], out_g[0]) == (p0, g0)
         assert np.all((out_p[1:] <= 1.0) & (out_g[1:] >= 0.0))
         assert excess == max(p0 - 1.0, -g0) > 0.0
@@ -310,11 +394,11 @@ def test_step_ignores_what_its_buffers_held(trapezoid):
         np.ones(200),  # the band's trailing exact 1s
     ))
     fresh = np.zeros_like(g), np.zeros_like(g)
-    assert kernels.step(g, 0.003, trapezoid, *fresh, np.zeros_like(g)) == 0.0
+    assert kernels.step(g, 0.003, trapezoid, *fresh, np.zeros_like(g))[0] == 0.0
     assert np.all(fresh[0][:900] == 1.0) and np.all(fresh[1][1:900] > 0.0)
     work = np.full(2 * len(g) + 7, np.nan)
     stale = np.full_like(g, np.nan), np.full_like(g, np.nan)
-    assert kernels.step(g, 0.003, trapezoid, *stale, work) == 0.0
+    assert kernels.step(g, 0.003, trapezoid, *stale, work)[0] == 0.0
     assert np.array_equal(stale[0], fresh[0])
     assert np.array_equal(stale[1], fresh[1])
 
@@ -331,9 +415,9 @@ def test_complement_resolves_saturated_tail():
     assert g[saturated][1:].min() < 1e-17
 
 
-# The compiled step head (the `compiled` fixture, in conftest.py): the tests
-# call its step_head directly or hand it to kernels.step as _head, and
-# compare it with the numpy head.
+# The compiled step (the `compiled` fixture, in conftest.py): the tests call
+# its step directly or hand it to kernels.step as _step, and compare it
+# with the numpy step.
 
 
 def compiled_sums(compiled, x: np.ndarray) -> np.ndarray:
@@ -345,7 +429,7 @@ def compiled_sums(compiled, x: np.ndarray) -> np.ndarray:
     """
     m = len(x)
     out_p, out_g, work = (np.full(m + 3, np.nan) for _ in range(3))
-    j, k = compiled.step_head(x, 1.0, False, out_p, out_g, work)
+    _, j, k = compiled.step(x, 1.0, False, out_p, out_g, work)
     assert 0 <= j <= k <= m
     for out in (out_p, out_g, work):
         assert np.isnan(out[m:]).all()  # nothing past len(x) is written
@@ -384,32 +468,32 @@ def test_compiled_prefix_sum_matches_numpy_on_front_bands(compiled, delta, n_max
     assert checked == n_max // 50 + 1
 
 
-def step_bytes(head, trapezoid: bool, band: np.ndarray, delta: float, fill: float) -> list[np.ndarray]:
-    """[excess, P, g] of one kernels.step run by `head`.
+def step_bytes(step, trapezoid: bool, band: np.ndarray, delta: float, fill: float) -> list[np.ndarray]:
+    """[excess, k, P, g] of one kernels.step run by `step`.
 
     The outputs and the scratch start filled with `fill`.
     """
-    saved = kernels._head
-    kernels._head = head
+    saved = kernels._step
+    kernels._step = step
     try:
         out_p, out_g = np.full(len(band), fill), np.full(len(band), fill)
         with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, exp(inf)
-            excess = kernels.step(band, delta, trapezoid, out_p, out_g, np.full(len(band) + 5, fill))
+            excess, k = kernels.step(band, delta, trapezoid, out_p, out_g, np.full(len(band) + 5, fill))
     finally:
-        kernels._head = saved
-    return [np.array([excess]), out_p, out_g]
+        kernels._step = saved
+    return [np.array([excess]), np.array([float(k)]), out_p, out_g]
 
 
 def assert_same_step(compiled, trapezoid: bool, band: np.ndarray, delta: float) -> None:
-    """The step gives the same bytes under either head, or NaN at the same nodes.
+    """The compiled and numpy steps give the same bytes, or NaN at the same nodes.
 
-    The compiled head's step starts from NaN-filled buffers and the numpy
-    one's from zeros, so a node the compiled head leaves unwritten shows.
+    The compiled step starts from NaN-filled buffers and the numpy one from
+    zeros, so a node the compiled step leaves unwritten shows.
     """
     band = np.asarray(band, dtype=np.float64)
-    got = step_bytes(compiled.step_head, trapezoid, band, delta, np.nan)
-    want = step_bytes(kernels._numpy_head, trapezoid, band, delta, 0.0)
-    for label, a, b in zip(("excess", "P", "g"), got, want):
+    got = step_bytes(compiled.step, trapezoid, band, delta, np.nan)
+    want = step_bytes(kernels._numpy_step, trapezoid, band, delta, 0.0)
+    for label, a, b in zip(("excess", "k", "P", "g"), got, want):
         same = (a.view(np.uint64) == b.view(np.uint64)) | (np.isnan(a) & np.isnan(b))
         assert same.all(), f"{label} differs at nodes {np.flatnonzero(~same)[:10]}"
 
@@ -434,16 +518,16 @@ def test_compiled_prefix_sum_never_misreads_a_buffer(compiled, kind):
     m = len(copy)
     outs = [np.full(m, np.nan) for _ in range(3)]
     try:
-        compiled.step_head(given, 1.0, False, *outs)
+        compiled.step(given, 1.0, False, *outs)
     except (TypeError, ValueError, BufferError):
         assert all(np.isnan(out).all() for out in outs)  # refused before writing
     else:
         assert compiled_sums(compiled, given).tobytes() == compiled_sums(compiled, copy).tobytes()
-    # the step hands either head the contiguous float64 copy
-    heads = compiled.step_head, kernels._numpy_head
-    for trapezoid, head in itertools.product((False, True), heads):
-        got = step_bytes(head, trapezoid, given, 0.01, np.nan)
-        want = step_bytes(head, trapezoid, copy, 0.01, np.nan)
+    # kernels.step hands either step the contiguous float64 copy
+    steps = compiled.step, kernels._numpy_step
+    for trapezoid, step in itertools.product((False, True), steps):
+        got = step_bytes(step, trapezoid, given, 0.01, np.nan)
+        want = step_bytes(step, trapezoid, copy, 0.01, np.nan)
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
         assert_same_step(compiled, trapezoid, copy, 0.01)
 
@@ -460,13 +544,25 @@ def test_compiled_prefix_sum_refuses_an_out_it_cannot_fill(compiled):
             outs[position] = bad
             before = memory.copy()
             with pytest.raises((TypeError, ValueError, BufferError)):
-                compiled.step_head(x, 0.01, True, *outs)
+                compiled.step(x, 0.01, True, *outs)
             assert np.array_equal(memory, before)
+            if position < 2:
+                with pytest.raises((TypeError, ValueError, BufferError)):
+                    compiled.exp_pair(x, *outs[:2])
+                assert np.array_equal(memory, before)
     shared = np.empty(100)  # two outputs in one buffer
     with pytest.raises(ValueError):
-        compiled.step_head(x, 0.01, True, shared, np.empty(100), shared)
+        compiled.step(x, 0.01, True, shared, np.empty(100), shared)
+    with pytest.raises(ValueError):
+        compiled.exp_pair(x, shared, shared)
     with pytest.raises(TypeError):
-        compiled.step_head(x, 0.01, True, np.empty(100), np.empty(100))
+        compiled.step(x, 0.01, True, np.empty(100), np.empty(100))
+    with pytest.raises(TypeError):
+        compiled.exp_pair(x, np.empty(100))
+    # a step of no node has no excess to report, in either build
+    for step in (compiled.step, kernels._numpy_step):
+        with pytest.raises(ValueError):
+            step(np.empty(0), 0.01, True, np.empty(0), np.empty(0), np.empty(0))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -537,6 +633,15 @@ def test_compiled_step_matches_numpy_in_the_head(compiled, case, delta, trapezoi
     assert_same_step(compiled, trapezoid, head_inputs()[case], delta)
 
 
+def compiled_head(compiled):
+    """The compiled step as a head: its (j, k), as kernels._numpy_head returns them.
+
+    The step writes P and g past the run, and leaves its head's -Q in the
+    scratch there.
+    """
+    return lambda *args: compiled.step(*args)[1:]
+
+
 def heads(compiled, x: np.ndarray, delta: float, trapezoid: bool):
     """(j, k, P, Q) of each head on `x`, the compiled one first.
 
@@ -546,10 +651,10 @@ def heads(compiled, x: np.ndarray, delta: float, trapezoid: bool):
     """
     m = len(x)
     results = []
-    for head, fill in ((compiled.step_head, np.nan), (kernels._numpy_head, 0.0)):
+    for head, fill in ((compiled_head(compiled), np.nan), (kernels._numpy_head, 0.0)):
         out_p, out_g, work = (np.full(m, fill) for _ in range(3))
         j, k = head(x, delta, trapezoid, out_p, out_g, work)
-        if head is compiled.step_head:
+        if fill is np.nan:
             assert np.isnan(work[:k]).all()  # the run, head included, is written to out_g alone
         results.append((j, k, out_p[:k], np.concatenate((out_g[:k], -work[k:]))))
     return results
@@ -580,7 +685,7 @@ def test_head_inputs_reach_the_scaled_head(compiled):
     assert assert_same_head(compiled, inputs["all_head"], below, False)[0] == 0
     # at delta 1e300 Q leaves the linear run at node 1, and the scaled head
     # is not entered
-    _, p, _ = step_bytes(compiled.step_head, True, inputs["all_head"], 1e300, np.nan)
+    _, _, p, _ = step_bytes(compiled.step, True, inputs["all_head"], 1e300, np.nan)
     assert (p[1:] < 1.0).all()
 
 
@@ -681,7 +786,7 @@ def test_compiled_head_keeps_negative_zeros(compiled, trapezoid, delta):
     band = np.concatenate(([0.0], np.full(min(int(0.5 / delta), 200), -5e-324)))
     _, q = assert_same_head(compiled, band, delta, trapezoid)
     assert np.all(q[1:] == 0.0) and np.signbit(q[1:]).all()
-    excess, p, g = step_bytes(compiled.step_head, trapezoid, band, delta, np.nan)
+    excess, _, p, g = step_bytes(compiled.step, trapezoid, band, delta, np.nan)
     assert excess[0] == 0.0 and np.all(p == 1.0)
     assert np.all(g[1:] == 0.0) and np.signbit(g[1:]).all()
     assert_same_step(compiled, trapezoid, band, delta)

@@ -35,7 +35,10 @@ def test_boundary_moment_residuals():
 
 
 def test_moment_rules_that_disagree_raise(monkeypatch):
-    exact = martingale.laggauss
+    # _boundary_moments imports laggauss when it runs, so the patch reaches it
+    from numpy.polynomial import laguerre
+
+    exact = laguerre.laggauss
 
     def perturbed(nodes):
         t, w = exact(nodes)
@@ -44,7 +47,7 @@ def test_moment_rules_that_disagree_raise(monkeypatch):
             w[0] *= 1.0 + 1e-8
         return t, w
 
-    monkeypatch.setattr(martingale, "laggauss", perturbed)
+    monkeypatch.setattr(laguerre, "laggauss", perturbed)
     with pytest.raises(NumericError, match="did not converge"):
         verify_boundary_conditions()
 

@@ -1,6 +1,7 @@
 """Grid recursion: initial condition, one-step oracle, invariants, quadrature order."""
 
 import collections
+import dataclasses
 import math
 import tracemalloc
 
@@ -24,6 +25,7 @@ from continuum_cascade.recursion import (
     GridFunction,
     Quadrature,
     RecursionConfig,
+    _bracketed_crossing,
     closed_form_p1,
     front_clearance_xmax,
     bands,
@@ -277,18 +279,44 @@ def test_step_guard_has_no_tolerance(quadrature, excess):
         iterate_step(band, quadrature)
 
 
+@pytest.mark.parametrize("traces, config, levels", [
+    ("d01_n2000_traces", RecursionConfig(0.01, front_clearance_xmax(2000), 2000), (0.25, 0.5, 0.75)),
+    ("d001_riemann_n400_trace", RecursionConfig(0.001, front_clearance_xmax(400), 400,
+                                                Quadrature.RIEMANN), (0.5,)),
+])
+def test_crossings_from_the_run_end_equal_whole_band_crossings(request, traces, config, levels):
+    # each band carries its step's linear-run end k (P is exactly 1 on its
+    # first k nodes), and front_traces reads each crossing from node k - 1;
+    # on every generation that gives the bits of a scan of the whole band
+    traces = request.getfixturevalue(traces)
+    traces = traces if isinstance(traces, list) else [traces]
+    whole: list[list[float]] = [[] for _ in levels]
+    skipped = stepped = 0
+    for band, lo in bands(config, p_floor=min(levels)):
+        assert np.all(band.values[:band.ones] == 1.0)
+        skipped, stepped = skipped + band.ones, stepped + len(band.values)
+        unknown = dataclasses.replace(band, ones=0)
+        for xs, level in zip(whole, levels):
+            xs.append(_bracketed_crossing(unknown, level, lo))
+    assert [t.level for t in traces] == list(levels)
+    for trace, xs in zip(traces, whole):
+        assert trace.positions.tobytes() == np.array(xs).tobytes()
+    assert skipped > stepped / 2  # the run end skips most of a band
+
+
 @pytest.mark.parametrize("head", ["numpy", "compiled"])
 def test_steps_of_front_alpha_scan_and_compare_have_zero_excess(monkeypatch, request, head):
-    # Q >= 0 and a faithful exp and expm1 keep P <= 1 and g >= 0 (kernels.py):
+    # Q >= 0 and the owned exp and expm1 keep P <= 1 and g >= 0 (kernels.py):
     # the excess is exactly 0.0 on every step of a long front run, of the
     # benchmark's alpha scan and of compare's continuum column
-    monkeypatch.setattr(kernels, "_head", kernels._numpy_head if head == "numpy"
-                        else request.getfixturevalue("compiled").step_head)
+    monkeypatch.setattr(kernels, "_step", kernels._numpy_step if head == "numpy"
+                        else request.getfixturevalue("compiled").step)
     step, excesses = kernels.step, []
 
     def recorded(*args):
-        excesses.append(step(*args))
-        return excesses[-1]
+        result = step(*args)
+        excesses.append(result[0])
+        return result
 
     monkeypatch.setattr(kernels, "step", recorded)
     front_traces(RecursionConfig(0.01, front_clearance_xmax(2000), 2000), (0.5,))
@@ -569,9 +597,9 @@ def test_hand_built_record_keeps_the_callers_arrays():
 
 
 def _libm_tail(calls: list[int]):
-    """kernels._tail with no linear run: exp and expm1 at every node.
+    """kernels._tail with no linear run: the owned exp and expm1 at every node.
 
-    Both heads leave Q in out_g on the run they wrote, so -Q goes to the
+    The numpy head leaves Q in out_g on the run it wrote, so -Q goes to the
     scratch there too and the tail starts at node 0; `calls` gets the run's
     end at each step.
     """
@@ -589,8 +617,9 @@ def _libm_tail(calls: list[int]):
 @pytest.mark.parametrize("delta, n_max", [(0.01, 600), (0.001, 150)])
 def test_linear_tail_is_bit_identical_to_libm_steps(monkeypatch, quadrature, delta, n_max):
     # most of a long run's band is linear tail (|Q| < 2^-56): the kernel's
-    # shortcut there gives the bits of exp/expm1 at every node, whichever
-    # head the build runs
+    # shortcut there gives the bits of the owned exp/expm1 routine at every
+    # node, whichever step the build runs (the reference is the numpy step,
+    # whose tail runs the routine from node 0)
     config = RecursionConfig(
         delta=delta, x_max=front_clearance_xmax(n_max), n_max=n_max,
         quadrature=quadrature,
@@ -599,6 +628,7 @@ def test_linear_tail_is_bit_identical_to_libm_steps(monkeypatch, quadrature, del
     levels = (1e-6, 0.5)
     fast_snaps, fast_traces = list(snapshots(config, snaps)), front_traces(config, levels)
     calls = []
+    monkeypatch.setattr(kernels, "_step", kernels._numpy_step)
     monkeypatch.setattr(kernels, "_tail", _libm_tail(calls))
     ref_snaps = list(snapshots(config, snaps))
     assert len(calls) == n_max and max(calls) > 1000  # the reference stepped, past long runs
